@@ -10,14 +10,11 @@ from .exceptions import (
     OutOfValidityRegion,
     UnsupportedDegree,
 )
-from .graph import CommGraph, build_topology, contraction_factor, validate
+from .graph import CommGraph, build_topology, validate
 from .oracle import OracleSolution, brute_force_check, solve
 from .problems import (
     AggregativeProblem,
-    QuadraticProblem,
     RegularityConstants,
-    aggregate,
-    global_gradient,
     make_cournot,
     make_placement,
     make_quadratic,
@@ -28,7 +25,6 @@ from .solver import (
     IterTrace,
     SolverConfig,
     SolverState,
-    apply_perturbation,
     init_state,
     run,
     step_hb,
@@ -52,7 +48,6 @@ from .stability import (
     optimal_params,
     optimal_rate_formula,
     quad_full_matrix,
-    quad_reduced_matrix,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
-from .exceptions import ConfigError, DivergenceDetected, NotConverged
+from .config import ExperimentConfig, convert, load_config, parse_config, serialize_config
+from .exceptions import ConfigError, DivergenceDetected, InvalidArgument, NotConverged
 from .graph import build_topology
 from .oracle import solve
 from .presets import get_preset, preset_names
@@ -81,6 +81,12 @@ def _momentum_key(algorithm):
     return {"dagt": None, "dagt_hb": "beta", "dagt_nes": "gamma"}[algorithm]
 
 
+def _has_exact_rates(problem):
+    """The exact-rate matrices model scalar states whose curvature does not
+    depend on the aggregate (b = e = 0): the quadratic family."""
+    return problem.b == 0 and problem.e == 0 and problem.local_dim == 1
+
+
 def _single_run(cfg, algorithm=None, **overrides):
     problem = cfg.build_problem()
     graph = cfg.build_graph()
@@ -111,7 +117,7 @@ def _run_summary(problem, graph, solver_cfg, oracle, trace):
         "max_u_mean_err": max(trace.u_mean_err),
         "max_s_mean_err": max(trace.s_mean_err),
     }
-    if getattr(problem, "c", None) is not None and solver_cfg.noise_sigma == 0:
+    if _has_exact_rates(problem) and solver_cfg.noise_sigma == 0:
         report = quadratic_rates(
             problem, graph, solver_cfg.alpha, solver_cfg.momentum or 0.0, solver_cfg.algorithm
         )
@@ -133,7 +139,7 @@ def cmd_run(cfg, out_dir):
             rows += [(alg, int(k), float(r)) for k, r in zip(atrace.k, atrace.residual_msq)]
         outputs.append(_write(out_dir, "compare.csv", _csv(("algorithm", "iter", "residual"), rows)))
     summary["outputs"] = outputs
-    outputs.append(_write(out_dir, "summary.json", _json_dump(summary)))
+    _write(out_dir, "summary.json", _json_dump(summary))
     return summary, 0
 
 
@@ -148,12 +154,12 @@ def cmd_sweep(cfg, out_dir):
     if mkey is None:
         raise ConfigError("sweep needs a momentum algorithm", key="solver.algorithm")
     rows = []
-    for v in values:
+    for v in (convert(float, v, "sweep.values") for v in values):
         try:
-            _, _, scfg, _, trace = _single_run(cfg, **{mkey: float(v)})
-            rows.append((float(v), int(trace.k[-1]), bool(trace.converged)))
+            _, _, scfg, _, trace = _single_run(cfg, **{mkey: v})
+            rows.append((v, int(trace.k[-1]), bool(trace.converged)))
         except DivergenceDetected as exc:
-            rows.append((float(v), int(exc.iteration), False))
+            rows.append((v, int(exc.iteration), False))
     outputs = [_write(out_dir, "sweep.csv", _csv(("momentum", "iterations", "converged"), rows))]
     summary = {
         "algorithm": algorithm,
@@ -193,9 +199,9 @@ def cmd_topology(cfg, out_dir):
 
 
 def cmd_robustness(cfg, out_dir):
-    delay = int(cfg.get("robustness.delay_steps", 2))
-    sigma = float(cfg.get("robustness.noise_sigma", 0.001))
-    noise_iters = int(cfg.get("robustness.noise_max_iter", 10000))
+    delay = cfg.value("robustness.delay_steps", int, 2)
+    sigma = cfg.value("robustness.noise_sigma", float, 0.001)
+    noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
     outputs, summary = [], {"delay": {}, "noise": {}}
     for alg in ALGORITHMS:
         _, _, scfg, _, trace = _single_run(cfg, algorithm=alg, delay_steps=delay)
@@ -227,7 +233,7 @@ def _constants(cfg):
     graph = cfg.build_graph()
     c = StabilityConstants.from_problem(problem, graph)
     overrides = {k: f"bounds.{k}" for k in ("mu", "L1", "L2", "L3", "rho")}
-    vals = {k: float(cfg.get(key, getattr(c, k))) for k, key in overrides.items()}
+    vals = {k: cfg.value(key, float, getattr(c, k)) for k, key in overrides.items()}
     return StabilityConstants(**vals), problem, graph
 
 
@@ -235,9 +241,9 @@ def cmd_bounds(cfg, out_dir):
     constants, problem, graph = _constants(cfg)
     hb = conservative_bounds_hb(constants)
     nes = conservative_bounds_nes(constants)
-    alpha = float(cfg.get("solver.alpha", hb.alpha_eval))
-    beta = float(cfg.get("solver.beta", 0.0))
-    gamma = float(cfg.get("solver.gamma", 0.0))
+    alpha = cfg.value("solver.alpha", float, hb.alpha_eval)
+    beta = cfg.value("solver.beta", float, 0.0)
+    gamma = cfg.value("solver.gamma", float, 0.0)
     summary = {
         "constants": {k: getattr(constants, k) for k in ("mu", "L1", "L2", "L3", "rho")},
         "hb": {
@@ -272,14 +278,14 @@ def cmd_region(cfg, out_dir):
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
     matrix_fn = error_matrix_hb if algorithm == "dagt_hb" else error_matrix_nes
     a_grid = np.linspace(
-        float(cfg.get("region.alpha_min", 1e-4)),
-        float(cfg.get("region.alpha_max", 1.0 / constants.L1)),
-        int(cfg.get("region.alpha_steps", 20)),
+        cfg.value("region.alpha_min", float, 1e-4),
+        cfg.value("region.alpha_max", float, 1.0 / constants.L1),
+        cfg.value("region.alpha_steps", int, 20),
     )
     m_grid = np.linspace(
-        float(cfg.get("region.momentum_min", 1e-4)),
-        float(cfg.get("region.momentum_max", 0.5)),
-        int(cfg.get("region.momentum_steps", 20)),
+        cfg.value("region.momentum_min", float, 1e-4),
+        cfg.value("region.momentum_max", float, 0.5),
+        cfg.value("region.momentum_steps", int, 20),
     )
     rows = []
     for a in a_grid:
@@ -302,7 +308,7 @@ def cmd_region(cfg, out_dir):
 
 def cmd_rates(cfg, out_dir):
     problem = cfg.build_problem()
-    if getattr(problem, "c", None) is None:
+    if not _has_exact_rates(problem):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
     graph = cfg.build_graph()
     x0, x_prev = cfg.build_x0(problem)
@@ -356,7 +362,10 @@ def build_config(args):
     if args.preset:
         raw.update(get_preset(args.preset))
     if args.config:
-        raw.update(load_config(args.config))
+        try:
+            raw.update(load_config(args.config))
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
     for item in args.set or []:
         raw.update(parse_config(item))
     if not raw:
@@ -387,7 +396,9 @@ def main(argv=None):
             sys.stdout.write(serialize_config(cfg.raw))
             return 0
         summary, code = COMMANDS[args.command](cfg, args.out)
-    except ConfigError as exc:
+    except (ConfigError, InvalidArgument) as exc:
+        # every object a command builds comes from the config, so a
+        # violated precondition is a rejected configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceDetected, NotConverged) as exc:

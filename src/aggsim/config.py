@@ -12,7 +12,7 @@ repr so parse -> serialize -> parse round-trips losslessly.
 
 import numpy as np
 
-from .exceptions import ConfigError, InvalidArgument
+from .exceptions import ConfigError, ConstructionFailed, InvalidArgument
 from .graph import build_topology
 from .problems import make_cournot, make_placement, make_quadratic
 from .solver import ALGORITHMS, SolverConfig
@@ -82,12 +82,23 @@ def load_config(path):
         return parse_config(fh.read())
 
 
+def convert(kind, value, key):
+    """kind(value) for a config value; a failed conversion is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from None
+
+
 def _as_array(value, name):
     if isinstance(value, (int, float)):
         return np.array([float(value)])
     if isinstance(value, (list, tuple)):
-        return np.array([float(v) for v in value])
+        return np.array([convert(float, v, name) for v in value])
     raise ConfigError(f"expected a number or comma list", key=name)
+
+
+_REQUIRED = object()
 
 
 class ExperimentConfig:
@@ -109,18 +120,24 @@ class ExperimentConfig:
             raise ConfigError("missing required key", key=key)
         return self.raw[key]
 
+    def value(self, key, kind, default=_REQUIRED):
+        """The key's value converted by kind (float or int); a missing
+        required key or a failed conversion is a ConfigError. A default
+        of None passes through unconverted."""
+        value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
+        return None if value is None else convert(kind, value, key)
+
     # -- problem ---------------------------------------------------------
     def build_problem(self):
         kind = self.require("problem.kind")
         try:
             if kind == "placement":
                 r = _as_array(self.require("problem.r"), "problem.r").reshape(-1, 2)
-                omega = self.get("problem.omega", 1.0)
-                omega = _as_array(omega, "problem.omega") if isinstance(omega, list) else omega
+                omega = _as_array(self.get("problem.omega", 1.0), "problem.omega")
                 return make_placement(r, omega)
             if kind == "cournot":
-                n = int(self.require("problem.n_agents"))
-                rng = np.random.default_rng(int(self.get("problem.seed", 0)))
+                n = self.value("problem.n_agents", int)
+                rng = np.random.default_rng(self.value("problem.seed", int, 0))
                 kr = _as_array(self.get("problem.kappa_range", [0.5, 2.5]), "problem.kappa_range")
                 tr = _as_array(self.get("problem.theta_range", [10, 20]), "problem.theta_range")
                 sr = _as_array(self.get("problem.sigma_range", [5, 20]), "problem.sigma_range")
@@ -129,8 +146,8 @@ class ExperimentConfig:
                 sigma = rng.uniform(sr[0], sr[1], n)
                 return make_cournot(
                     kappa, theta, sigma,
-                    float(self.require("problem.omega1")),
-                    float(self.require("problem.omega2")),
+                    self.value("problem.omega1", float),
+                    self.value("problem.omega2", float),
                 )
             if kind == "quadratic":
                 c = _as_array(self.require("problem.c"), "problem.c")
@@ -144,32 +161,29 @@ class ExperimentConfig:
     # -- topology ----------------------------------------------------------
     def build_graph(self):
         kind = self.require("topology.kind")
-        n = int(self.require("topology.n_agents"))
+        n = self.value("topology.n_agents", int)
         # edge_prob/seed only apply to random patterns; a preset may carry
         # them while the kind is overridden
-        edge_prob = self.get("topology.edge_prob") if kind == "random" else None
-        seed = self.get("topology.seed") if kind == "random" else None
+        is_random = kind == "random"
+        edge_prob = self.value("topology.edge_prob", float, None) if is_random else None
+        seed = self.value("topology.seed", int, None) if is_random else None
         try:
-            return build_topology(
-                kind, n,
-                edge_prob=None if edge_prob is None else float(edge_prob),
-                seed=None if seed is None else int(seed),
-            )
-        except InvalidArgument as exc:
+            return build_topology(kind, n, edge_prob=edge_prob, seed=seed)
+        except (InvalidArgument, ConstructionFailed) as exc:
             raise ConfigError(str(exc), key="topology.*") from exc
 
     # -- solver ------------------------------------------------------------
     def build_solver_config(self, algorithm=None, **overrides):
         kw = dict(
             algorithm=algorithm or self.get("solver.algorithm", "dagt_hb"),
-            alpha=float(self.require("solver.alpha")),
-            beta=float(self.get("solver.beta", 0.0)),
-            gamma=float(self.get("solver.gamma", 0.0)),
-            max_iter=int(self.get("solver.max_iter", 5000)),
-            tol=float(self.get("solver.tol", 1e-6)),
-            delay_steps=int(self.get("solver.delay_steps", 0)),
-            noise_sigma=float(self.get("solver.noise_sigma", 0.0)),
-            seed=int(self.get("solver.seed", 0)),
+            alpha=self.value("solver.alpha", float),
+            beta=self.value("solver.beta", float, 0.0),
+            gamma=self.value("solver.gamma", float, 0.0),
+            max_iter=self.value("solver.max_iter", int, 5000),
+            tol=self.value("solver.tol", float, 1e-6),
+            delay_steps=self.value("solver.delay_steps", int, 0),
+            noise_sigma=self.value("solver.noise_sigma", float, 0.0),
+            seed=self.value("solver.seed", int, 0),
         )
         kw.update(overrides)
         if kw["algorithm"] not in ALGORITHMS:
@@ -196,7 +210,7 @@ class ExperimentConfig:
                 )
         else:
             lo, hi = _as_array(self.get("init.x0_range", [0.0, 1.0]), "init.x0_range")
-            rng = np.random.default_rng(int(self.get("init.seed", 0)))
+            rng = np.random.default_rng(self.value("init.seed", int, 0))
             x0 = rng.uniform(lo, hi, problem.dim)
         x_prev = None
         if "init.x_prev" in self.raw:

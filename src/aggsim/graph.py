@@ -43,28 +43,15 @@ class CommGraph:
         if self.rho is None:
             object.__setattr__(self, "rho", contraction_factor_of(w))
 
-    @classmethod
-    def from_weights(cls, weights):
-        return cls(n_agents=np.asarray(weights).shape[0], weights=weights)
-
-    def averaging_matrix(self):
-        """The uniform averaging matrix of matching size."""
-        n = self.n_agents
-        return np.full((n, n), 1.0 / n)
-
     def weights_csv(self):
         """Row-major CSV dump of the mixing matrix at full precision."""
         return "\n".join(",".join(repr(float(v)) for v in row) for row in self.weights) + "\n"
 
 
-def _degrees(adjacency):
-    return adjacency.sum(axis=1)
-
-
 def _metropolis(adjacency):
     """Metropolis weights on a 0/1 adjacency pattern (no self-loops)."""
     n = adjacency.shape[0]
-    deg = _degrees(adjacency)
+    deg = adjacency.sum(axis=1)
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -176,8 +163,3 @@ def contraction_factor_of(weights):
     n = w.shape[0]
     dev = w - np.full((n, n), 1.0 / n)
     return float(np.abs(np.linalg.eigvalsh(dev)).max())
-
-
-def contraction_factor(graph):
-    """Consensus contraction factor of a CommGraph (recomputed, not cached)."""
-    return contraction_factor_of(graph.weights)

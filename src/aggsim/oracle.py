@@ -1,9 +1,9 @@
 """Centralized ground-truth solver, independent of the distributed iterations.
 
-Instances whose global objective is quadratic carry an exact (Hessian,
-linear) model and are solved by one linear solve; anything else falls back
-to plain centralized gradient descent so the reference path shares no code
-with the solvers under test.
+Every instance carries its exact (Hessian, linear) model, so the ground
+truth is one linear solve. Plain centralized gradient descent on the
+global gradient is kept as an independent cross-check of that solve; it
+shares no code with the solvers under test.
 """
 
 from dataclasses import dataclass
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotConverged
-
-GRAD_NORM_CAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -23,43 +21,36 @@ class OracleSolution:
     method: str  # 'closed_form' or 'gradient_descent'
 
 
-def solve(problem, tol=1e-12, max_iter=200000):
-    """Ground-truth minimizer of F with achieved gradient norm.
-
-    Closed form (single linear solve) when the instance exposes its
-    quadratic model; otherwise centralized gradient descent with step
-    1/L1 until the gradient norm falls below tol.
-    """
-    if problem.quadratic_model is not None:
-        hess, lin, _ = problem.quadratic_model
-        x = np.linalg.solve(hess, -np.asarray(lin, dtype=float))
-        method = "closed_form"
-    else:
-        x = np.zeros(problem.dim)
-        step = 1.0 / problem.constants.L1
-        for _ in range(max_iter):
-            g = problem.global_gradient(x)
-            if np.linalg.norm(g) < tol:
-                break
-            x = x - step * g
-        else:
-            raise NotConverged(
-                f"gradient descent at {np.linalg.norm(problem.global_gradient(x)):.3e} "
-                f"after {max_iter} iterations (tol {tol:.1e})"
-            )
-        method = "gradient_descent"
+def _solution(problem, x, method):
     grad_norm = float(np.linalg.norm(problem.global_gradient(x)))
     return OracleSolution(
         x_star=x, f_star=problem.objective(x), grad_norm=grad_norm, method=method
     )
 
 
+def solve(problem):
+    """Ground-truth minimizer of F with achieved gradient norm: one linear
+    solve against the instance's exact quadratic model."""
+    hess, lin, _ = problem.quadratic_model
+    return _solution(problem, np.linalg.solve(hess, -lin), "closed_form")
+
+
 def solve_gradient_descent(problem, tol=1e-12, max_iter=200000):
-    """Force the gradient-descent path (cross-check against closed form)."""
-    stripped_cls = type(problem)
-    fields = {f: getattr(problem, f) for f in problem.__dataclass_fields__}
-    fields["quadratic_model"] = None
-    return solve(stripped_cls(**fields), tol=tol, max_iter=max_iter)
+    """Centralized gradient descent with step 1/L1 until the gradient norm
+    falls below tol; the independent cross-check of the closed form."""
+    x = np.zeros(problem.dim)
+    step = 1.0 / problem.constants.L1
+    for _ in range(max_iter):
+        g = problem.global_gradient(x)
+        if np.linalg.norm(g) < tol:
+            break
+        x = x - step * g
+    else:
+        raise NotConverged(
+            f"gradient descent at {np.linalg.norm(problem.global_gradient(x)):.3e} "
+            f"after {max_iter} iterations (tol {tol:.1e})"
+        )
+    return _solution(problem, x, "gradient_descent")
 
 
 def brute_force_check(problem, x_star, radius, n_samples, seed):

@@ -1,9 +1,23 @@
 """Aggregative problem instances: local costs coupled through an aggregate.
 
-Each agent i owns a cost f_i(x_i, u) evaluated at the network aggregate
-u(x) = mean_i phi_i(x_i), together with closed-form partial gradients.
-Three concrete families are provided: planar optimal placement, a
-Nash-Cournot market, and a scalar quadratic family used for rate analysis.
+Agent i owns a state x_i in R^d and a cost f_i(x_i, u) evaluated at the
+network aggregate u(x) = mean_i phi_i(x_i). Every instance is one member of
+a single affine-quadratic family:
+
+    f_i(x_i, u) = c_i/2 |x_i|^2 + b x_i.u + e/2 |u|^2 + p_i.x_i + q.u + s_i
+    phi_i(x_i)  = h_i x_i + l_i
+
+with per-agent scalars c_i, h_i, s_i, per-agent vectors p_i, l_i in R^d,
+shared scalars b, e and a shared vector q in R^d. The global objective
+F(x) = sum_i f_i(x_i, u(x)) is then quadratic with Hessian
+
+    kron(diag(c) + (b (h 1^T + 1 h^T) + e h h^T) / N, I_d),
+
+whose extreme eigenvalues are the exact strong convexity and smoothness
+constants, and whose linear solve is the closed-form minimizer. The three
+families provided are coefficient maps onto this form: planar optimal
+placement, a Nash-Cournot market, and a scalar quadratic family used for
+rate analysis.
 """
 
 from dataclasses import dataclass, field
@@ -11,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidArgument
-
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,36 +54,72 @@ class RegularityConstants:
 
 @dataclass(frozen=True)
 class AggregativeProblem:
-    """Bundle of evaluators defining one aggregative optimization instance.
+    """Coefficients of one affine-quadratic aggregative instance.
 
-    All evaluation methods are pure; instances are immutable and
-    thread-safe. States are stacked 1-D vectors of length
-    n_agents * local_dim; trackers are (n_agents, agg_dim) arrays.
+    c, h, s: per-agent scalars, shape (N,); p, l: per-agent vectors,
+    shape (N, d); b, e: scalars; q: shape (d,). The arrays are copied and
+    made read-only, so instances are immutable and thread-safe. States
+    are stacked 1-D vectors of length N * d or (N, d) arrays; trackers
+    are (N, d) arrays. The Hessian model and the regularity constants are
+    derived once at construction.
     """
 
     name: str
-    n_agents: int
-    local_dim: int
-    agg_dim: int
-    constants: RegularityConstants
-    # vectorized evaluators over (N, local_dim) / (N, agg_dim) arrays
-    _f_local: callable = field(repr=False)
-    _phi: callable = field(repr=False)
-    _grad1: callable = field(repr=False)
-    _grad2: callable = field(repr=False)
-    _dphi_apply: callable = field(repr=False)
-    _grad_phi_mat: callable = field(repr=False)
-    # (hessian, linear, constant) of F when F is quadratic, else None
-    quadratic_model: tuple = field(default=None, repr=False)
+    c: np.ndarray
+    h: np.ndarray
+    s: np.ndarray
+    p: np.ndarray
+    l: np.ndarray
+    b: float
+    e: float
+    q: np.ndarray
+    constants: RegularityConstants = field(init=False)
+    # (hessian, linear, constant) of F
+    quadratic_model: tuple = field(init=False, repr=False)
 
-    # -- layout helpers -------------------------------------------------
+    def __post_init__(self):
+        for name in ("c", "h", "s", "p", "l", "q"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        n, d = self.n_agents, self.local_dim
+        one = np.ones(n)
+        coupling = (self.b * (np.outer(self.h, one) + np.outer(one, self.h))
+                    + self.e * np.outer(self.h, self.h)) / n
+        hess = np.kron(np.diag(self.c) + coupling, np.eye(d))
+        # gradient and value of F at x = 0, where u = mean(l)
+        l_bar = self.l.mean(axis=0)
+        lin = self.p + self.b * l_bar + self.h[:, None] * (self.e * l_bar + self.q)
+        const = float(self.s.sum() + n * (self.e / 2.0 * l_bar @ l_bar + self.q @ l_bar))
+        ev = np.linalg.eigvalsh(hess)
+        constants = RegularityConstants(
+            mu=float(ev[0]), L1=float(ev[-1]),
+            L2=float(max(abs(self.b), abs(self.e))), L3=float(np.abs(self.h).max()),
+        )
+        object.__setattr__(self, "quadratic_model", (hess, lin.reshape(-1), const))
+        object.__setattr__(self, "constants", constants)
+        # column views of c and h, and each all-zero offset as None: every
+        # family leaves some terms out, and the evaluators skip those
+        object.__setattr__(self, "_c", self.c[:, None])
+        object.__setattr__(self, "_h", self.h[:, None])
+        for name in ("p", "l", "q"):
+            offset = getattr(self, name)
+            object.__setattr__(self, f"_{name}", offset if offset.any() else None)
+
+    # -- layout ------------------------------------------------------------
+    @property
+    def n_agents(self):
+        return self.c.shape[0]
+
+    @property
+    def local_dim(self):
+        return self.p.shape[1]
+
+    agg_dim = local_dim  # the aggregate lives in the state space
+
     @property
     def dim(self):
         return self.n_agents * self.local_dim
-
-    @property
-    def local_dims(self):
-        return [self.local_dim] * self.n_agents
 
     def as_agents(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,91 +129,51 @@ class AggregativeProblem:
             raise InvalidArgument(f"state has size {x.size}, expected {self.dim}")
         return x.reshape(self.n_agents, self.local_dim)
 
-    def stack(self, x_agents):
-        return np.asarray(x_agents, dtype=float).reshape(-1)
-
-    # -- vectorized evaluators -----------------------------------------
+    # -- vectorized evaluators over (N, d) arrays --------------------------
+    # a skipped term is an exact zero, so skipping changes no value
     def f_local_all(self, x_agents, u_agents):
-        return self._f_local(x_agents, u_agents)
+        x, u = x_agents, u_agents
+        xpart = (self._c / 2.0 * x + self.b * u + self.p) * x
+        return (xpart + (self.e / 2.0 * u + self.q) * u).sum(axis=1) + self.s
 
     def phi_all(self, x_agents):
-        return self._phi(x_agents)
+        y = self._h * x_agents
+        return y if self._l is None else y + self._l
 
     def grad1_all(self, x_agents, u_agents):
-        return self._grad1(x_agents, u_agents)
+        g = self._c * x_agents
+        if self.b:
+            g = g + self.b * u_agents
+        return g if self._p is None else g + self._p
 
     def grad2_all(self, x_agents, u_agents):
-        return self._grad2(x_agents, u_agents)
+        g = self.b * x_agents
+        if self.e:
+            g = g + self.e * u_agents
+        return g if self._q is None else g + self._q
 
     def dphi_all(self, x_agents, s_agents):
         """Per-agent product of the aggregation Jacobian with a tracker."""
-        return self._dphi_apply(x_agents, s_agents)
-
-    # -- per-agent accessors ---------------------------------------------
-    # the vectorized closures are row-wise maps, so agent i's value is row i
-    # of a full evaluation with x_i placed in row i
-    def _rows(self, i, x_i, u=None):
-        x = np.zeros((self.n_agents, self.local_dim))
-        x[i] = np.asarray(x_i, dtype=float).reshape(self.local_dim)
-        if u is None:
-            return x, None
-        ub = np.broadcast_to(
-            np.asarray(u, dtype=float).reshape(self.agg_dim), (self.n_agents, self.agg_dim)
-        )
-        return x, ub
-
-    def eval_f_i(self, i, x_i, u):
-        x, ub = self._rows(i, x_i, u)
-        return float(self._f_local(x, ub)[i])
-
-    def eval_phi_i(self, i, x_i):
-        x, _ = self._rows(i, x_i)
-        return self._phi(x)[i]
-
-    def grad1_f_i(self, i, x_i, u):
-        x, ub = self._rows(i, x_i, u)
-        return self._grad1(x, ub)[i]
-
-    def grad2_f_i(self, i, x_i, u):
-        x, ub = self._rows(i, x_i, u)
-        return self._grad2(x, ub)[i]
-
-    def grad_phi_i(self, i, x_i):
-        """Aggregation-map Jacobian of agent i as a (local_dim, agg_dim) matrix."""
-        return np.asarray(self._grad_phi_mat(i, np.asarray(x_i, dtype=float)))
+        return self._h * s_agents
 
     # -- global quantities -----------------------------------------------
+    # sum / N is bit-identical to .mean(axis=0) at a fraction of its cost
     def aggregate(self, x):
-        xa = self.as_agents(x)
-        return self.phi_all(xa).mean(axis=0)
+        """Network aggregate u(x) = mean_i phi_i(x_i)."""
+        return self.phi_all(self.as_agents(x)).sum(axis=0) / self.n_agents
 
     def global_gradient(self, x):
+        """Exact gradient of F(x) = sum_i f_i(x_i, u(x)) as a stacked vector."""
         xa = self.as_agents(x)
-        u = self.phi_all(xa).mean(axis=0)
-        ub = np.broadcast_to(u, (self.n_agents, self.agg_dim))
-        g2_mean = self.grad2_all(xa, ub).mean(axis=0)
-        sb = np.broadcast_to(g2_mean, (self.n_agents, self.agg_dim))
-        return self.stack(self.grad1_all(xa, ub) + self.dphi_all(xa, sb))
+        ub = np.broadcast_to(self.aggregate(xa), xa.shape)
+        g2_mean = self.grad2_all(xa, ub).sum(axis=0) / self.n_agents
+        sb = np.broadcast_to(g2_mean, xa.shape)
+        return (self.grad1_all(xa, ub) + self.dphi_all(xa, sb)).reshape(-1)
 
     def objective(self, x):
         xa = self.as_agents(x)
-        u = self.phi_all(xa).mean(axis=0)
-        ub = np.broadcast_to(u, (self.n_agents, self.agg_dim))
+        ub = np.broadcast_to(self.aggregate(xa), xa.shape)
         return float(self.f_local_all(xa, ub).sum())
-
-
-@dataclass(frozen=True)
-class QuadraticProblem(AggregativeProblem):
-    """Scalar quadratic family: f_i = c_i/2 x_i^2 + u/N, phi_i = h_i x_i + l_i."""
-
-    c: np.ndarray = None
-    h: np.ndarray = None
-    l: np.ndarray = None
-
-
-def _hessian_extremes(hess):
-    ev = np.linalg.eigvalsh(hess)
-    return float(ev[0]), float(ev[-1])
 
 
 def make_placement(r, omega):
@@ -184,54 +192,16 @@ def make_placement(r, omega):
     if r.ndim != 2 or r.shape[1] != 2:
         raise InvalidArgument("anchors r must be an (N, 2) array")
     n = r.shape[0]
-    w = np.broadcast_to(np.asarray(omega, dtype=float), (n,)).copy()
-    if w.shape != (n,):
-        raise InvalidArgument("omega must broadcast to one weight per agent")
+    try:
+        w = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
+    except ValueError:
+        raise InvalidArgument("omega must broadcast to one weight per agent") from None
     if (w <= 0).any():
         raise InvalidArgument("placement weights must be positive")
-    r.setflags(write=False)
-    w.setflags(write=False)
-
     wcol = w[:, None]
-
-    def f_local(x, u):
-        return (wcol * (x - r) ** 2).sum(axis=1) + ((x - u) ** 2).sum(axis=1)
-
-    def phi(x):
-        return x.copy()
-
-    def grad1(x, u):
-        return 2.0 * wcol * (x - r) + 2.0 * (x - u)
-
-    def grad2(x, u):
-        return -2.0 * (x - u)
-
-    def dphi_apply(x, s):
-        return s.copy()
-
-    def grad_phi_mat(i, x_i):
-        return np.eye(2)
-
-    eye_n = np.eye(n)
-    k_n = np.full((n, n), 1.0 / n)
-    hess = np.kron(2.0 * np.diag(w) + 2.0 * (eye_n - k_n), np.eye(2))
-    lin = (-2.0 * wcol * r).reshape(-1)
-    const = float((wcol * r**2).sum())
-    mu, L1 = _hessian_extremes(hess)
-
     return AggregativeProblem(
-        name="placement",
-        n_agents=n,
-        local_dim=2,
-        agg_dim=2,
-        constants=RegularityConstants(mu=mu, L1=L1, L2=2.0, L3=1.0),
-        _f_local=f_local,
-        _phi=phi,
-        _grad1=grad1,
-        _grad2=grad2,
-        _dphi_apply=dphi_apply,
-        _grad_phi_mat=grad_phi_mat,
-        quadratic_model=(hess, lin, const),
+        name="placement", c=2.0 * w + 2.0, h=np.ones(n), s=(wcol * r**2).sum(axis=1),
+        p=-2.0 * wcol * r, l=np.zeros((n, 2)), b=-2.0, e=2.0, q=np.zeros(2),
     )
 
 
@@ -253,46 +223,10 @@ def make_cournot(kappa, theta, sigma, omega1, omega2):
         raise InvalidArgument("kappa entries must be positive")
     if omega2 <= 0:
         raise InvalidArgument("omega2 must be positive")
-    for a in (kappa, theta, sigma):
-        a.setflags(write=False)
-    w1, w2 = float(omega1), float(omega2)
-    kcol, tcol, scol = kappa[:, None], theta[:, None], sigma[:, None]
-
-    def f_local(x, u):
-        return (kcol * x**2 + tcol * x + scol - (w1 - w2 * u) * x).sum(axis=1)
-
-    def phi(x):
-        return n * x
-
-    def grad1(x, u):
-        return 2.0 * kcol * x + tcol - w1 + w2 * u
-
-    def grad2(x, u):
-        return w2 * x
-
-    def dphi_apply(x, s):
-        return n * s
-
-    def grad_phi_mat(i, x_i):
-        return np.array([[float(n)]])
-
-    hess = 2.0 * np.diag(kappa) + 2.0 * w2 * np.ones((n, n))
-    lin = theta - w1
-    mu, L1 = _hessian_extremes(hess)
-
     return AggregativeProblem(
-        name="cournot",
-        n_agents=n,
-        local_dim=1,
-        agg_dim=1,
-        constants=RegularityConstants(mu=mu, L1=L1, L2=w2, L3=float(n)),
-        _f_local=f_local,
-        _phi=phi,
-        _grad1=grad1,
-        _grad2=grad2,
-        _dphi_apply=dphi_apply,
-        _grad_phi_mat=grad_phi_mat,
-        quadratic_model=(hess, lin, float(sigma.sum())),
+        name="cournot", c=2.0 * kappa, h=np.full(n, float(n)), s=sigma,
+        p=(theta - float(omega1))[:, None], l=np.zeros((n, 1)), b=float(omega2), e=0.0,
+        q=np.zeros(1),
     )
 
 
@@ -313,67 +247,8 @@ def make_quadratic(c, h, l):
         raise InvalidArgument("c entries must be positive")
     if (h < 0).any():
         raise InvalidArgument("h entries must be nonnegative")
-    for a in (c, h, l):
-        a.setflags(write=False)
-    ccol, hcol, lcol = c[:, None], h[:, None], l[:, None]
-
-    def f_local(x, u):
-        return (ccol / 2.0 * x**2 + u / n).sum(axis=1)
-
-    def phi(x):
-        return hcol * x + lcol
-
-    def grad1(x, u):
-        return ccol * x
-
-    def grad2(x, u):
-        return np.full_like(u, 1.0 / n)
-
-    def dphi_apply(x, s):
-        return hcol * s
-
-    def grad_phi_mat(i, x_i):
-        return np.array([[h[i]]])
-
-    hess = np.diag(c)
-    lin = h / n
-    mu, L1 = float(c.min()), float(c.max())
-
-    return QuadraticProblem(
-        name="quadratic",
-        n_agents=n,
-        local_dim=1,
-        agg_dim=1,
-        constants=RegularityConstants(mu=mu, L1=L1, L2=0.0, L3=float(h.max())),
-        _f_local=f_local,
-        _phi=phi,
-        _grad1=grad1,
-        _grad2=grad2,
-        _dphi_apply=dphi_apply,
-        _grad_phi_mat=grad_phi_mat,
-        quadratic_model=(hess, lin, float(l.mean())),
-        c=c,
-        h=h,
-        l=l,
+    return AggregativeProblem(
+        name="quadratic", c=c, h=h, s=np.zeros(n), p=np.zeros((n, 1)), l=l[:, None],
+        b=0.0, e=0.0, q=np.full(1, 1.0 / n),
     )
 
-
-def aggregate(problem, x):
-    """Network aggregate u(x) = mean_i phi_i(x_i)."""
-    return problem.aggregate(x)
-
-
-def global_gradient(problem, x):
-    """Exact gradient of F(x) = sum_i f_i(x_i, u(x)) as a stacked vector."""
-    return problem.global_gradient(x)
-
-
-def finite_difference_gradient(fun, x, step=FD_STEP):
-    """Central finite differences of a scalar function of a stacked vector."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * step)
-    return g

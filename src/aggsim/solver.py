@@ -38,6 +38,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidArgument(f"unknown algorithm {self.algorithm!r}")
+        for name in ("alpha", "beta", "gamma", "tol", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidArgument(f"{name} must be finite")
         if self.alpha <= 0:
             raise InvalidArgument("alpha must be positive")
         if self.beta < 0 or self.gamma < 0:
@@ -66,10 +69,6 @@ class SolverState:
     s: np.ndarray
     k: int = 0
     y: np.ndarray = None
-
-    @property
-    def x_stacked(self):
-        return self.x.reshape(-1)
 
     def finite(self):
         parts = [self.x, self.x_prev, self.u, self.s] + ([self.y] if self.y is not None else [])
@@ -111,19 +110,6 @@ class CommChannel:
             mix_u = mix_u + self._received_noise(u.shape)
             mix_s = mix_s + self._received_noise(s.shape)
         return mix_u, mix_s
-
-
-def apply_perturbation(graph, channel, params):
-    """Communication wrapper for one perturbation kind.
-
-    channel 'delay' expects params['delay_steps']; 'noise' expects
-    params['noise_sigma'] and optional params['seed'].
-    """
-    if channel == "delay":
-        return CommChannel(graph, delay_steps=params["delay_steps"])
-    if channel == "noise":
-        return CommChannel(graph, noise_sigma=params["noise_sigma"], seed=params.get("seed"))
-    raise InvalidArgument(f"unknown perturbation channel {channel!r}")
 
 
 def init_state(problem, graph, x0, x_minus1=None, nesterov=False):

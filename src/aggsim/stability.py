@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
-from .graph import contraction_factor_of
 
 _EPS = np.finfo(float).eps
 
@@ -501,23 +500,6 @@ def quad_reduced_radius(c, alpha, momentum, algorithm):
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 
-def quad_reduced_matrix(c, alpha, momentum, algorithm):
-    """The reduced state-block matrix itself (2N x 2N; N x N for dagt)."""
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    eye = np.eye(n)
-    if algorithm == "dagt":
-        return eye - alpha * np.diag(c)
-    if algorithm == "dagt_hb":
-        top = np.hstack([(1 + momentum) * eye - alpha * np.diag(c), -momentum * eye])
-    elif algorithm == "dagt_nes":
-        m = eye - alpha * np.diag(c)
-        top = np.hstack([(1 + momentum) * m, -momentum * m])
-    else:
-        raise InvalidArgument(f"unknown algorithm {algorithm!r}")
-    return np.vstack([top, np.hstack([eye, np.zeros((n, n))])])
-
-
 def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
     """Full coupling matrix of the quadratic-instance error recursion
     (3N x 3N for dagt, 4N x 4N with momentum), assembled from its two
@@ -603,7 +585,7 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     full = quad_full_matrix(qp, graph, alpha, momentum, algorithm)
     spectral = float(np.abs(np.linalg.eigvals(full)).max())
     reduced = quad_reduced_radius(qp.c, alpha, momentum, algorithm)
-    rho_graph = contraction_factor_of(graph.weights)
+    rho_graph = graph.rho
     predicted = max(rho_graph, reduced)
     gate = max(1e-9, 5e-8 * (1.0 + predicted))
     if abs(spectral - predicted) > gate:

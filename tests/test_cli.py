@@ -87,6 +87,48 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("command,preset,overrides", [
+    pytest.param("run", "placement-paper", ["solver.alpha=abc"], id="alpha-abc"),
+    pytest.param("run", "placement-paper", ["topology.n_agents=7"], id="agent-count-mismatch"),
+    pytest.param("run", "placement-paper", ["solver.alpha=nan"], id="alpha-nan"),
+    pytest.param("run", "placement-paper", ["solver.alpha=inf"], id="alpha-inf"),
+    pytest.param("run", "quadratic-demo", ["solver.tol=nan"], id="tol-nan"),
+    pytest.param("run", "quadratic-demo", ["topology.kind=random", "topology.edge_prob=1e-9"],
+                 id="unconnectable-random-graph"),
+    # alpha_bar is 0 because L2 = 0: the conservative box is empty
+    pytest.param("bounds", "quadratic-demo", [], id="bounds-quadratic-demo"),
+])
+def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    code = run_cli(command, "--preset", preset, *sets, "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command,preset,overrides", [
+    ("run", "quadratic-demo", ["run.compare=true", "output.export_graph=true"]),
+    ("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=0.0,0.2"]),
+    ("topology", "quadratic-demo", []),
+    ("robustness", "quadratic-demo", ["robustness.noise_max_iter=50"]),
+    ("region", "placement-paper", ["region.alpha_steps=3", "region.momentum_steps=3"]),
+    ("rates", "quadratic-demo", []),
+], ids=["run", "sweep", "topology", "robustness", "region", "rates"])
+def test_printed_summary_equals_written_file(tmp_path, capsys, command, preset, overrides):
+    out = tmp_path / "o"
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert run_cli(command, "--preset", preset, *sets, "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    assert printed == (out / "summary.json").read_text()
+    assert "summary.json" not in json.loads(printed)["outputs"]
+
+
 def test_divergence_exit_code(tmp_path):
     code = run_cli(
         "run", "--preset", "quadratic-demo", "--set", "solver.alpha = 1000.0",

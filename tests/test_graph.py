@@ -5,7 +5,6 @@ from aggsim.exceptions import ConstructionFailed, InvalidArgument
 from aggsim.graph import (
     CommGraph,
     build_topology,
-    contraction_factor,
     contraction_factor_of,
     validate,
 )
@@ -66,12 +65,12 @@ def test_validate_rejects_non_square():
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_contraction_complete_is_zero(n):
     g = build_topology("complete", n)
-    assert contraction_factor(g) < 1e-12
+    assert g.rho < 1e-12
 
 
 def test_contraction_matches_independent_svd():
     g = build_topology("random", 10, edge_prob=0.4, seed=7)
-    dev = g.weights - g.averaging_matrix()
+    dev = g.weights - np.full((10, 10), 1.0 / 10)
     oracle = np.linalg.svd(dev, compute_uv=False)[0]
     assert 0 < g.rho < 1
     assert g.rho == pytest.approx(oracle, abs=1e-12)
@@ -89,7 +88,7 @@ def test_generated_graph_invariants(kind, kwargs):
     n = g.n_agents
     assert np.abs(w.sum(axis=1) - 1).max() <= 1e-12
     assert np.abs(w.sum(axis=0) - 1).max() <= 1e-12
-    k = g.averaging_matrix()
+    k = np.full((n, n), 1.0 / n)
     assert np.abs(w @ k - k).max() <= 1e-12
     assert np.abs(k @ w - k).max() <= 1e-12
     assert np.linalg.norm(w - np.eye(n), 2) <= 2 + 1e-12
@@ -126,7 +125,7 @@ def test_unconnectable_random_raises():
 
 def test_comm_graph_rejects_invalid_matrix():
     with pytest.raises(InvalidArgument):
-        CommGraph.from_weights(np.eye(3))
+        CommGraph(n_agents=3, weights=np.eye(3))
 
 
 def test_weights_csv_roundtrip():

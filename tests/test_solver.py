@@ -8,7 +8,6 @@ from aggsim.solver import (
     CommChannel,
     SolverConfig,
     SolverState,
-    apply_perturbation,
     init_state,
     run,
     step_hb,
@@ -320,15 +319,15 @@ def test_noise_determinism_same_seed():
     assert t0.to_csv() == t1.to_csv()
 
 
-def test_apply_perturbation_factory():
+def test_comm_channel_delay_period_and_noise():
     g = build_topology("ring", 4)
-    ch = apply_perturbation(g, "delay", {"delay_steps": 2})
+    ch = CommChannel(g, delay_steps=2)
     assert ch.period == 3
     assert ch.updates_at(0) and not ch.updates_at(1)
-    ch = apply_perturbation(g, "noise", {"noise_sigma": 0.5, "seed": 1})
+    ch = CommChannel(g, noise_sigma=0.5, seed=1)
     assert ch.noise_sigma == 0.5
     with pytest.raises(InvalidArgument):
-        apply_perturbation(g, "packet_loss", {})
+        CommChannel(g, delay_steps=-1)
 
 
 def test_noise_only_on_received_entries():
@@ -350,3 +349,6 @@ def test_solver_config_validation():
         SolverConfig(algorithm="dagt_hb", alpha=-0.1)
     with pytest.raises(InvalidArgument):
         SolverConfig(algorithm="momentum", alpha=0.1)
+    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"tol": float("nan")}):
+        with pytest.raises(InvalidArgument):
+            SolverConfig(**{"algorithm": "dagt_hb", "alpha": 0.1, **bad})
