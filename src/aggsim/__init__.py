@@ -27,8 +27,7 @@ from .solver import (
     SolverState,
     init_state,
     run,
-    step_hb,
-    step_nes,
+    step,
 )
 from .stability import (
     ConservativeBounds,

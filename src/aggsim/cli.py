@@ -77,10 +77,6 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _momentum_key(algorithm):
-    return {"dagt": None, "dagt_hb": "beta", "dagt_nes": "gamma"}[algorithm]
-
-
 def _has_exact_rates(problem):
     """The exact-rate matrices model scalar states whose curvature does not
     depend on the aggregate (b = e = 0): the quadratic family."""
@@ -119,7 +115,7 @@ def _run_summary(problem, graph, solver_cfg, oracle, trace):
     }
     if _has_exact_rates(problem) and solver_cfg.noise_sigma == 0:
         report = quadratic_rates(
-            problem, graph, solver_cfg.alpha, solver_cfg.momentum or 0.0, solver_cfg.algorithm
+            problem, graph, solver_cfg.alpha, solver_cfg.momentum, solver_cfg.algorithm
         )
         summary["predicted_rate"] = report.predicted_rate
         summary["reduced_radius"] = report.reduced_radius
@@ -150,13 +146,13 @@ def cmd_sweep(cfg, out_dir):
     if not isinstance(values, list):
         values = [values]
     algorithm = cfg.get("solver.algorithm", "dagt_hb")
-    mkey = _momentum_key(algorithm)
-    if mkey is None:
+    if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("sweep needs a momentum algorithm", key="solver.algorithm")
     rows = []
     for v in (convert(float, v, "sweep.values") for v in values):
         try:
-            _, _, scfg, _, trace = _single_run(cfg, **{mkey: v})
+            # the algorithm's config keeps the parameter it uses
+            _, _, scfg, _, trace = _single_run(cfg, beta=v, gamma=v)
             rows.append((v, int(trace.k[-1]), bool(trace.converged)))
         except DivergenceDetected as exc:
             rows.append((v, int(exc.iteration), False))
@@ -270,6 +266,16 @@ def cmd_bounds(cfg, out_dir):
     return summary, 0
 
 
+def _grid(cfg, axis, default_max):
+    """The region grid along one axis, from region.<axis>_min/_max/_steps."""
+    lo = cfg.value(f"region.{axis}_min", float, 1e-4)
+    hi = cfg.value(f"region.{axis}_max", float, default_max)
+    steps = cfg.value(f"region.{axis}_steps", int, 20)
+    if steps < 0:
+        raise ConfigError("grid size must be nonnegative", key=f"region.{axis}_steps")
+    return np.linspace(lo, hi, steps)
+
+
 def cmd_region(cfg, out_dir):
     constants, _, _ = _constants(cfg)
     algorithm = cfg.get("region.algorithm", "dagt_hb")
@@ -277,16 +283,8 @@ def cmd_region(cfg, out_dir):
     if member_fn is None:
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
     matrix_fn = error_matrix_hb if algorithm == "dagt_hb" else error_matrix_nes
-    a_grid = np.linspace(
-        cfg.value("region.alpha_min", float, 1e-4),
-        cfg.value("region.alpha_max", float, 1.0 / constants.L1),
-        cfg.value("region.alpha_steps", int, 20),
-    )
-    m_grid = np.linspace(
-        cfg.value("region.momentum_min", float, 1e-4),
-        cfg.value("region.momentum_max", float, 0.5),
-        cfg.value("region.momentum_steps", int, 20),
-    )
+    a_grid = _grid(cfg, "alpha", 1.0 / constants.L1)
+    m_grid = _grid(cfg, "momentum", 0.5)
     rows = []
     for a in a_grid:
         for m in m_grid:
@@ -318,19 +316,14 @@ def cmd_rates(cfg, out_dir):
     code = 0
     for alg in ALGORITHMS:
         alpha, momentum = optimal_params(alg, mu, L1)
-        report = quadratic_rates(problem, graph, alpha, momentum or 0.0, alg)
-        overrides = {"alpha": alpha}
-        mkey = _momentum_key(alg)
-        if mkey:
-            overrides[mkey] = momentum
-        scfg = cfg.build_solver_config(algorithm=alg, **overrides)
+        m = 0.0 if momentum is None else momentum
+        report = quadratic_rates(problem, graph, alpha, m, alg)
+        scfg = cfg.build_solver_config(algorithm=alg, alpha=alpha, beta=m, gamma=m)
         trace = run_solver(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=oracle)
         measured = measured_tail_rate(trace)
         rel = abs(measured - report.predicted_rate) / report.predicted_rate
-        rows.append(
-            (alg, alpha, 0.0 if momentum is None else momentum,
-             report.reduced_radius, report.rho_graph, report.predicted_rate, measured, rel)
-        )
+        rows.append((alg, alpha, m, report.reduced_radius, report.rho_graph,
+                     report.predicted_rate, measured, rel))
         details[alg] = {"predicted": report.predicted_rate, "measured": measured, "rel_error": rel}
         if not trace.converged:
             code = 3

@@ -90,14 +90,6 @@ def convert(kind, value, key):
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from None
 
 
-def _as_array(value, name):
-    if isinstance(value, (int, float)):
-        return np.array([float(value)])
-    if isinstance(value, (list, tuple)):
-        return np.array([convert(float, v, name) for v in value])
-    raise ConfigError(f"expected a number or comma list", key=name)
-
-
 _REQUIRED = object()
 
 
@@ -127,32 +119,42 @@ class ExperimentConfig:
         value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
         return None if value is None else convert(kind, value, key)
 
+    def array(self, key, default=_REQUIRED, size=None):
+        """The key's number or comma list as a float array; like value, and
+        with size given, any other entry count is a ConfigError."""
+        value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
+        if isinstance(value, (int, float)):
+            value = [value]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError("expected a number or comma list", key=key)
+        arr = np.array([convert(float, v, key) for v in value])
+        if size is not None and arr.size != size:
+            raise ConfigError(f"expected {size} entries, got {arr.size}", key=key)
+        return arr
+
     # -- problem ---------------------------------------------------------
     def build_problem(self):
         kind = self.require("problem.kind")
         try:
             if kind == "placement":
-                r = _as_array(self.require("problem.r"), "problem.r").reshape(-1, 2)
-                omega = _as_array(self.get("problem.omega", 1.0), "problem.omega")
+                r = self.array("problem.r").reshape(-1, 2)
+                omega = self.array("problem.omega", 1.0)
                 return make_placement(r, omega)
             if kind == "cournot":
                 n = self.value("problem.n_agents", int)
                 rng = np.random.default_rng(self.value("problem.seed", int, 0))
-                kr = _as_array(self.get("problem.kappa_range", [0.5, 2.5]), "problem.kappa_range")
-                tr = _as_array(self.get("problem.theta_range", [10, 20]), "problem.theta_range")
-                sr = _as_array(self.get("problem.sigma_range", [5, 20]), "problem.sigma_range")
-                kappa = rng.uniform(kr[0], kr[1], n)
-                theta = rng.uniform(tr[0], tr[1], n)
-                sigma = rng.uniform(sr[0], sr[1], n)
+                kappa = rng.uniform(*self.array("problem.kappa_range", [0.5, 2.5], size=2), n)
+                theta = rng.uniform(*self.array("problem.theta_range", [10, 20], size=2), n)
+                sigma = rng.uniform(*self.array("problem.sigma_range", [5, 20], size=2), n)
                 return make_cournot(
                     kappa, theta, sigma,
                     self.value("problem.omega1", float),
                     self.value("problem.omega2", float),
                 )
             if kind == "quadratic":
-                c = _as_array(self.require("problem.c"), "problem.c")
-                h = _as_array(self.get("problem.h", [0.0] * c.size), "problem.h")
-                l = _as_array(self.get("problem.l", [0.0] * c.size), "problem.l")
+                c = self.array("problem.c")
+                h = self.array("problem.h", [0.0] * c.size)
+                l = self.array("problem.l", [0.0] * c.size)
                 return make_quadratic(c, h, l)
         except InvalidArgument as exc:
             raise ConfigError(str(exc), key="problem.*") from exc
@@ -188,13 +190,11 @@ class ExperimentConfig:
         kw.update(overrides)
         if kw["algorithm"] not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {kw['algorithm']!r}", key="solver.algorithm")
-        if kw["algorithm"] == "dagt":
+        # each algorithm keeps only the momentum parameter it is configured by
+        if kw["algorithm"] != "dagt_hb":
             kw["beta"] = 0.0
+        if kw["algorithm"] != "dagt_nes":
             kw["gamma"] = 0.0
-        elif kw["algorithm"] == "dagt_hb":
-            kw["gamma"] = 0.0
-        elif kw["algorithm"] == "dagt_nes":
-            kw["beta"] = 0.0
         try:
             return SolverConfig(**kw)
         except InvalidArgument as exc:
@@ -203,21 +203,12 @@ class ExperimentConfig:
     # -- initial point -------------------------------------------------------
     def build_x0(self, problem):
         if "init.x0" in self.raw:
-            x0 = _as_array(self.raw["init.x0"], "init.x0")
-            if x0.size != problem.dim:
-                raise ConfigError(
-                    f"init.x0 has {x0.size} entries, problem needs {problem.dim}", key="init.x0"
-                )
+            x0 = self.array("init.x0", size=problem.dim)
         else:
-            lo, hi = _as_array(self.get("init.x0_range", [0.0, 1.0]), "init.x0_range")
+            lo, hi = self.array("init.x0_range", [0.0, 1.0], size=2)
             rng = np.random.default_rng(self.value("init.seed", int, 0))
             x0 = rng.uniform(lo, hi, problem.dim)
         x_prev = None
         if "init.x_prev" in self.raw:
-            x_prev = _as_array(self.raw["init.x_prev"], "init.x_prev")
-            if x_prev.size != problem.dim:
-                raise ConfigError(
-                    f"init.x_prev has {x_prev.size} entries, problem needs {problem.dim}",
-                    key="init.x_prev",
-                )
+            x_prev = self.array("init.x_prev", size=problem.dim)
         return x0, x_prev

@@ -1,10 +1,17 @@
 """Synchronous-round distributed solvers with tracked aggregates.
 
-One round: every agent takes a gradient step using its own aggregate and
-gradient-sum trackers, then the trackers mix over the graph and absorb the
-local increments. Momentum is either heavy-ball (step evaluated at the
-current iterate) or Nesterov (step evaluated at an extrapolated point);
-zero momentum recovers the plain tracked method, bit for bit.
+Every algorithm is one member of a single momentum family (Lessard, Recht
+& Packard 2016). With y the point the gradient is taken at, one round is
+
+    y   = x + gamma (x - x_prev)
+    x+  = x + beta (x - x_prev) - alpha g(y)
+
+after which the aggregate and gradient-sum trackers mix over the graph and
+absorb the local increments at y. The plain tracked method (dagt) is
+beta = gamma = 0, heavy ball (dagt_hb) is gamma = 0, and Nesterov
+(dagt_nes) is beta = gamma; `momentum_family` maps an algorithm onto its
+(beta, gamma). Zero momentum gives all three the same trajectory, bit for
+bit.
 
 Communication perturbations: additive Gaussian noise on received tracker
 entries, and synchronous delay in which each communication round takes
@@ -21,6 +28,15 @@ from .exceptions import DivergenceDetected, InvalidArgument
 ALGORITHMS = ("dagt", "dagt_hb", "dagt_nes")
 
 TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err")
+
+
+def momentum_family(algorithm, beta, gamma):
+    """The family's (beta, gamma) for an algorithm with configured beta and
+    gamma: heavy ball is gamma = 0 and Nesterov is beta = gamma."""
+    family = {"dagt": (0.0, 0.0), "dagt_hb": (beta, 0.0), "dagt_nes": (gamma, gamma)}
+    if algorithm not in family:
+        raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    return family[algorithm]
 
 
 @dataclass(frozen=True)
@@ -51,28 +67,31 @@ class SolverConfig:
             raise InvalidArgument("max_iter, delay_steps, noise_sigma must be nonnegative")
 
     @property
+    def family(self):
+        return momentum_family(self.algorithm, self.beta, self.gamma)
+
+    @property
     def momentum(self):
-        return self.gamma if self.algorithm == "dagt_nes" else self.beta
+        return self.family[0]
 
 
 @dataclass(frozen=True)
 class SolverState:
     """Per-agent stacked iterates and trackers after k rounds.
 
-    x, x_prev: (N, local_dim); y is the extrapolated point (Nesterov only,
-    None otherwise); u, s: (N, agg_dim) trackers.
+    x, x_prev, y: (N, local_dim), y the point the next gradient is taken
+    at (x itself when gamma = 0); u, s: (N, agg_dim) trackers.
     """
 
     x: np.ndarray
     x_prev: np.ndarray
+    y: np.ndarray
     u: np.ndarray
     s: np.ndarray
     k: int = 0
-    y: np.ndarray = None
 
     def finite(self):
-        parts = [self.x, self.x_prev, self.u, self.s] + ([self.y] if self.y is not None else [])
-        return all(np.isfinite(p).all() for p in parts)
+        return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
 
 
 class CommChannel:
@@ -112,12 +131,13 @@ class CommChannel:
         return mix_u, mix_s
 
 
-def init_state(problem, graph, x0, x_minus1=None, nesterov=False):
+def init_state(problem, graph, x0, x_minus1=None):
     """Initial state with trackers seeded from the local maps.
 
     u starts at each agent's own aggregation value and s at its own
     aggregate-partial, so the tracker means match the network means
-    exactly at round zero. x_minus1 defaults to x0.
+    exactly at round zero. x_minus1 defaults to x0; y starts at x0 for
+    every algorithm.
     """
     if graph.n_agents != problem.n_agents:
         raise InvalidArgument(
@@ -125,52 +145,34 @@ def init_state(problem, graph, x0, x_minus1=None, nesterov=False):
         )
     x = problem.as_agents(x0).copy()
     xm = x.copy() if x_minus1 is None else problem.as_agents(x_minus1).copy()
-    y = x.copy() if nesterov else None
-    z = y if nesterov else x
-    u = problem.phi_all(z)
-    s = problem.grad2_all(z, u)
-    return SolverState(x=x, x_prev=xm, u=u, s=s, k=0, y=y)
-
-
-def _mix(problem, graph, state, channel):
-    if channel is not None:
-        return channel.mix(state.u, state.s)
-    return graph.weights @ state.u, graph.weights @ state.s
-
-
-def step_hb(state, problem, graph, alpha, beta, channel=None):
-    """One heavy-ball round (beta = 0 is the plain tracked method)."""
-    x, u, s = state.x, state.u, state.s
-    g = problem.grad1_all(x, u) + problem.dphi_all(x, s)
-    if beta != 0.0:
-        x_new = x - alpha * g + beta * (x - state.x_prev)
-    else:
-        x_new = x - alpha * g
-    mix_u, mix_s = _mix(problem, graph, state, channel)
-    u_new = mix_u + problem.phi_all(x_new) - problem.phi_all(x)
-    s_new = mix_s + problem.grad2_all(x_new, u_new) - problem.grad2_all(x, u)
-    return SolverState(x=x_new, x_prev=x, u=u_new, s=s_new, k=state.k + 1)
-
-
-def step_nes(state, problem, graph, alpha, gamma, channel=None):
-    """One Nesterov round (gamma = 0 matches the plain method bit for bit)."""
-    x, y, u, s = state.x, state.y, state.u, state.s
-    g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
-    x_new = y - alpha * g
-    if gamma != 0.0:
-        y_new = x_new + gamma * (x_new - x)
-    else:
-        y_new = x_new
-    mix_u, mix_s = _mix(problem, graph, state, channel)
-    u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
-    s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
-    return SolverState(x=x_new, x_prev=x, u=u_new, s=s_new, k=state.k + 1, y=y_new)
+    u = problem.phi_all(x)
+    s = problem.grad2_all(x, u)
+    return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, k=0)
 
 
 def step(state, problem, graph, config, channel=None):
-    if config.algorithm == "dagt_nes":
-        return step_nes(state, problem, graph, config.alpha, config.gamma, channel)
-    return step_hb(state, problem, graph, config.alpha, config.beta, channel)
+    """One round of the momentum family at the config's (alpha, beta, gamma).
+
+    The gradient is taken at y and x+ = y - alpha g + (beta - gamma)(x - x_prev),
+    which equals x + beta (x - x_prev) - alpha g; the next gradient point is
+    y+ = x+ + gamma (x+ - x). The x_prev term is skipped when beta = gamma and
+    the extrapolation when gamma = 0, so zero momentum is the plain tracked
+    method bit for bit.
+    """
+    beta, gamma = config.family
+    x, y, u, s = state.x, state.y, state.u, state.s
+    g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
+    x_new = y - config.alpha * g
+    if beta != gamma:
+        x_new = x_new + (beta - gamma) * (x - state.x_prev)
+    y_new = x_new + gamma * (x_new - x) if gamma != 0.0 else x_new
+    if channel is not None:
+        mix_u, mix_s = channel.mix(u, s)
+    else:
+        mix_u, mix_s = graph.weights @ u, graph.weights @ s
+    u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
+    s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
+    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1)
 
 
 @dataclass
@@ -194,24 +196,26 @@ class IterTrace:
 
     def record(self, problem, state, oracle_solution, grad_vec):
         xa = state.x
-        z = state.y if state.y is not None else state.x
+        z = state.y
+        n = problem.n_agents
         if oracle_solution is not None:
             dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
-            self.residual_msq.append(float((dx**2).sum() / problem.n_agents))
+            self.residual_msq.append(float((dx**2).sum() / n))
             self.obj_gap.append(problem.objective(xa) - oracle_solution.f_star)
         else:
             self.residual_msq.append(float("nan"))
             self.obj_gap.append(float("nan"))
         self.k.append(state.k)
         self.grad_norm.append(float(np.linalg.norm(grad_vec)))
-        u_dev = state.u - state.u.mean(axis=0)
-        s_dev = state.s - state.s.mean(axis=0)
-        self.u_track_err.append(float(np.linalg.norm(u_dev)))
-        self.s_track_err.append(float(np.linalg.norm(s_dev)))
-        phi_mean = problem.phi_all(z).mean(axis=0)
-        g2_mean = problem.grad2_all(z, state.u).mean(axis=0)
-        self.u_mean_err.append(float(np.abs(state.u.mean(axis=0) - phi_mean).max()))
-        self.s_mean_err.append(float(np.abs(state.s.mean(axis=0) - g2_mean).max()))
+        # every mean is sum / N, which is bit-identical to .mean(axis=0)
+        u_mean = state.u.sum(axis=0) / n
+        s_mean = state.s.sum(axis=0) / n
+        self.u_track_err.append(float(np.linalg.norm(state.u - u_mean)))
+        self.s_track_err.append(float(np.linalg.norm(state.s - s_mean)))
+        phi_mean = problem.phi_all(z).sum(axis=0) / n
+        g2_mean = problem.grad2_all(z, state.u).sum(axis=0) / n
+        self.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
+        self.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
     def to_csv(self):
         lines = [",".join(TRACE_COLUMNS)]
@@ -242,8 +246,7 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     agents never use it. Raises DivergenceDetected at the first tick with
     a non-finite state.
     """
-    nesterov = config.algorithm == "dagt_nes"
-    state = init_state(problem, graph, x0, x_minus1=x_minus1, nesterov=nesterov)
+    state = init_state(problem, graph, x0, x_minus1=x_minus1)
     channel = None
     if config.delay_steps > 0 or config.noise_sigma > 0:
         channel = CommChannel(

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
+from .solver import momentum_family
 
 _EPS = np.finfo(float).eps
 
@@ -486,24 +487,26 @@ def _companion2_radius(p, q):
 
 
 def quad_reduced_radius(c, alpha, momentum, algorithm):
-    """Exact spectral radius of the agentwise-reduced state recursion."""
-    c = np.asarray(c, dtype=float)
-    if algorithm == "dagt":
-        return float(np.abs(1.0 - alpha * c).max())
-    if algorithm == "dagt_hb":
-        return max(_companion2_radius(1.0 + momentum - alpha * ci, momentum) for ci in c)
-    if algorithm == "dagt_nes":
-        return max(
-            _companion2_radius((1.0 + momentum) * (1.0 - alpha * ci), momentum * (1.0 - alpha * ci))
-            for ci in c
-        )
-    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    """Exact spectral radius of the agentwise-reduced state recursion.
+
+    Each curvature c_i gives the 2x2 companion of
+    z^2 - (1 + beta - alpha c_i (1 + gamma)) z + (beta - alpha c_i gamma)
+    at the algorithm's family (beta, gamma).
+    """
+    beta, gamma = momentum_family(algorithm, momentum, momentum)
+    return float(max(
+        _companion2_radius(1.0 + beta - alpha * ci * (1.0 + gamma), beta - alpha * ci * gamma)
+        for ci in np.asarray(c, dtype=float)
+    ))
 
 
 def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
     """Full coupling matrix of the quadratic-instance error recursion
     (3N x 3N for dagt, 4N x 4N with momentum), assembled from its two
-    displayed block factors."""
+    displayed block factors. Its aggregate row follows from
+    y_{k+1} - y_k = (1 + gamma) x_{k+1} - (1 + 2 gamma) x_k + gamma x_{k-1}.
+    """
+    beta, gamma = momentum_family(algorithm, momentum, momentum)
     c = np.asarray(qp.c, dtype=float)
     h = np.asarray(qp.h, dtype=float)
     n = c.size
@@ -511,55 +514,26 @@ def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
     zero = np.zeros((n, n))
     A = graph.weights
     K = np.full((n, n), 1.0 / n)
-    C = np.diag(c)
+    aC = alpha * np.diag(c)
     H = np.diag(h)
     KHmH = K @ H - H
 
+    left = [
+        [eye, zero, zero, zero],
+        [zero, eye, zero, zero],
+        [(1 + gamma) * KHmH, zero, eye, zero],
+        [zero, zero, zero, eye],
+    ]
+    right = [
+        [(1 + beta) * eye - (1 + gamma) * aC, gamma * aC - beta * eye, zero, -alpha * H],
+        [eye, zero, zero, zero],
+        [(1 + 2 * gamma) * KHmH, -gamma * KHmH, A - K, zero],
+        [zero, zero, zero, A - K],
+    ]
     if algorithm == "dagt":
-        left = np.block([[eye, zero, zero], [KHmH, eye, zero], [zero, zero, eye]])
-        right = np.block(
-            [[eye - alpha * C, zero, -alpha * H], [KHmH, A - K, zero], [zero, zero, A - K]]
-        )
-    elif algorithm == "dagt_hb":
-        b = momentum
-        left = np.block(
-            [
-                [eye, zero, zero, zero],
-                [zero, eye, zero, zero],
-                [KHmH, zero, eye, zero],
-                [zero, zero, zero, eye],
-            ]
-        )
-        right = np.block(
-            [
-                [(1 + b) * eye - alpha * C, -b * eye, zero, -alpha * H],
-                [eye, zero, zero, zero],
-                [KHmH, zero, A - K, zero],
-                [zero, zero, zero, A - K],
-            ]
-        )
-    elif algorithm == "dagt_nes":
-        g = momentum
-        m = eye - alpha * C
-        left = np.block(
-            [
-                [eye, zero, zero, zero],
-                [zero, eye, zero, zero],
-                [(1 + g) * KHmH, zero, eye, zero],
-                [zero, zero, zero, eye],
-            ]
-        )
-        right = np.block(
-            [
-                [(1 + g) * m, -g * m, zero, -alpha * H],
-                [eye, zero, zero, zero],
-                [(1 + 2 * g) * (K - eye) @ H, g * (eye - K) @ H, A - K, zero],
-                [zero, zero, zero, A - K],
-            ]
-        )
-    else:
-        raise InvalidArgument(f"unknown algorithm {algorithm!r}")
-    return np.linalg.solve(left, right)
+        # without momentum the previous state feeds nothing: drop its block
+        left, right = ([r[:1] + r[2:] for i, r in enumerate(m) if i != 1] for m in (left, right))
+    return np.linalg.solve(np.block(left), np.block(right))
 
 
 @dataclass(frozen=True)

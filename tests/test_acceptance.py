@@ -33,7 +33,7 @@ from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset, preset_names
 from aggsim.problems import make_quadratic
-from aggsim.solver import ALGORITHMS, SolverConfig, SolverState, run, step_hb, step_nes
+from aggsim.solver import ALGORITHMS, SolverConfig, SolverState, run, step
 from aggsim.stability import (
     StabilityConstants,
     attained_optimal_radius,
@@ -138,21 +138,12 @@ def test_criterion_04_fixed_point_stationarity():
             s = np.broadcast_to(
                 problem.grad2_all(x, u).mean(axis=0), (problem.n_agents, problem.agg_dim)
             ).copy()
-            alpha = float(cfg.get("solver.alpha"))
-            beta = float(cfg.get("solver.beta"))
-            gamma = float(cfg.get("solver.gamma"))
             for alg in ALGORITHMS:
-                nes = alg == "dagt_nes"
-                st = SolverState(
-                    x=x.copy(), x_prev=x.copy(), u=u.copy(), s=s.copy(), k=0,
-                    y=x.copy() if nes else None,
-                )
+                scfg = preset_solver_cfg(cfg, alg)
+                st = SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u.copy(), s=s.copy())
                 total = 0.0
                 for _ in range(1000):
-                    if nes:
-                        nxt = step_nes(st, problem, graph, alpha, gamma)
-                    else:
-                        nxt = step_hb(st, problem, graph, alpha, beta if alg == "dagt_hb" else 0.0)
+                    nxt = step(st, problem, graph, scfg)
                     total += math.sqrt(
                         ((nxt.x - st.x) ** 2).sum()
                         + ((nxt.u - st.u) ** 2).sum()

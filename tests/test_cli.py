@@ -97,6 +97,13 @@ def test_config_error_exit_code(tmp_path):
                  id="unconnectable-random-graph"),
     # alpha_bar is 0 because L2 = 0: the conservative box is empty
     pytest.param("bounds", "quadratic-demo", [], id="bounds-quadratic-demo"),
+    # ranges hold exactly two entries, grid sizes are nonnegative
+    pytest.param("run", "cournot-paper", ["problem.kappa_range=3"], id="one-entry-kappa-range"),
+    pytest.param("run", "cournot-paper", ["problem.theta_range=5"], id="one-entry-theta-range"),
+    pytest.param("run", "cournot-paper", ["init.x0_range=1"], id="one-entry-x0-range"),
+    pytest.param("run", "cournot-paper", ["init.x0_range=1,2,3"], id="three-entry-x0-range"),
+    pytest.param("region", "placement-paper", ["region.alpha_steps=-1"], id="negative-grid-size"),
+    pytest.param("sweep", "cournot-paper", ["solver.algorithm=sgd"], id="sweep-unknown-algorithm"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]

@@ -1,0 +1,97 @@
+"""Property tests of the momentum-family step on generated inputs.
+
+Each example draws a generic affine-quadratic problem (every coefficient
+nonzero, local dimension 1 or 2), a ring, star or complete graph, a step
+size and a momentum value, optionally a seeded noisy channel, and runs
+about 20 rounds.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from aggsim.graph import build_topology
+from aggsim.problems import AggregativeProblem
+from aggsim.solver import CommChannel, SolverConfig, init_state, step
+
+from test_solver import assert_states_equal, reference_step
+
+ROUNDS = 20
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def signed(rng, lo, hi, size=None):
+    """Uniform magnitudes in [lo, hi] with random signs: never zero."""
+    return rng.uniform(lo, hi, size) * rng.choice([-1.0, 1.0], size)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 6))
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = AggregativeProblem(
+        name="generic", c=rng.uniform(10.0, 20.0, n), h=signed(rng, 0.5, 2.0, n),
+        s=signed(rng, 0.1, 1.0, n), p=signed(rng, 0.1, 1.0, (n, d)),
+        l=signed(rng, 0.1, 1.0, (n, d)), b=signed(rng, 0.1, 1.0), e=signed(rng, 0.1, 1.0),
+        q=signed(rng, 0.1, 1.0, d),
+    )
+    graph = build_topology(draw(st.sampled_from(["ring", "star", "complete"])), n)
+    x0 = rng.uniform(-3.0, 3.0, n * d)
+    x_minus1 = rng.uniform(-3.0, 3.0, n * d)
+    alpha = draw(st.floats(1e-3, 0.05))
+    momentum = draw(st.floats(0.0, 0.95))
+    return problem, graph, x0, x_minus1, alpha, momentum
+
+
+def configs(alpha, momentum):
+    return [
+        SolverConfig("dagt", alpha=alpha),
+        SolverConfig("dagt_hb", alpha=alpha, beta=momentum),
+        SolverConfig("dagt_nes", alpha=alpha, gamma=momentum),
+    ]
+
+
+def channel(graph, noise_seed):
+    return None if noise_seed is None else CommChannel(graph, noise_sigma=1e-2, seed=noise_seed)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.none() | st.integers(0, 1000))
+def test_step_matches_reference_steps_bitwise(instance, noise_seed):
+    problem, graph, x0, x_minus1, alpha, momentum = instance
+    for cfg in configs(alpha, momentum):
+        ours = ref = init_state(problem, graph, x0, x_minus1=x_minus1)
+        ch_ours, ch_ref = channel(graph, noise_seed), channel(graph, noise_seed)
+        for _ in range(ROUNDS):
+            ours = step(ours, problem, graph, cfg, ch_ours)
+            ref = reference_step(ref, problem, graph, cfg, ch_ref)
+            assert_states_equal(ours, ref)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_tracker_means_conserved(instance):
+    problem, graph, x0, x_minus1, alpha, momentum = instance
+    for cfg in configs(alpha, momentum):
+        state = init_state(problem, graph, x0, x_minus1=x_minus1)
+        for _ in range(ROUNDS):
+            state = step(state, problem, graph, cfg)
+            phi = problem.phi_all(state.y)
+            g2 = problem.grad2_all(state.y, state.u)
+            u_scale = max(1.0, np.abs(state.u).max(), np.abs(phi).max())
+            s_scale = max(1.0, np.abs(state.s).max(), np.abs(g2).max())
+            assert np.abs(state.u.mean(axis=0) - phi.mean(axis=0)).max() <= 1e-12 * u_scale
+            assert np.abs(state.s.mean(axis=0) - g2.mean(axis=0)).max() <= 1e-12 * s_scale
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.none() | st.integers(0, 1000))
+def test_zero_momentum_bitwise_equal_across_algorithms(instance, noise_seed):
+    problem, graph, x0, x_minus1, alpha, _ = instance
+    cfgs = configs(alpha, 0.0)
+    states = [init_state(problem, graph, x0, x_minus1=x_minus1) for _ in cfgs]
+    channels = [channel(graph, noise_seed) for _ in cfgs]
+    for _ in range(ROUNDS):
+        states = [step(s, problem, graph, c, ch) for s, c, ch in zip(states, cfgs, channels)]
+        assert_states_equal(states[0], states[1])
+        assert_states_equal(states[0], states[2])

@@ -4,15 +4,7 @@ import pytest
 from aggsim.exceptions import DivergenceDetected, InvalidArgument
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
-from aggsim.solver import (
-    CommChannel,
-    SolverConfig,
-    SolverState,
-    init_state,
-    run,
-    step_hb,
-    step_nes,
-)
+from aggsim.solver import CommChannel, SolverConfig, SolverState, init_state, run, step
 from aggsim.problems import make_quadratic
 
 from test_problems import paper_placement, seeded_cournot
@@ -21,7 +13,7 @@ PLACEMENT_X0 = np.array([2, 9, 8, 6, 7, 3, 4, 7, 8, 3], float)
 PLACEMENT_XM1 = np.array([0, 11, 9, 8, 9, 1, 1, 4, 3, 1], float)
 
 
-def consensus_state(problem, nesterov=False):
+def consensus_state(problem):
     """Fixed-point state: oracle solution with consensual trackers."""
     sol = solve(problem)
     x = problem.as_agents(sol.x_star)
@@ -29,9 +21,58 @@ def consensus_state(problem, nesterov=False):
     s = np.broadcast_to(
         problem.grad2_all(x, u).mean(axis=0), (problem.n_agents, problem.agg_dim)
     ).copy()
-    return SolverState(
-        x=x.copy(), x_prev=x.copy(), u=u, s=s, k=0, y=x.copy() if nesterov else None
-    )
+    return SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u, s=s, k=0)
+
+
+# ---------------------------------------------------------------------------
+# reference steps: the separate heavy-ball and Nesterov updates that the
+# one momentum-family step replaced, kept to check it bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_mix(graph, state, channel):
+    if channel is not None:
+        return channel.mix(state.u, state.s)
+    return graph.weights @ state.u, graph.weights @ state.s
+
+
+def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
+    """One heavy-ball round (beta = 0 is the plain tracked method)."""
+    x, u, s = state.x, state.u, state.s
+    g = problem.grad1_all(x, u) + problem.dphi_all(x, s)
+    if beta != 0.0:
+        x_new = x - alpha * g + beta * (x - state.x_prev)
+    else:
+        x_new = x - alpha * g
+    mix_u, mix_s = _reference_mix(graph, state, channel)
+    u_new = mix_u + problem.phi_all(x_new) - problem.phi_all(x)
+    s_new = mix_s + problem.grad2_all(x_new, u_new) - problem.grad2_all(x, u)
+    return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, k=state.k + 1)
+
+
+def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
+    """One Nesterov round (gamma = 0 matches the plain method bit for bit)."""
+    x, y, u, s = state.x, state.y, state.u, state.s
+    g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
+    x_new = y - alpha * g
+    if gamma != 0.0:
+        y_new = x_new + gamma * (x_new - x)
+    else:
+        y_new = x_new
+    mix_u, mix_s = _reference_mix(graph, state, channel)
+    u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
+    s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
+    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1)
+
+
+def reference_step(state, problem, graph, config, channel=None):
+    if config.algorithm == "dagt_nes":
+        return reference_step_nes(state, problem, graph, config.alpha, config.gamma, channel)
+    return reference_step_hb(state, problem, graph, config.alpha, config.beta, channel)
+
+
+def assert_states_equal(a, b):
+    for name in ("x", "x_prev", "y", "u", "s", "k"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +99,12 @@ def test_init_tracker_means_exact():
     p = seeded_cournot(n=9, seed=2)
     g = build_topology("ring", 9)
     x0 = np.linspace(-2, 4, 9)
-    for nes in (False, True):
-        st = init_state(p, g, x0, nesterov=nes)
-        z = st.y if nes else st.x
-        assert np.array_equal(st.u.mean(axis=0), p.phi_all(z).mean(axis=0))
-        assert np.array_equal(st.s.mean(axis=0), p.grad2_all(z, st.u).mean(axis=0))
+    for x_minus1 in (None, x0 + 1.0):
+        st = init_state(p, g, x0, x_minus1=x_minus1)
+        # every algorithm takes its first gradient at x0, also when x_prev differs
+        assert np.array_equal(st.y, st.x)
+        assert np.array_equal(st.u.mean(axis=0), p.phi_all(st.y).mean(axis=0))
+        assert np.array_equal(st.s.mean(axis=0), p.grad2_all(st.y, st.u).mean(axis=0))
 
 
 def test_init_dimension_mismatch():
@@ -79,13 +121,22 @@ def test_init_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_step_hb_hand_computed_quadratic():
-    # with h = 0 the tracker feedback vanishes, so one step halves the state
+    # with h = 0 the tracker feedback vanishes, so the gradient at y is y
     p = make_quadratic([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     g = build_topology("complete", 2)
     st = init_state(p, g, np.array([1.0, -1.0]))
-    nxt = step_hb(st, p, g, alpha=0.5, beta=0.0)
+    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, beta=0.0))
     assert nxt.x[:, 0] == pytest.approx([0.5, -0.5], abs=0)
     assert nxt.k == 1
+    # x+ = x - alpha x + beta (x - x_prev), with x_prev = 0
+    st = init_state(p, g, np.array([1.0, -1.0]), x_minus1=np.zeros(2))
+    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, beta=0.25))
+    assert nxt.x[:, 0] == pytest.approx([0.75, -0.75], abs=0)
+    assert np.array_equal(nxt.y, nxt.x)
+    # x+ = y - alpha y, y+ = x+ + gamma (x+ - x)
+    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.5, gamma=0.5))
+    assert nxt.x[:, 0] == pytest.approx([0.5, -0.5], abs=0)
+    assert nxt.y[:, 0] == pytest.approx([0.25, -0.25], abs=0)
 
 
 @pytest.mark.parametrize("problem", [paper_placement(), seeded_cournot(n=8, seed=4)],
@@ -93,25 +144,20 @@ def test_step_hb_hand_computed_quadratic():
 def test_fixed_point_single_step_drift(problem):
     g = build_topology("ring", problem.n_agents)
     st = consensus_state(problem)
-    nxt = step_hb(st, problem, g, alpha=0.005, beta=0.01)
-    drift = max(
-        np.abs(nxt.x - st.x).max(), np.abs(nxt.u - st.u).max(), np.abs(nxt.s - st.s).max()
-    )
-    assert drift <= 1e-12 * max(1.0, np.abs(st.u).max())
-
-    st = consensus_state(problem, nesterov=True)
-    nxt = step_nes(st, problem, g, alpha=0.005, gamma=0.01)
-    drift = max(
-        np.abs(nxt.x - st.x).max(), np.abs(nxt.u - st.u).max(), np.abs(nxt.s - st.s).max()
-    )
-    assert drift <= 1e-12 * max(1.0, np.abs(st.u).max())
+    for cfg in (SolverConfig("dagt_hb", alpha=0.005, beta=0.01),
+                SolverConfig("dagt_nes", alpha=0.005, gamma=0.01)):
+        nxt = step(st, problem, g, cfg)
+        drift = max(
+            np.abs(nxt.x - st.x).max(), np.abs(nxt.u - st.u).max(), np.abs(nxt.s - st.s).max()
+        )
+        assert drift <= 1e-12 * max(1.0, np.abs(st.u).max())
 
 
 def test_tracking_means_preserved_after_one_step():
     p = seeded_cournot(n=7, seed=9)
     g = build_topology("random", 7, edge_prob=0.6, seed=1)
-    st = init_state(p, g, np.linspace(1, 3, 7), nesterov=True)
-    nxt = step_nes(st, p, g, alpha=0.01, gamma=0.3)
+    st = init_state(p, g, np.linspace(1, 3, 7))
+    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.01, gamma=0.3))
     assert np.abs(nxt.u.mean(axis=0) - p.phi_all(nxt.y).mean(axis=0)).max() <= 1e-12
     assert np.abs(nxt.s.mean(axis=0) - p.grad2_all(nxt.y, nxt.u).mean(axis=0)).max() <= 1e-12
 
@@ -120,14 +166,30 @@ def test_zero_momentum_steps_identical():
     p = seeded_cournot(n=6, seed=8)
     g = build_topology("ring", 6)
     x0 = np.linspace(0.5, 2.0, 6)
-    hb = init_state(p, g, x0)
-    nes = init_state(p, g, x0, nesterov=True)
+    cfgs = [SolverConfig("dagt", alpha=0.02), SolverConfig("dagt_hb", alpha=0.02, beta=0.0),
+            SolverConfig("dagt_nes", alpha=0.02, gamma=0.0)]
+    states = [init_state(p, g, x0, x_minus1=x0 - 0.5) for _ in cfgs]
     for _ in range(25):
-        hb = step_hb(hb, p, g, alpha=0.02, beta=0.0)
-        nes = step_nes(nes, p, g, alpha=0.02, gamma=0.0)
-        assert np.array_equal(hb.x, nes.x)
-        assert np.array_equal(hb.u, nes.u)
-        assert np.array_equal(hb.s, nes.s)
+        states = [step(st, p, g, cfg) for st, cfg in zip(states, cfgs)]
+        assert_states_equal(states[0], states[1])
+        assert_states_equal(states[0], states[2])
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("problem", [paper_placement(), seeded_cournot(n=8, seed=4)],
+                         ids=lambda p: p.name)
+def test_step_matches_reference_steps(problem, noise_sigma):
+    g = build_topology("ring", problem.n_agents)
+    x0 = np.linspace(1.0, 3.0, problem.dim)
+    for cfg in (SolverConfig("dagt", alpha=0.01), SolverConfig("dagt_hb", alpha=0.01, beta=0.3),
+                SolverConfig("dagt_nes", alpha=0.01, gamma=0.3)):
+        st = ref = init_state(problem, g, x0, x_minus1=x0[::-1])
+        channels = [CommChannel(g, noise_sigma=noise_sigma, seed=3) if noise_sigma else None
+                    for _ in range(2)]
+        for _ in range(30):
+            st = step(st, problem, g, cfg, channels[0])
+            ref = reference_step(ref, problem, g, cfg, channels[1])
+            assert_states_equal(st, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 
 from aggsim.exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
 from aggsim.graph import build_topology
+from aggsim.oracle import solve
 from aggsim.problems import make_quadratic
+from aggsim.solver import SolverConfig, init_state, step
 from aggsim.stability import (
     StabilityConstants,
+    _companion2_radius,
     attained_optimal_radius,
     char_poly,
     char_poly_4x4,
@@ -446,6 +449,64 @@ def test_reduced_identity_random_instances():
             sr = float(np.abs(np.linalg.eigvals(full)).max())
             shortcut = max(g.rho, quad_reduced_radius(qp.c, a, mom, alg))
             assert abs(sr - shortcut) <= 1e-9
+
+
+def test_full_matrix_propagates_the_solver_error():
+    # on the quadratic family the error (x - x*, x_prev - x*, (I - K) u,
+    # (I - K) s) after a solver round is the full matrix times the error
+    # before it; dagt has no x_prev block. This holds from the second round
+    # on: the first starts from y_0 = x_0, not x_0 + gamma (x_0 - x_-1)
+    rng = np.random.default_rng(8)
+    qp = quad_instance(rng, n=6)
+    g = build_topology("random", 6, edge_prob=0.6, seed=4)
+    x_star = qp.as_agents(solve(qp).x_star)
+    K = np.full((6, 6), 1.0 / 6)
+
+    def error(st, with_prev):
+        parts = [st.x - x_star, st.x_prev - x_star, st.u - K @ st.u, st.s - K @ st.s]
+        return np.concatenate(parts if with_prev else parts[:1] + parts[2:])[:, 0]
+
+    for alg in ("dagt", "dagt_hb", "dagt_nes"):
+        mom = 0.0 if alg == "dagt" else 0.3
+        cfg = SolverConfig(alg, alpha=0.1, beta=mom, gamma=mom)
+        full = quad_full_matrix(qp, g, 0.1, mom, alg)
+        st = step(init_state(qp, g, rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)), qp, g, cfg)
+        for _ in range(10):
+            before = error(st, alg != "dagt")
+            st = step(st, qp, g, cfg)
+            after = error(st, alg != "dagt")
+            assert np.abs(after - full @ before).max() <= 1e-12 * np.abs(before).max(), alg
+
+
+def reference_quad_reduced_radius(c, alpha, momentum, algorithm):
+    """The separate plain, heavy-ball and Nesterov companions that the one
+    momentum-family companion replaced, kept to check it."""
+    c = np.asarray(c, dtype=float)
+    if algorithm == "dagt":
+        return float(np.abs(1.0 - alpha * c).max())
+    if algorithm == "dagt_hb":
+        return max(_companion2_radius(1.0 + momentum - alpha * ci, momentum) for ci in c)
+    return max(
+        _companion2_radius((1.0 + momentum) * (1.0 - alpha * ci), momentum * (1.0 - alpha * ci))
+        for ci in c
+    )
+
+
+def test_reduced_radius_matches_reference_companions():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        c = rng.uniform(0.1, 10.0, int(rng.integers(1, 9)))
+        alpha = rng.uniform(0.01, 2.5) / c.max()
+        momentum = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+        for alg in ("dagt", "dagt_hb"):
+            mom = 0.0 if alg == "dagt" else momentum
+            assert quad_reduced_radius(c, alpha, mom, alg) == reference_quad_reduced_radius(
+                c, alpha, mom, alg
+            )
+        ref = reference_quad_reduced_radius(c, alpha, momentum, "dagt_nes")
+        assert quad_reduced_radius(c, alpha, momentum, "dagt_nes") == pytest.approx(
+            ref, rel=1e-14, abs=0
+        )
 
 
 def test_dagt_optimal_step_reduced_rate():
