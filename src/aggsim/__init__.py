@@ -5,6 +5,7 @@ from .exceptions import (
     ConfigError,
     ConstructionFailed,
     DivergenceDetected,
+    InconsistentResult,
     InvalidArgument,
     NotConverged,
     OutOfValidityRegion,

@@ -2,8 +2,9 @@
 
 Commands: run, sweep, topology, robustness, bounds, region, rates.
 Every command takes --config or --preset (plus repeatable --set overrides)
-and writes machine-readable outputs under --out. Exit codes: 0 success,
-2 config error, 3 divergence or demanded convergence not reached.
+and writes machine-readable outputs under --out once it completes. Exit
+codes: 0 success, 2 config error, 3 divergence, demanded convergence not
+reached, or a failed numerical cross-check.
 """
 
 import argparse
@@ -15,7 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, convert, load_config, parse_config, serialize_config
-from .exceptions import ConfigError, DivergenceDetected, InvalidArgument, NotConverged
+from .exceptions import (
+    ConfigError,
+    DivergenceDetected,
+    InconsistentResult,
+    InvalidArgument,
+    NotConverged,
+)
 from .graph import build_topology
 from .oracle import solve
 from .presets import get_preset, preset_names
@@ -55,15 +62,6 @@ def measured_tail_rate(trace, fraction=TAIL_FRACTION, min_points=TAIL_MIN_POINTS
     return float(10.0**slope)
 
 
-def _write(out_dir, name, text):
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    # summaries list dir-relative names so byte-identical reruns stay
-    # byte-identical regardless of the output location
-    return name
-
-
 def _json_dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -77,35 +75,55 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _list(cfg, key, default):
+    """The key's comma list; a scalar is one entry, an empty value none."""
+    value = cfg.get(key, default)
+    if value in ("", None):
+        return []
+    return value if isinstance(value, list) else [value]
+
+
 def _has_exact_rates(problem):
     """The exact-rate matrices model scalar states whose curvature does not
     depend on the aggregate (b = e = 0): the quadratic family."""
     return problem.b == 0 and problem.e == 0 and problem.local_dim == 1
 
 
-def _single_run(cfg, algorithm=None, **overrides):
-    problem = cfg.build_problem()
-    graph = cfg.build_graph()
-    solver_cfg = cfg.build_solver_config(algorithm=algorithm, **overrides)
-    x0, x_prev = cfg.build_x0(problem)
-    oracle = solve(problem)
-    trace = run_solver(problem, graph, solver_cfg, x0, x_minus1=x_prev, oracle_solution=oracle)
-    return problem, graph, solver_cfg, oracle, trace
+def _outcome(trace):
+    return {"iterations": int(trace.k[-1]), "converged": bool(trace.converged)}
 
 
-def _run_summary(problem, graph, solver_cfg, oracle, trace):
-    final = trace.final_state
-    u_mean = final.u.mean(axis=0)
+class Experiment:
+    """The problem, graph, start point and oracle of one config, built
+    once; each run varies only the solver config (and maybe the graph)."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.problem = cfg.build_problem()
+        self.graph = cfg.build_graph()
+        self.x0, self.x_prev = cfg.build_x0(self.problem)
+        self.oracle = solve(self.problem)
+
+    def run(self, graph=None, **overrides):
+        solver_cfg = self.cfg.build_solver_config(**overrides)
+        trace = run_solver(
+            self.problem, self.graph if graph is None else graph, solver_cfg, self.x0,
+            x_minus1=self.x_prev, oracle_solution=self.oracle,
+        )
+        return solver_cfg, trace
+
+
+def _run_summary(exp, solver_cfg, trace):
+    problem, graph, oracle = exp.problem, exp.graph, exp.oracle
     summary = {
         "algorithm": solver_cfg.algorithm,
         "alpha": solver_cfg.alpha,
         "momentum": solver_cfg.momentum,
-        "iterations": int(trace.k[-1]),
-        "converged": bool(trace.converged),
+        **_outcome(trace),
         "final_grad_norm": trace.grad_norm[-1],
         "final_residual_msq": trace.residual_msq[-1],
         "final_obj_gap": trace.obj_gap[-1],
-        "final_u_mean": [float(v) for v in u_mean],
+        "final_u_mean": [float(v) for v in trace.final_state.u.mean(axis=0)],
         "oracle_f_star": oracle.f_star,
         "oracle_method": oracle.method,
         "rho_graph": graph.rho,
@@ -122,119 +140,96 @@ def _run_summary(problem, graph, solver_cfg, oracle, trace):
     return summary
 
 
-def cmd_run(cfg, out_dir):
-    problem, graph, solver_cfg, oracle, trace = _single_run(cfg)
-    outputs = [_write(out_dir, "trace.csv", trace.to_csv())]
-    summary = _run_summary(problem, graph, solver_cfg, oracle, trace)
+def cmd_run(cfg):
+    exp = Experiment(cfg)
+    solver_cfg, trace = exp.run()
+    files = {"trace.csv": trace.to_csv()}
+    summary = _run_summary(exp, solver_cfg, trace)
     if cfg.get("output.export_graph", False):
-        outputs.append(_write(out_dir, "weights.csv", graph.weights_csv()))
+        files["weights.csv"] = exp.graph.weights_csv()
     if cfg.get("run.compare", False):
         rows = []
         for alg in ALGORITHMS:
-            _, _, acfg, _, atrace = _single_run(cfg, algorithm=alg)
+            atrace = trace if alg == solver_cfg.algorithm else exp.run(algorithm=alg)[1]
             rows += [(alg, int(k), float(r)) for k, r in zip(atrace.k, atrace.residual_msq)]
-        outputs.append(_write(out_dir, "compare.csv", _csv(("algorithm", "iter", "residual"), rows)))
-    summary["outputs"] = outputs
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, 0
+        files["compare.csv"] = _csv(("algorithm", "iter", "residual"), rows)
+    return summary, files, 0
 
 
-def cmd_sweep(cfg, out_dir):
-    values = cfg.get("sweep.values", [])
-    if values in ("", None):
-        values = []
-    if not isinstance(values, list):
-        values = [values]
+def cmd_sweep(cfg):
+    values = _list(cfg, "sweep.values", [])
     algorithm = cfg.get("solver.algorithm", "dagt_hb")
     if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("sweep needs a momentum algorithm", key="solver.algorithm")
+    exp = Experiment(cfg)
     rows = []
     for v in (convert(float, v, "sweep.values") for v in values):
         try:
             # the algorithm's config keeps the parameter it uses
-            _, _, scfg, _, trace = _single_run(cfg, beta=v, gamma=v)
-            rows.append((v, int(trace.k[-1]), bool(trace.converged)))
+            rows.append({"momentum": v, **_outcome(exp.run(beta=v, gamma=v)[1])})
         except DivergenceDetected as exc:
-            rows.append((v, int(exc.iteration), False))
-    outputs = [_write(out_dir, "sweep.csv", _csv(("momentum", "iterations", "converged"), rows))]
-    summary = {
-        "algorithm": algorithm,
-        "rows": [{"momentum": m, "iterations": i, "converged": c} for m, i, c in rows],
-        "outputs": outputs,
-    }
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, 0
+            rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False})
+    files = {"sweep.csv": _csv(("momentum", "iterations", "converged"), (r.values() for r in rows))}
+    return {"algorithm": algorithm, "rows": rows}, files, 0
 
 
-def cmd_topology(cfg, out_dir):
-    kinds = cfg.get("topology_compare.kinds", ["star", "ring", "complete"])
-    if not isinstance(kinds, list):
-        kinds = [kinds]
-    allowed = {"star", "ring", "complete"}
-    bad = [k for k in kinds if k not in allowed]
+def cmd_topology(cfg):
+    kinds = _list(cfg, "topology_compare.kinds", ["star", "ring", "complete"])
+    bad = [k for k in kinds if k not in ("star", "ring", "complete")]
     if bad:
         raise ConfigError(f"unsupported topology kinds {bad}", key="topology_compare.kinds")
-    problem = cfg.build_problem()
-    solver_cfg = cfg.build_solver_config()
-    x0, x_prev = cfg.build_x0(problem)
-    oracle = solve(problem)
+    exp = Experiment(cfg)
     rows, per_topology = [], {}
     for kind in kinds:
-        graph = build_topology(kind, problem.n_agents)
-        trace = run_solver(problem, graph, solver_cfg, x0, x_minus1=x_prev, oracle_solution=oracle)
+        graph = build_topology(kind, exp.problem.n_agents)
+        _, trace = exp.run(graph=graph)
         rows += [(kind, int(k), float(r)) for k, r in zip(trace.k, trace.residual_msq)]
-        per_topology[kind] = {
-            "rho": graph.rho,
-            "iterations": int(trace.k[-1]),
-            "converged": bool(trace.converged),
-        }
-    outputs = [_write(out_dir, "topology.csv", _csv(("topology", "iter", "residual_msq"), rows))]
-    summary = {"per_topology": per_topology, "outputs": outputs}
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, 0
+        per_topology[kind] = {"rho": graph.rho, **_outcome(trace)}
+    files = {"topology.csv": _csv(("topology", "iter", "residual_msq"), rows)}
+    return {"per_topology": per_topology}, files, 0
 
 
-def cmd_robustness(cfg, out_dir):
+def cmd_robustness(cfg):
     delay = cfg.value("robustness.delay_steps", int, 2)
     sigma = cfg.value("robustness.noise_sigma", float, 0.001)
     noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
-    outputs, summary = [], {"delay": {}, "noise": {}}
+    exp = Experiment(cfg)
+    files, summary = {}, {"delay": {}, "noise": {}, "delay_steps": delay, "noise_sigma": sigma}
     for alg in ALGORITHMS:
-        _, _, scfg, _, trace = _single_run(cfg, algorithm=alg, delay_steps=delay)
-        outputs.append(_write(out_dir, f"robustness_delay_{alg}.csv", trace.to_csv()))
-        summary["delay"][alg] = {
-            "iterations": int(trace.k[-1]),
-            "converged": bool(trace.converged),
-            "final_grad_norm": trace.grad_norm[-1],
-        }
-        _, _, scfg, _, trace = _single_run(
-            cfg, algorithm=alg, noise_sigma=sigma, max_iter=noise_iters, tol=0.0
-        )
-        outputs.append(_write(out_dir, f"robustness_noise_{alg}.csv", trace.to_csv()))
+        _, trace = exp.run(algorithm=alg, delay_steps=delay)
+        files[f"robustness_delay_{alg}.csv"] = trace.to_csv()
+        summary["delay"][alg] = {**_outcome(trace), "final_grad_norm": trace.grad_norm[-1]}
+        _, trace = exp.run(algorithm=alg, noise_sigma=sigma, max_iter=noise_iters, tol=0.0)
+        files[f"robustness_noise_{alg}.csv"] = trace.to_csv()
         res = np.asarray(trace.residual_msq)
         summary["noise"][alg] = {
             "iterations": int(trace.k[-1]),
             "bounded": bool(np.isfinite(res).all()),
             "floor_residual_msq": float(np.median(res[-max(1, len(res) // 10):])),
         }
-    summary["delay_steps"] = delay
-    summary["noise_sigma"] = sigma
-    summary["outputs"] = outputs
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, 0
+    return summary, files, 0
 
 
 def _constants(cfg):
-    problem = cfg.build_problem()
-    graph = cfg.build_graph()
-    c = StabilityConstants.from_problem(problem, graph)
-    overrides = {k: f"bounds.{k}" for k in ("mu", "L1", "L2", "L3", "rho")}
-    vals = {k: cfg.value(key, float, getattr(c, k)) for k, key in overrides.items()}
-    return StabilityConstants(**vals), problem, graph
+    c = StabilityConstants.from_problem(cfg.build_problem(), cfg.build_graph())
+    names = ("mu", "L1", "L2", "L3", "rho")
+    return StabilityConstants(**{k: cfg.value(f"bounds.{k}", float, getattr(c, k)) for k in names})
 
 
-def cmd_bounds(cfg, out_dir):
-    constants, problem, graph = _constants(cfg)
+def _bounds_entry(bounds, member):
+    return {
+        "alpha_bar": bounds.alpha_bar,
+        "momentum_bar": bounds.momentum_bar,
+        "alpha_eval": bounds.alpha_eval,
+        "witness": [float(v) for v in bounds.witness],
+        "step_terms": bounds.step_terms,
+        "momentum_terms": bounds.momentum_terms,
+        "configured_member": member,
+    }
+
+
+def cmd_bounds(cfg):
+    constants = _constants(cfg)
     hb = conservative_bounds_hb(constants)
     nes = conservative_bounds_nes(constants)
     alpha = cfg.value("solver.alpha", float, hb.alpha_eval)
@@ -242,28 +237,10 @@ def cmd_bounds(cfg, out_dir):
     gamma = cfg.value("solver.gamma", float, 0.0)
     summary = {
         "constants": {k: getattr(constants, k) for k in ("mu", "L1", "L2", "L3", "rho")},
-        "hb": {
-            "alpha_bar": hb.alpha_bar,
-            "momentum_bar": hb.momentum_bar,
-            "alpha_eval": hb.alpha_eval,
-            "witness": [float(v) for v in hb.witness],
-            "step_terms": hb.step_terms,
-            "momentum_terms": hb.momentum_terms,
-            "configured_member": region_member_hb(constants, alpha, beta),
-        },
-        "nes": {
-            "alpha_bar": nes.alpha_bar,
-            "momentum_bar": nes.momentum_bar,
-            "alpha_eval": nes.alpha_eval,
-            "witness": [float(v) for v in nes.witness],
-            "step_terms": nes.step_terms,
-            "momentum_terms": nes.momentum_terms,
-            "configured_member": region_member_nes(constants, alpha, gamma),
-        },
+        "hb": _bounds_entry(hb, region_member_hb(constants, alpha, beta)),
+        "nes": _bounds_entry(nes, region_member_nes(constants, alpha, gamma)),
     }
-    outputs = [_write(out_dir, "bounds.json", _json_dump(summary))]
-    summary["outputs"] = outputs
-    return summary, 0
+    return summary, {"bounds.json": _json_dump(summary)}, 0
 
 
 def _grid(cfg, axis, default_max):
@@ -276,8 +253,8 @@ def _grid(cfg, axis, default_max):
     return np.linspace(lo, hi, steps)
 
 
-def cmd_region(cfg, out_dir):
-    constants, _, _ = _constants(cfg)
+def cmd_region(cfg):
+    constants = _constants(cfg)
     algorithm = cfg.get("region.algorithm", "dagt_hb")
     member_fn = {"dagt_hb": region_member_hb, "dagt_nes": region_member_nes}.get(algorithm)
     if member_fn is None:
@@ -291,35 +268,23 @@ def cmd_region(cfg, out_dir):
             mat = matrix_fn(constants.mu, constants.L1, constants.L2, constants.L3,
                             constants.rho, a, m)
             rows.append((float(a), float(m), member_fn(constants, a, m), mat.spectral_radius()))
-    outputs = [
-        _write(out_dir, "region.csv", _csv(("alpha", "momentum", "member", "spectral_radius"), rows))
-    ]
-    summary = {
-        "algorithm": algorithm,
-        "members": sum(1 for r in rows if r[2]),
-        "points": len(rows),
-        "outputs": outputs,
-    }
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, 0
+    summary = {"algorithm": algorithm, "members": sum(1 for r in rows if r[2]), "points": len(rows)}
+    files = {"region.csv": _csv(("alpha", "momentum", "member", "spectral_radius"), rows)}
+    return summary, files, 0
 
 
-def cmd_rates(cfg, out_dir):
-    problem = cfg.build_problem()
-    if not _has_exact_rates(problem):
+def cmd_rates(cfg):
+    exp = Experiment(cfg)
+    if not _has_exact_rates(exp.problem):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
-    graph = cfg.build_graph()
-    x0, x_prev = cfg.build_x0(problem)
-    oracle = solve(problem)
-    mu, L1 = problem.constants.mu, problem.constants.L1
+    mu, L1 = exp.problem.constants.mu, exp.problem.constants.L1
     rows, details = [], {}
     code = 0
     for alg in ALGORITHMS:
         alpha, momentum = optimal_params(alg, mu, L1)
         m = 0.0 if momentum is None else momentum
-        report = quadratic_rates(problem, graph, alpha, m, alg)
-        scfg = cfg.build_solver_config(algorithm=alg, alpha=alpha, beta=m, gamma=m)
-        trace = run_solver(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=oracle)
+        report = quadratic_rates(exp.problem, exp.graph, alpha, m, alg)
+        _, trace = exp.run(algorithm=alg, alpha=alpha, beta=m, gamma=m)
         measured = measured_tail_rate(trace)
         rel = abs(measured - report.predicted_rate) / report.predicted_rate
         rows.append((alg, alpha, m, report.reduced_radius, report.rho_graph,
@@ -327,16 +292,11 @@ def cmd_rates(cfg, out_dir):
         details[alg] = {"predicted": report.predicted_rate, "measured": measured, "rel_error": rel}
         if not trace.converged:
             code = 3
-    outputs = [
-        _write(
-            out_dir, "rates.csv",
-            _csv(("algorithm", "alpha", "momentum", "reduced_radius", "rho_graph",
-                  "predicted_rate", "measured_rate", "rel_error"), rows),
-        )
-    ]
-    summary = {"per_algorithm": details, "outputs": outputs}
-    _write(out_dir, "summary.json", _json_dump(summary))
-    return summary, code
+    files = {
+        "rates.csv": _csv(("algorithm", "alpha", "momentum", "reduced_radius", "rho_graph",
+                           "predicted_rate", "measured_rate", "rel_error"), rows)
+    }
+    return {"per_algorithm": details}, files, code
 
 
 COMMANDS = {
@@ -388,16 +348,24 @@ def main(argv=None):
         if args.dump_config:
             sys.stdout.write(serialize_config(cfg.raw))
             return 0
-        summary, code = COMMANDS[args.command](cfg, args.out)
+        summary, files, code = COMMANDS[args.command](cfg)
     except (ConfigError, InvalidArgument) as exc:
         # every object a command builds comes from the config, so a
         # violated precondition is a rejected configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceDetected, NotConverged) as exc:
+    except (DivergenceDetected, NotConverged, InconsistentResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(_json_dump(summary), end="")
+    # summaries list dir-relative names so byte-identical reruns stay
+    # byte-identical regardless of the output location
+    summary["outputs"] = list(files)
+    files["summary.json"] = _json_dump(summary)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    print(files["summary.json"], end="")
     return code
 
 

@@ -21,6 +21,10 @@ class NotConverged(RuntimeError):
     """An iterative routine hit its iteration budget before its tolerance."""
 
 
+class InconsistentResult(RuntimeError):
+    """Two computations of one quantity disagree beyond their tolerance."""
+
+
 class OutOfValidityRegion(InvalidArgument):
     """Parameters are outside the region where a formula is derived."""
 

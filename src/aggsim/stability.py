@@ -14,11 +14,11 @@ transcription is kept only as a double-entry cross-check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
+from .exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
 from .solver import momentum_family
 
 _EPS = np.finfo(float).eps
@@ -31,7 +31,6 @@ _EPS = np.finfo(float).eps
 @dataclass(frozen=True)
 class JuryVerdict:
     stable: bool
-    table_rows: tuple  # derived rows (b, c, ..., final length-3 row)
     failed_condition: str  # '' when stable
     margin: float  # smallest slack among all strict conditions
 
@@ -79,7 +78,7 @@ def jury_stable(coeffs):
 
     margin = min(slack for _, slack in checks)
     failed = next((name for name, slack in checks if not slack > 0), "")
-    return JuryVerdict(stable=failed == "", table_rows=rows, failed_condition=failed, margin=margin)
+    return JuryVerdict(stable=failed == "", failed_condition=failed, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +111,7 @@ class StabilityConstants:
 
 @dataclass(frozen=True)
 class ErrorSystemMatrix:
-    kind: str
     entries: np.ndarray
-    inputs: dict = field(repr=False)
 
     def spectral_radius(self):
         return float(np.abs(np.linalg.eigvals(self.entries)).max())
@@ -141,10 +138,7 @@ def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
             ],
         ]
     )
-    return ErrorSystemMatrix(
-        kind="hb", entries=m,
-        inputs=dict(mu=mu, L1=L1, L2=L2, L3=L3, rho=rho, alpha=alpha, beta=beta),
-    )
+    return ErrorSystemMatrix(m)
 
 
 def error_matrix_nes(mu, L1, L2, L3, rho, alpha, gamma):
@@ -169,10 +163,7 @@ def error_matrix_nes(mu, L1, L2, L3, rho, alpha, gamma):
             ],
         ]
     )
-    return ErrorSystemMatrix(
-        kind="nes", entries=m,
-        inputs=dict(mu=mu, L1=L1, L2=L2, L3=L3, rho=rho, alpha=alpha, gamma=gamma),
-    )
+    return ErrorSystemMatrix(m)
 
 
 def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
@@ -208,10 +199,7 @@ def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
             ],
         ]
     )
-    return ErrorSystemMatrix(
-        kind="nes_relaxed", entries=m,
-        inputs=dict(mu=mu, L1=L1, L2=L2, L3=L3, rho=rho, alpha=alpha, gamma=gamma),
-    )
+    return ErrorSystemMatrix(m)
 
 
 def _entries(matrix):
@@ -538,7 +526,6 @@ def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
 
 @dataclass(frozen=True)
 class QuadraticRateReport:
-    algorithm: str
     matrix: ErrorSystemMatrix
     spectral_radius: float  # dense eigendecomposition of the full matrix
     reduced_radius: float  # exact agentwise reduction
@@ -553,8 +540,9 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     the reduced shortcut max(rho_graph, reduced state radius), and checks
     the two for agreement. Repeated eigenvalues cost a dense solver about
     half its precision, so the internal agreement gate is the wider of
-    1e-9 and a defectiveness-aware allowance; tests assert the tight
-    tolerance on simple-spectrum instances.
+    1e-9 and a defectiveness-aware allowance, and a miss raises
+    InconsistentResult; tests assert the tight tolerance on
+    simple-spectrum instances.
     """
     full = quad_full_matrix(qp, graph, alpha, momentum, algorithm)
     spectral = float(np.abs(np.linalg.eigvals(full)).max())
@@ -563,19 +551,11 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     predicted = max(rho_graph, reduced)
     gate = max(1e-9, 5e-8 * (1.0 + predicted))
     if abs(spectral - predicted) > gate:
-        raise RuntimeError(
+        raise InconsistentResult(
             f"full/reduced spectral radii disagree: {spectral} vs {predicted}"
         )
-    kind = {"dagt": "quad_dagt_full", "dagt_hb": "quad_hb_full", "dagt_nes": "quad_nes_full"}[
-        algorithm
-    ]
-    matrix = ErrorSystemMatrix(
-        kind=kind, entries=full,
-        inputs=dict(alpha=alpha, momentum=momentum, algorithm=algorithm),
-    )
     return QuadraticRateReport(
-        algorithm=algorithm,
-        matrix=matrix,
+        matrix=ErrorSystemMatrix(full),
         spectral_radius=spectral,
         reduced_radius=reduced,
         rho_graph=rho_graph,

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aggsim.cli as cli
 from aggsim.cli import main, measured_tail_rate
 from aggsim.config import ExperimentConfig
 from aggsim.presets import get_preset
@@ -124,9 +125,10 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     ("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=0.0,0.2"]),
     ("topology", "quadratic-demo", []),
     ("robustness", "quadratic-demo", ["robustness.noise_max_iter=50"]),
+    ("bounds", "placement-paper", []),
     ("region", "placement-paper", ["region.alpha_steps=3", "region.momentum_steps=3"]),
     ("rates", "quadratic-demo", []),
-], ids=["run", "sweep", "topology", "robustness", "region", "rates"])
+], ids=["run", "sweep", "topology", "robustness", "bounds", "region", "rates"])
 def test_printed_summary_equals_written_file(tmp_path, capsys, command, preset, overrides):
     out = tmp_path / "o"
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -134,6 +136,50 @@ def test_printed_summary_equals_written_file(tmp_path, capsys, command, preset, 
     printed = capsys.readouterr().out
     assert printed == (out / "summary.json").read_text()
     assert "summary.json" not in json.loads(printed)["outputs"]
+
+
+# rho_graph of the 4-ring is 1/3, the tuned heavy-ball radius at these
+# parameters: the dense eigensolver loses precision on the repeated root
+RATES_GATE_MISS = [
+    "problem.c=4,1,1,1", "problem.h=0.5,0.5,0.5,0.5", "problem.l=0,0,0,0",
+    "topology.n_agents=4", "topology.kind=ring", "solver.algorithm=dagt_hb",
+    "solver.alpha=0.4444444444444444", "solver.beta=0.1111111111111111",
+]
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_rates_gate_disagreement_exits_3(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    sets = [arg for kv in RATES_GATE_MISS for arg in ("--set", kv)]
+    assert run_cli(command, "--preset", "quadratic-demo", *sets, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: full/reduced spectral radii disagree")
+    assert "Traceback" not in err
+    # outputs are written only once a command completes
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,overrides,runs", [
+    ("sweep", ["solver.algorithm=dagt_hb", "sweep.values=0.0,0.2"], 2),
+    ("robustness", ["robustness.noise_max_iter=50"], 6),
+    ("run", ["run.compare=true"], 3),
+], ids=["sweep", "robustness", "run-compare"])
+def test_one_oracle_solve_per_command(tmp_path, monkeypatch, command, overrides, runs):
+    calls = {"solve": 0, "run_solver": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "solve", counted("solve"))
+    monkeypatch.setattr(cli, "run_solver", counted("run_solver"))
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert run_cli(command, "--preset", "quadratic-demo", *sets, "--out", str(tmp_path / "o")) == 0
+    assert calls == {"solve": 1, "run_solver": runs}
 
 
 def test_divergence_exit_code(tmp_path):
@@ -162,6 +208,15 @@ def test_sweep_empty_values_header_only(tmp_path):
     assert code == 0
     header, rows = read_csv(out / "sweep.csv")
     assert header == ["momentum", "iterations", "converged"]
+    assert rows == []
+    out = tmp_path / "t"
+    code = run_cli(
+        "topology", "--preset", "quadratic-demo", "--set", "topology_compare.kinds =",
+        "--out", str(out),
+    )
+    assert code == 0
+    header, rows = read_csv(out / "topology.csv")
+    assert header == ["topology", "iter", "residual_msq"]
     assert rows == []
 
 

@@ -1,0 +1,29 @@
+"""The demos call the public API as a user would: each must run to the end.
+
+`robustness_study.py` is left out because it takes about 15 s, against
+well under a second for each demo run here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "placement_walkthrough.py",
+    "quadratic_rates_study.py",
+    "stability_analysis.py",
+])
+def test_demo_exits_0(tmp_path, demo):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
