@@ -26,7 +26,7 @@ from .exceptions import (
 from .graph import build_topology
 from .oracle import solve
 from .presets import get_preset, preset_names
-from .solver import ALGORITHMS, run as run_solver
+from .solver import ALGORITHMS, csv_text, run as run_solver
 from .stability import (
     StabilityConstants,
     conservative_bounds_hb,
@@ -66,15 +66,6 @@ def _json_dump(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _list(cfg, key, default):
     """The key's comma list; a scalar is one entry, an empty value none."""
     value = cfg.get(key, default)
@@ -87,6 +78,11 @@ def _has_exact_rates(problem):
     """The exact-rate matrices model scalar states whose curvature does not
     depend on the aggregate (b = e = 0): the quadratic family."""
     return problem.b == 0 and problem.e == 0 and problem.local_dim == 1
+
+
+def _per_tick(rate, solver_cfg):
+    # a round takes delay_steps + 1 ticks; at delay 0 the power 1.0 keeps the rate
+    return rate ** (1.0 / (solver_cfg.delay_steps + 1))
 
 
 def _outcome(trace):
@@ -135,7 +131,7 @@ def _run_summary(exp, solver_cfg, trace):
         report = quadratic_rates(
             problem, graph, solver_cfg.alpha, solver_cfg.momentum, solver_cfg.algorithm
         )
-        summary["predicted_rate"] = report.predicted_rate
+        summary["predicted_rate"] = _per_tick(report.predicted_rate, solver_cfg)
         summary["reduced_radius"] = report.reduced_radius
     return summary
 
@@ -152,7 +148,7 @@ def cmd_run(cfg):
         for alg in ALGORITHMS:
             atrace = trace if alg == solver_cfg.algorithm else exp.run(algorithm=alg)[1]
             rows += [(alg, int(k), float(r)) for k, r in zip(atrace.k, atrace.residual_msq)]
-        files["compare.csv"] = _csv(("algorithm", "iter", "residual"), rows)
+        files["compare.csv"] = csv_text(("algorithm", "iter", "residual"), rows)
     return summary, files, 0
 
 
@@ -169,7 +165,7 @@ def cmd_sweep(cfg):
             rows.append({"momentum": v, **_outcome(exp.run(beta=v, gamma=v)[1])})
         except DivergenceDetected as exc:
             rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False})
-    files = {"sweep.csv": _csv(("momentum", "iterations", "converged"), (r.values() for r in rows))}
+    files = {"sweep.csv": csv_text(("momentum", "iterations", "converged"), map(dict.values, rows))}
     return {"algorithm": algorithm, "rows": rows}, files, 0
 
 
@@ -185,7 +181,7 @@ def cmd_topology(cfg):
         _, trace = exp.run(graph=graph)
         rows += [(kind, int(k), float(r)) for k, r in zip(trace.k, trace.residual_msq)]
         per_topology[kind] = {"rho": graph.rho, **_outcome(trace)}
-    files = {"topology.csv": _csv(("topology", "iter", "residual_msq"), rows)}
+    files = {"topology.csv": csv_text(("topology", "iter", "residual_msq"), rows)}
     return {"per_topology": per_topology}, files, 0
 
 
@@ -269,7 +265,7 @@ def cmd_region(cfg):
                             constants.rho, a, m)
             rows.append((float(a), float(m), member_fn(constants, a, m), mat.spectral_radius()))
     summary = {"algorithm": algorithm, "members": sum(1 for r in rows if r[2]), "points": len(rows)}
-    files = {"region.csv": _csv(("alpha", "momentum", "member", "spectral_radius"), rows)}
+    files = {"region.csv": csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)}
     return summary, files, 0
 
 
@@ -284,18 +280,18 @@ def cmd_rates(cfg):
         alpha, momentum = optimal_params(alg, mu, L1)
         m = 0.0 if momentum is None else momentum
         report = quadratic_rates(exp.problem, exp.graph, alpha, m, alg)
-        _, trace = exp.run(algorithm=alg, alpha=alpha, beta=m, gamma=m)
+        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, beta=m, gamma=m)
+        predicted = _per_tick(report.predicted_rate, solver_cfg)
         measured = measured_tail_rate(trace)
-        rel = abs(measured - report.predicted_rate) / report.predicted_rate
+        rel = abs(measured - predicted) / predicted
         rows.append((alg, alpha, m, report.reduced_radius, report.rho_graph,
-                     report.predicted_rate, measured, rel))
-        details[alg] = {"predicted": report.predicted_rate, "measured": measured, "rel_error": rel}
+                     predicted, measured, rel))
+        details[alg] = {"predicted": predicted, "measured": measured, "rel_error": rel}
         if not trace.converged:
             code = 3
-    files = {
-        "rates.csv": _csv(("algorithm", "alpha", "momentum", "reduced_radius", "rho_graph",
-                           "predicted_rate", "measured_rate", "rel_error"), rows)
-    }
+    header = ("algorithm", "alpha", "momentum", "reduced_radius", "rho_graph",
+              "predicted_rate", "measured_rate", "rel_error")
+    files = {"rates.csv": csv_text(header, rows)}
     return {"per_algorithm": details}, files, code
 
 

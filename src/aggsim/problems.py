@@ -163,12 +163,9 @@ class AggregativeProblem:
         return self.phi_all(self.as_agents(x)).sum(axis=0) / self.n_agents
 
     def global_gradient(self, x):
-        """Exact gradient of F(x) = sum_i f_i(x_i, u(x)) as a stacked vector."""
-        xa = self.as_agents(x)
-        ub = np.broadcast_to(self.aggregate(xa), xa.shape)
-        g2_mean = self.grad2_all(xa, ub).sum(axis=0) / self.n_agents
-        sb = np.broadcast_to(g2_mean, xa.shape)
-        return (self.grad1_all(xa, ub) + self.dphi_all(xa, sb)).reshape(-1)
+        """Exact gradient H x + lin of F as a stacked vector, from the model."""
+        hess, lin, _ = self.quadratic_model
+        return hess @ self.as_agents(x).reshape(-1) + lin
 
     def objective(self, x):
         xa = self.as_agents(x)

@@ -30,6 +30,16 @@ ALGORITHMS = ("dagt", "dagt_hb", "dagt_nes")
 TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err")
 
 
+def csv_text(header, rows):
+    """CSV text of a table: floats by repr, so they round-trip exactly."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
 def momentum_family(algorithm, beta, gamma):
     """The family's (beta, gamma) for an algorithm with configured beta and
     gamma: heavy ball is gamma = 0 and Nesterov is beta = gamma."""
@@ -201,7 +211,9 @@ class IterTrace:
         if oracle_solution is not None:
             dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
             self.residual_msq.append(float((dx**2).sum() / n))
-            self.obj_gap.append(problem.objective(xa) - oracle_solution.f_star)
+            # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
+            # cancel at the size of F and can come out negative
+            self.obj_gap.append(float(0.5 * dx @ (problem.quadratic_model[0] @ dx)))
         else:
             self.residual_msq.append(float("nan"))
             self.obj_gap.append(float("nan"))
@@ -218,24 +230,8 @@ class IterTrace:
         self.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
     def to_csv(self):
-        lines = [",".join(TRACE_COLUMNS)]
-        for i in range(len(self.k)):
-            lines.append(
-                ",".join(
-                    [str(self.k[i])]
-                    + [
-                        repr(float(col[i]))
-                        for col in (
-                            self.residual_msq,
-                            self.obj_gap,
-                            self.grad_norm,
-                            self.u_track_err,
-                            self.s_track_err,
-                        )
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(TRACE_COLUMNS, zip(self.k, self.residual_msq, self.obj_gap,
+                                           self.grad_norm, self.u_track_err, self.s_track_err))
 
 
 def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):

@@ -401,10 +401,10 @@ def conservative_bounds_hb(constants, z2=1.0, z3=1.0, alpha=None):
 
 
 def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
-    """Sufficient (alpha, gamma) box for Nesterov stability, from the
-    relaxed error matrix and the completed witness t (analogue of
-    conservative_bounds_hb). The gamma bound also enforces the relaxed
-    matrix's own validity cap min(1/L2, 1/L3)."""
+    """Sufficient (alpha, gamma) box for Nesterov stability: each term is a
+    row bound of M t < t for M = error_matrix_nes_relaxed and the completed
+    witness t (analogue of conservative_bounds_hb). The gamma bound also
+    enforces the relaxed matrix's own validity cap min(1/L2, 1/L3)."""
     if t2 <= 0 or t3 <= 0:
         raise InvalidArgument("witness parameters t2, t3 must be positive")
     mu, L1, L2, L3, rho = constants.mu, constants.L1, constants.L2, constants.L3, constants.rho
@@ -418,7 +418,7 @@ def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
             (1 - rho) * t3,
             L1 * L3 * (2 + L3) * t1 + L1 * (L3 + 1) * t3 + (L3**2 + L3) * t4,
         ),
-        "T4": _safe_div(1 - rho, L2 * L3 * (1 + L3)),
+        "T4": _safe_div(1 - rho, L2 * (1 + L3) ** 2),
         "T5": _safe_div(
             (1 - rho) * t4 - 2 * L2 * t3,
             L1 * (L2 + 1) * (1 + L3) * ((1 + L3) * t1 + t3) + L2 * (1 + L3) ** 2 * t4,
@@ -441,7 +441,7 @@ def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
             (1 - rho - a * L2 * (1 + L3) ** 2) * t4
             - a * L1 * (L2 + 1) * (1 + L3) ** 2 * t1
             - (a * L1 * (L2 + 1) * (1 + L3) + 2 * L2) * t3,
-            L2 * (1 + L3) * t2,
+            (L3 + 1) * (L2 * L3 + 2 * L2 + L3 + 1) * t2,
         ),
     }
     caps = [_safe_div(1.0, L2), _safe_div(1.0, L3)]

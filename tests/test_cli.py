@@ -32,6 +32,38 @@ def test_run_quadratic_demo(tmp_path):
     assert abs(summary["measured_tail_rate"] - 0.8) / 0.8 < 0.05
 
 
+def test_predicted_rate_is_per_tick_under_delay(tmp_path):
+    # a communication round takes delay_steps + 1 ticks, and the trace is per tick
+    out = tmp_path / "o"
+    sets = ["--set", "solver.delay_steps=2"]
+    assert run_cli("run", "--preset", "quadratic-demo", *sets, "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["predicted_rate"] == pytest.approx(0.8 ** (1 / 3), rel=1e-12)
+    # criterion 08's tolerance
+    assert abs(summary["measured_tail_rate"] / summary["predicted_rate"] - 1) < 0.05
+    assert run_cli("rates", "--preset", "quadratic-demo", *sets, "--out", str(out / "r")) == 0
+    summary = json.loads((out / "r" / "summary.json").read_text())
+    for alg in ("dagt", "dagt_hb", "dagt_nes"):
+        assert summary["per_algorithm"][alg]["rel_error"] < 0.05
+
+
+@pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
+def test_placement_objective_gap_nonnegative(tmp_path, algorithm):
+    # the gap is (x - x*).H(x - x*) / 2 from the quadratic model; F(x) - f*
+    # cancels at the size of F = 95.2 and dips below zero near x*
+    out = tmp_path / "o"
+    sets = ["--set", f"solver.algorithm={algorithm}"]
+    assert run_cli("run", "--preset", "placement-paper", *sets, "--out", str(out)) == 0
+    header, rows = read_csv(out / "trace.csv")
+    gaps = [float(row[header.index("obj_gap")]) for row in rows]
+    assert min(gaps) >= 0.0
+    cfg = ExperimentConfig(get_preset("placement-paper"))
+    problem = cfg.build_problem()
+    x0, _ = cfg.build_x0(problem)
+    f_star = json.loads((out / "summary.json").read_text())["oracle_f_star"]
+    assert gaps[0] == pytest.approx(problem.objective(x0) - f_star, rel=1e-12)
+
+
 def test_run_placement_preset_final_aggregate(tmp_path):
     out = tmp_path / "o"
     assert run_cli("run", "--preset", "placement-paper", "--out", str(out)) == 0

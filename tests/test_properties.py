@@ -1,4 +1,5 @@
-"""Property tests of the momentum-family step on generated inputs.
+"""Property tests of the momentum-family step and the stopping gradient
+on generated inputs.
 
 Each example draws a generic affine-quadratic problem (every coefficient
 nonzero, local dimension 1 or 2), a ring, star or complete graph, a step
@@ -13,6 +14,7 @@ from aggsim.graph import build_topology
 from aggsim.problems import AggregativeProblem
 from aggsim.solver import CommChannel, SolverConfig, init_state, step
 
+from test_problems import reference_global_gradient
 from test_solver import assert_states_equal, reference_step
 
 ROUNDS = 20
@@ -95,3 +97,14 @@ def test_zero_momentum_bitwise_equal_across_algorithms(instance, noise_seed):
         states = [step(s, problem, graph, c, ch) for s, c, ch in zip(states, cfgs, channels)]
         assert_states_equal(states[0], states[1])
         assert_states_equal(states[0], states[2])
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_model_gradient_matches_evaluator_composition(instance):
+    problem, _, x0, x_minus1, _, _ = instance
+    hess, lin, _ = problem.quadratic_model
+    for x in (x0, x_minus1, 100.0 * x0, np.zeros(problem.dim)):
+        scale = np.linalg.norm(hess, 2) * np.linalg.norm(x) + np.linalg.norm(lin)
+        error = np.linalg.norm(problem.global_gradient(x) - reference_global_gradient(problem, x))
+        assert error <= 1e-12 * scale

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from aggsim.config import ExperimentConfig
 from aggsim.exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
+from aggsim.presets import get_preset
 from aggsim.problems import make_quadratic
 from aggsim.solver import SolverConfig, init_state, step
 from aggsim.stability import (
@@ -391,6 +393,122 @@ def test_witness_contraction_at_half_bounds():
         beta = b.momentum_bar / 2
         m = error_matrix_hb(c.mu, c.L1, c.L2, c.L3, c.rho, a, beta).entries
         assert ((m @ b.witness) < b.witness).all()
+
+
+def test_nes_witness_contraction_inside_bounds():
+    # near alpha_bar the row-4 term G4 shrinks toward zero and can bind
+    rng = np.random.default_rng(13)
+    cases = [StabilityConstants(rho=0.4, **PLACEMENT), StabilityConstants(rho=0.0, **PLACEMENT)]
+    cases += [random_constants(rng) for _ in range(50)]
+    for c in cases:
+        alpha_bar = conservative_bounds_nes(c).alpha_bar
+        for a in (alpha_bar / 2, 0.99 * alpha_bar):
+            b = conservative_bounds_nes(c, alpha=a)
+            gamma = b.momentum_bar / 2
+            m = error_matrix_nes_relaxed(c.mu, c.L1, c.L2, c.L3, c.rho, a, gamma).entries
+            assert ((m @ b.witness) < b.witness).all()
+
+
+def preset_constants(name):
+    cfg = ExperimentConfig(get_preset(name))
+    return StabilityConstants.from_problem(cfg.build_problem(), cfg.build_graph())
+
+
+def step_bounds(matrix_at, z, unit):
+    """Each row's step-size bound of M(a, 0) z < z, and each diagonal
+    entry's bound of M_ii(a, 0) < 1, for a matrix affine in a; the slope is
+    taken between a = 0 and a = unit."""
+    m0 = matrix_at(0.0, 0.0)
+    slope = (matrix_at(unit, 0.0) - m0) / unit
+    with np.errstate(divide="ignore"):
+        return (z - m0 @ z) / (slope @ z), (1 - np.diag(m0)) / np.diag(slope)
+
+
+def momentum_bounds(matrix_at, z, alpha, unit):
+    """Each row's momentum bound of M(alpha, m) z < z, for M affine in m."""
+    m0 = matrix_at(alpha, 0.0)
+    return (z - m0 @ z) / ((matrix_at(alpha, unit) - m0) @ z / unit)
+
+
+def hb_matrix_with_l2_in_row_4(c, alpha, beta):
+    """error_matrix_hb with L2 in place of L3 at entries (4,1) and (4,3)."""
+    m = error_matrix_hb(c.mu, c.L1, c.L2, c.L3, c.rho, alpha, beta).entries.copy()
+    m[3, 0] = alpha * c.L1 * c.L2 * (1 + c.L3) ** 2
+    m[3, 2] = alpha * c.L1 * c.L2 * (1 + c.L3) + 2 * c.L2
+    return m
+
+
+@pytest.mark.parametrize("preset", ["cournot-paper", "placement-paper"])
+def test_hb_row_4_terms_follow_the_matrix_with_l2_in_row_4(preset):
+    # J5 and M4 are the row-4 bounds of the heavy-ball matrix with a*L1*L2
+    # where error_matrix_hb transcribes a*L1*L3, as the Nesterov matrix has
+    c = preset_constants(preset)
+    b = conservative_bounds_hb(c)
+    z, unit = b.witness, 1.0 / c.L1
+    rows, _ = step_bounds(lambda a, m: hb_matrix_with_l2_in_row_4(c, a, m), z, unit)
+    assert b.step_terms["J5"] == pytest.approx(rows[3], rel=1e-14)
+    momentum = momentum_bounds(lambda a, m: hb_matrix_with_l2_in_row_4(c, a, m), z,
+                               b.alpha_eval, unit)
+    assert b.momentum_terms["M4"] == pytest.approx(momentum[3], rel=1e-14)
+    if preset == "cournot-paper":
+        # with the transcribed entries row 4 allows only alpha < 1.17e-9, so
+        # the reported box is not certified by error_matrix_hb: the
+        # misprint sits in the matrix, not in the terms
+        def transcribed(a, m):
+            return error_matrix_hb(c.mu, c.L1, c.L2, c.L3, c.rho, a, m).entries
+
+        rows, _ = step_bounds(transcribed, z, unit)
+        assert rows[3] == pytest.approx(1.17e-9, rel=1e-2)
+        slack = z[3] - (transcribed(b.alpha_eval, 0.0) @ z)[3]
+        assert slack == pytest.approx(-7.34, rel=1e-2)
+
+
+@pytest.mark.parametrize("preset", ["cournot-paper", "placement-paper", "random"])
+def test_nes_terms_follow_the_relaxed_matrix(preset):
+    rng = np.random.default_rng(14)
+    cases = [preset_constants(preset)] if preset != "random" else [
+        random_constants(rng) for _ in range(50)
+    ]
+    for c in cases:
+        b = conservative_bounds_nes(c)
+        t, T, G = b.witness, b.step_terms, b.momentum_terms
+
+        def relaxed(a, g):
+            return error_matrix_nes_relaxed(c.mu, c.L1, c.L2, c.L3, c.rho, a, g).entries
+
+        rows, diag = step_bounds(relaxed, t, 1.0 / c.L1)
+        derived = {"T1": rows[1], "T2": diag[2], "T3": rows[2], "T4": diag[3], "T5": rows[3]}
+        momentum = momentum_bounds(relaxed, t, b.alpha_eval, min(1.0 / c.L2, 1.0 / c.L3))
+        derived.update({f"G{i + 1}": momentum[i] for i in range(4)})
+        for name, value in derived.items():
+            assert (T | G)[name] == pytest.approx(value, rel=1e-12), name
+        # T4 never binds: row 4's full bound T5 includes its diagonal
+        assert T["T5"] <= T["T4"]
+
+        # the printed T4 is the exact matrix's gamma = 0 diagonal bound, and
+        # exceeds the relaxed one by (1 + L3) / L3
+        printed_t4 = (1 - c.rho) / (c.L2 * c.L3 * (1 + c.L3))
+        _, exact_diag = step_bounds(
+            lambda a, g: error_matrix_nes(c.mu, c.L1, c.L2, c.L3, c.rho, a, g).entries,
+            t, 1.0 / c.L1,
+        )
+        assert printed_t4 == pytest.approx(exact_diag[3], rel=1e-12)
+        assert printed_t4 > T["T4"]
+        # the printed G4 divides by L2 (1 + L3), below even the exact (4,2)
+        # coefficient; where it is positive, row 4 of neither matrix holds there
+        a, (t1, t2, t3, t4) = b.alpha_eval, t
+        mu, L1, L2, L3, rho = c.mu, c.L1, c.L2, c.L3, c.rho
+        printed_g4 = (
+            (1 - rho - a * L2 * (1 + L3) ** 2) * t4
+            - a * L1 * (L2 + 1) * (1 + L3) ** 2 * t1
+            - (a * L1 * (L2 + 1) * (1 + L3) + 2 * L2) * t3
+        ) / (L2 * (1 + L3) * t2)
+        assert printed_g4 > G["G4"] or G["G4"] <= 0
+        if printed_g4 > 0:
+            exact = error_matrix_nes(mu, L1, L2, L3, rho, a, printed_g4).entries
+            assert (exact @ t)[3] > t4
+            if printed_g4 <= min(1 / L2, 1 / L3):
+                assert (relaxed(a, printed_g4) @ t)[3] > t4
 
 
 def test_conservative_box_inside_region():
