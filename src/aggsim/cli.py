@@ -191,19 +191,32 @@ def cmd_robustness(cfg):
     noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
     exp = Experiment(cfg)
     files, summary = {}, {"delay": {}, "noise": {}, "delay_steps": delay, "noise_sigma": sigma}
+    code = 0
+    # a diverged run is reported at its divergence tick, with no trace and
+    # null for the value it could not reach; the command then exits 3
     for alg in ALGORITHMS:
-        _, trace = exp.run(algorithm=alg, delay_steps=delay)
-        files[f"robustness_delay_{alg}.csv"] = trace.to_csv()
-        summary["delay"][alg] = {**_outcome(trace), "final_grad_norm": trace.grad_norm[-1]}
-        _, trace = exp.run(algorithm=alg, noise_sigma=sigma, max_iter=noise_iters, tol=0.0)
-        files[f"robustness_noise_{alg}.csv"] = trace.to_csv()
-        res = np.asarray(trace.residual_msq)
-        summary["noise"][alg] = {
-            "iterations": int(trace.k[-1]),
-            "bounded": bool(np.isfinite(res).all()),
-            "floor_residual_msq": float(np.median(res[-max(1, len(res) // 10):])),
-        }
-    return summary, files, 0
+        try:
+            _, trace = exp.run(algorithm=alg, delay_steps=delay)
+            files[f"robustness_delay_{alg}.csv"] = trace.to_csv()
+            summary["delay"][alg] = {**_outcome(trace), "final_grad_norm": trace.grad_norm[-1]}
+        except DivergenceDetected as exc:
+            summary["delay"][alg] = {"iterations": int(exc.iteration), "converged": False,
+                                     "final_grad_norm": None}
+            code = 3
+        try:
+            _, trace = exp.run(algorithm=alg, noise_sigma=sigma, max_iter=noise_iters, tol=0.0)
+            files[f"robustness_noise_{alg}.csv"] = trace.to_csv()
+            res = np.asarray(trace.residual_msq)
+            summary["noise"][alg] = {
+                "iterations": int(trace.k[-1]),
+                "bounded": bool(np.isfinite(res).all()),
+                "floor_residual_msq": float(np.median(res[-max(1, len(res) // 10):])),
+            }
+        except DivergenceDetected as exc:
+            summary["noise"][alg] = {"iterations": int(exc.iteration), "bounded": False,
+                                     "floor_residual_msq": None}
+            code = 3
+    return summary, files, code
 
 
 def _constants(cfg):
@@ -252,10 +265,10 @@ def _grid(cfg, axis, default_max):
 def cmd_region(cfg):
     constants = _constants(cfg)
     algorithm = cfg.get("region.algorithm", "dagt_hb")
-    member_fn = {"dagt_hb": region_member_hb, "dagt_nes": region_member_nes}.get(algorithm)
-    if member_fn is None:
+    if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
-    matrix_fn = error_matrix_hb if algorithm == "dagt_hb" else error_matrix_nes
+    member_fn, matrix_fn = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
+                            else (region_member_nes, error_matrix_nes))
     a_grid = _grid(cfg, "alpha", 1.0 / constants.L1)
     m_grid = _grid(cfg, "momentum", 0.5)
     rows = []

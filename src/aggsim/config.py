@@ -83,11 +83,15 @@ def load_config(path):
 
 
 def convert(kind, value, key):
-    """kind(value) for a config value; a failed conversion is a ConfigError."""
+    """kind(value) for a config value; a failed conversion, and a float
+    that is not finite, is a ConfigError."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from None
+    if kind is float and not np.isfinite(out):
+        raise ConfigError(f"expected a finite float, got {value!r}", key=key)
+    return out
 
 
 _REQUIRED = object()
@@ -119,6 +123,13 @@ class ExperimentConfig:
         value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
         return None if value is None else convert(kind, value, key)
 
+    def seed(self, key, default):
+        """The key's int seed, or default; numpy rejects a negative one."""
+        seed = self.value(key, int, default)
+        if seed is not None and seed < 0:
+            raise ConfigError("seed must be nonnegative", key=key)
+        return seed
+
     def array(self, key, default=_REQUIRED, size=None):
         """The key's number or comma list as a float array; like value, and
         with size given, any other entry count is a ConfigError."""
@@ -137,12 +148,15 @@ class ExperimentConfig:
         kind = self.require("problem.kind")
         try:
             if kind == "placement":
-                r = self.array("problem.r").reshape(-1, 2)
-                omega = self.array("problem.omega", 1.0)
-                return make_placement(r, omega)
+                r = self.array("problem.r")
+                if r.size % 2:
+                    raise ConfigError("expected x,y anchor pairs", key="problem.r")
+                return make_placement(r.reshape(-1, 2), self.array("problem.omega", 1.0))
             if kind == "cournot":
                 n = self.value("problem.n_agents", int)
-                rng = np.random.default_rng(self.value("problem.seed", int, 0))
+                if n < 1:
+                    raise ConfigError("n_agents must be positive", key="problem.n_agents")
+                rng = np.random.default_rng(self.seed("problem.seed", 0))
                 kappa = rng.uniform(*self.array("problem.kappa_range", [0.5, 2.5], size=2), n)
                 theta = rng.uniform(*self.array("problem.theta_range", [10, 20], size=2), n)
                 sigma = rng.uniform(*self.array("problem.sigma_range", [5, 20], size=2), n)
@@ -168,7 +182,7 @@ class ExperimentConfig:
         # them while the kind is overridden
         is_random = kind == "random"
         edge_prob = self.value("topology.edge_prob", float, None) if is_random else None
-        seed = self.value("topology.seed", int, None) if is_random else None
+        seed = self.seed("topology.seed", None) if is_random else None
         try:
             return build_topology(kind, n, edge_prob=edge_prob, seed=seed)
         except (InvalidArgument, ConstructionFailed) as exc:
@@ -185,7 +199,7 @@ class ExperimentConfig:
             tol=self.value("solver.tol", float, 1e-6),
             delay_steps=self.value("solver.delay_steps", int, 0),
             noise_sigma=self.value("solver.noise_sigma", float, 0.0),
-            seed=self.value("solver.seed", int, 0),
+            seed=self.seed("solver.seed", 0),
         )
         kw.update(overrides)
         if kw["algorithm"] not in ALGORITHMS:
@@ -206,7 +220,7 @@ class ExperimentConfig:
             x0 = self.array("init.x0", size=problem.dim)
         else:
             lo, hi = self.array("init.x0_range", [0.0, 1.0], size=2)
-            rng = np.random.default_rng(self.value("init.seed", int, 0))
+            rng = np.random.default_rng(self.seed("init.seed", 0))
             x0 = rng.uniform(lo, hi, problem.dim)
         x_prev = None
         if "init.x_prev" in self.raw:

@@ -43,6 +43,10 @@ class CommGraph:
         if self.rho is None:
             object.__setattr__(self, "rho", contraction_factor_of(w))
 
+    def mix(self, u, s):
+        """One noise-free mixing round of both trackers: (W u, W s)."""
+        return self.weights @ u, self.weights @ s
+
     def weights_csv(self):
         """Row-major CSV dump of the mixing matrix at full precision."""
         return "\n".join(",".join(repr(float(v)) for v in row) for row in self.weights) + "\n"
@@ -104,7 +108,7 @@ def build_topology(kind, n_agents, edge_prob=None, seed=None):
     edge_prob : float, optional
         Edge probability in (0, 1]; required iff kind == 'random'.
     seed : int, optional
-        Seed for the random pattern; only used for kind == 'random'.
+        Nonnegative seed of the random pattern; only used for kind == 'random'.
 
     Random patterns are redrawn until connected, up to a fixed retry
     budget, after which ConstructionFailed is raised.
@@ -118,6 +122,8 @@ def build_topology(kind, n_agents, edge_prob=None, seed=None):
             raise InvalidArgument("random topology requires edge_prob in (0, 1]")
     elif edge_prob is not None:
         raise InvalidArgument(f"edge_prob is only meaningful for kind='random', got kind={kind!r}")
+    if seed is not None and seed < 0:
+        raise InvalidArgument("seed must be nonnegative")
 
     rng = np.random.default_rng(seed)
     attempts = RANDOM_RETRIES if kind == "random" else 1

@@ -13,10 +13,10 @@ beta = gamma = 0, heavy ball (dagt_hb) is gamma = 0, and Nesterov
 (beta, gamma). Zero momentum gives all three the same trajectory, bit for
 bit.
 
-Communication perturbations: additive Gaussian noise on received tracker
-entries, and synchronous delay in which each communication round takes
-``delay_steps + 1`` ticks (agents hold their state until the round's
-messages arrive, so the tracker means stay conserved).
+Mixing is one call, ``mix(u, s)``: a CommGraph mixes exactly and a
+CommChannel adds noise to received tracker entries. Under delay a round
+takes ``delay_steps + 1`` ticks of the run's clock, and agents hold their
+state until its messages arrive, so the tracker means stay conserved.
 """
 
 from dataclasses import dataclass, field, replace
@@ -75,6 +75,8 @@ class SolverConfig:
             raise InvalidArgument("dagt requires beta = gamma = 0")
         if self.max_iter < 0 or self.delay_steps < 0 or self.noise_sigma < 0:
             raise InvalidArgument("max_iter, delay_steps, noise_sigma must be nonnegative")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be nonnegative")
 
     @property
     def family(self):
@@ -105,27 +107,22 @@ class SolverState:
 
 
 class CommChannel:
-    """Mixing wrapper applying the configured communication perturbations.
+    """A graph whose received tracker entries carry noise.
 
-    delay_steps > 0 stretches every communication round over
-    ``delay_steps + 1`` ticks: updates fire only on ticks where the round's
-    messages have arrived, and agents hold otherwise. noise_sigma > 0 adds
-    i.i.d. zero-mean Gaussian noise to every received (off-diagonal)
-    tracker entry; own values are never corrupted.
+    `mix` mixes over the graph, then adds i.i.d. zero-mean Gaussian noise
+    of standard deviation noise_sigma to every received (off-diagonal)
+    tracker entry; own values are never corrupted. `step` takes either a
+    channel or the graph itself, which mixes without noise.
     """
 
-    def __init__(self, graph, delay_steps=0, noise_sigma=0.0, seed=None):
-        if delay_steps < 0 or noise_sigma < 0:
-            raise InvalidArgument("delay_steps and noise_sigma must be nonnegative")
-        self.weights = graph.weights
+    def __init__(self, graph, noise_sigma=0.0, seed=None):
+        if noise_sigma < 0:
+            raise InvalidArgument("noise_sigma must be nonnegative")
+        self.graph = graph
         self.off_weights = graph.weights.copy()
         np.fill_diagonal(self.off_weights, 0.0)
-        self.period = int(delay_steps) + 1
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(seed)
-
-    def updates_at(self, k):
-        return k % self.period == 0
 
     def _received_noise(self, shape):
         n, d = shape
@@ -133,8 +130,7 @@ class CommChannel:
         return np.einsum("ij,ijd->id", self.off_weights, eta)
 
     def mix(self, u, s):
-        mix_u = self.weights @ u
-        mix_s = self.weights @ s
+        mix_u, mix_s = self.graph.mix(u, s)
         if self.noise_sigma > 0.0:
             mix_u = mix_u + self._received_noise(u.shape)
             mix_s = mix_s + self._received_noise(s.shape)
@@ -160,8 +156,9 @@ def init_state(problem, graph, x0, x_minus1=None):
     return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, k=0)
 
 
-def step(state, problem, graph, config, channel=None):
-    """One round of the momentum family at the config's (alpha, beta, gamma).
+def step(state, problem, channel, config):
+    """One round of the momentum family at the config's (alpha, beta, gamma),
+    mixing the trackers over channel (a CommGraph or a CommChannel).
 
     The gradient is taken at y and x+ = y - alpha g + (beta - gamma)(x - x_prev),
     which equals x + beta (x - x_prev) - alpha g; the next gradient point is
@@ -176,10 +173,7 @@ def step(state, problem, graph, config, channel=None):
     if beta != gamma:
         x_new = x_new + (beta - gamma) * (x - state.x_prev)
     y_new = x_new + gamma * (x_new - x) if gamma != 0.0 else x_new
-    if channel is not None:
-        mix_u, mix_s = channel.mix(u, s)
-    else:
-        mix_u, mix_s = graph.weights @ u, graph.weights @ s
+    mix_u, mix_s = channel.mix(u, s)
     u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
     s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
     return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1)
@@ -187,7 +181,7 @@ def step(state, problem, graph, config, channel=None):
 
 @dataclass
 class IterTrace:
-    """Per-tick diagnostics of one run (one record per tick, k = 0 first)."""
+    """Per-tick diagnostics of one run (one row per tick, k = 0 first)."""
 
     k: list = field(default_factory=list)
     residual_msq: list = field(default_factory=list)
@@ -229,6 +223,13 @@ class IterTrace:
         self.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
         self.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
+    def hold(self, ticks):
+        """Repeat the last row on `ticks` hold ticks, where the state rests."""
+        self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
+        for column in (self.residual_msq, self.obj_gap, self.grad_norm, self.u_track_err,
+                       self.s_track_err, self.u_mean_err, self.s_mean_err):
+            column.extend(column[-1:] * ticks)
+
     def to_csv(self):
         return csv_text(TRACE_COLUMNS, zip(self.k, self.residual_msq, self.obj_gap,
                                            self.grad_norm, self.u_track_err, self.s_track_err))
@@ -238,36 +239,31 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     """Iterate until the central gradient-norm monitor passes tol or the
     tick budget max_iter runs out; returns the full per-tick trace.
 
-    The stopping gradient is computed centrally for monitoring only; the
-    agents never use it. Raises DivergenceDetected at the first tick with
-    a non-finite state.
+    The first round fires at tick 0; each later state is recorded once, at
+    its arrival tick, and its row repeats on the delay_steps hold ticks
+    after it. The stopping gradient is computed centrally for monitoring
+    only; the agents never use it. Raises DivergenceDetected at the first
+    tick with a non-finite state.
     """
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
-    channel = None
-    if config.delay_steps > 0 or config.noise_sigma > 0:
-        channel = CommChannel(
-            graph,
-            delay_steps=config.delay_steps,
-            noise_sigma=config.noise_sigma,
-            seed=config.seed,
-        )
+    channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
+               if config.noise_sigma > 0 else graph)
     trace = IterTrace()
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if not state.finite():
                 raise DivergenceDetected(state.k)
-            grad_vec = problem.global_gradient(state.x)
-            trace.record(problem, state, oracle_solution, grad_vec)
+            trace.record(problem, state, oracle_solution, problem.global_gradient(state.x))
             gnorm = trace.grad_norm[-1]
             if np.isfinite(gnorm) and gnorm < config.tol:
                 trace.converged = True
                 break
+            if state.k > 0 and config.delay_steps > 0:
+                trace.hold(min(config.delay_steps, config.max_iter - state.k))
+                state = replace(state, k=trace.k[-1])
             if state.k >= config.max_iter:
                 break
-            if channel is None or channel.updates_at(state.k):
-                state = step(state, problem, graph, config, channel)
-            else:
-                state = replace(state, k=state.k + 1)
+            state = step(state, problem, channel, config)
     trace.final_state = state
     return trace

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aggsim.cli as cli
 from aggsim.cli import main, measured_tail_rate
@@ -137,6 +140,19 @@ def test_config_error_exit_code(tmp_path):
     pytest.param("run", "cournot-paper", ["init.x0_range=1,2,3"], id="three-entry-x0-range"),
     pytest.param("region", "placement-paper", ["region.alpha_steps=-1"], id="negative-grid-size"),
     pytest.param("sweep", "cournot-paper", ["solver.algorithm=sgd"], id="sweep-unknown-algorithm"),
+    # an integer key whose value overflows int()
+    pytest.param("run", "quadratic-demo", ["solver.max_iter=1e400"], id="max-iter-overflow"),
+    pytest.param("run", "quadratic-demo", ["solver.max_iter=-1e400"], id="max-iter-underflow"),
+    pytest.param("run", "quadratic-demo", ["topology.n_agents=1e400"], id="n-agents-overflow"),
+    pytest.param("region", "quadratic-demo", ["region.alpha_steps=1e400"], id="grid-size-overflow"),
+    # numpy rejects negative seeds
+    pytest.param("run", "cournot-paper", ["problem.seed=-5"], id="negative-problem-seed"),
+    pytest.param("run", "cournot-paper", ["init.seed=-1"], id="negative-init-seed"),
+    pytest.param("run", "quadratic-demo", ["topology.seed=-1"], id="negative-topology-seed"),
+    pytest.param("run", "quadratic-demo", ["solver.noise_sigma=0.01", "solver.seed=-1"],
+                 id="negative-solver-seed"),
+    pytest.param("region", "quadratic-demo", ["region.algorithm=dagt_hb,dagt_nes"],
+                 id="region-algorithm-list"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -372,3 +388,85 @@ def test_measured_tail_rate_requires_points():
         k = [0]
 
     assert np.isnan(measured_tail_rate(T()))
+
+
+def test_robustness_records_diverged_runs(tmp_path, capsys):
+    # at alpha = 0.5 the noisy runs diverge within their 2,000 ticks; the
+    # 20-tick delay runs stop before they do
+    out = tmp_path / "o"
+    sets = ["solver.alpha=0.5", "solver.max_iter=20", "robustness.noise_max_iter=2000"]
+    args = [arg for kv in sets for arg in ("--set", kv)]
+    assert run_cli("robustness", "--preset", "quadratic-demo", *args, "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads((out / "summary.json").read_text())
+    assert captured.out == (out / "summary.json").read_text()
+    assert summary["noise"]["dagt"] == {
+        "iterations": 566, "bounded": False, "floor_residual_msq": None,
+    }
+    for alg in ("dagt", "dagt_hb", "dagt_nes"):
+        noise = summary["noise"][alg]
+        assert not noise["bounded"] and noise["floor_residual_msq"] is None
+        assert 20 < noise["iterations"] < 2000
+        assert not (out / f"robustness_noise_{alg}.csv").exists()
+        delay = summary["delay"][alg]
+        assert (delay["iterations"], delay["converged"]) == (20, False)
+        assert (out / f"robustness_delay_{alg}.csv").exists()
+    assert summary["outputs"] == [f"robustness_delay_{alg}.csv"
+                                  for alg in ("dagt", "dagt_hb", "dagt_nes")]
+
+
+def test_robustness_diverged_delay_run_reports_its_arrival_tick(tmp_path):
+    # placement-paper at alpha = 5 diverges at tick 400 under delay 2
+    out = tmp_path / "o"
+    sets = ["solver.alpha=5", "robustness.noise_max_iter=10", "solver.algorithm=dagt_hb"]
+    args = [arg for kv in sets for arg in ("--set", kv)]
+    assert run_cli("robustness", "--preset", "placement-paper", *args, "--out", str(out)) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["delay"]["dagt_hb"] == {
+        "iterations": 400, "converged": False, "final_grad_norm": None,
+    }
+    assert not (out / "robustness_delay_dagt_hb.csv").exists()
+    assert summary["noise"]["dagt_hb"]["bounded"]
+
+
+# the documented config keys (README, "Config format") the exit-code property
+# overrides, with values from a bounded domain: no draw allocates much or
+# runs long, and the failures it reaches are config errors or divergence
+DOCUMENTED_KEYS = (
+    "problem.kind", "problem.n_agents", "problem.seed", "problem.kappa_range",
+    "problem.theta_range", "problem.sigma_range", "problem.omega1", "problem.omega2",
+    "problem.r", "problem.omega", "problem.c", "problem.h", "problem.l",
+    "topology.kind", "topology.n_agents", "topology.edge_prob", "topology.seed",
+    "solver.algorithm", "solver.alpha", "solver.beta", "solver.gamma", "solver.max_iter",
+    "solver.tol", "solver.delay_steps", "solver.noise_sigma", "solver.seed",
+    "init.x0", "init.x0_range", "init.x_prev", "init.seed",
+    "sweep.values", "region.algorithm", "region.alpha_min", "region.alpha_max",
+    "region.alpha_steps", "region.momentum_min", "region.momentum_max",
+    "region.momentum_steps", "bounds.mu", "bounds.L1", "bounds.L2", "bounds.L3", "bounds.rho",
+    "output.export_graph", "run.compare",
+)
+OVERRIDE_VALUES = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["1e400", "-1e400", "nan", "", "abc", "1,2", "0.5", "dagt_nes"]),
+)
+# caps that keep every run short; a drawn override comes after them and wins
+SHORT_RUNS = ["solver.max_iter=100", "sweep.values=0.0,0.5",
+              "region.alpha_steps=4", "region.momentum_steps=4"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["run", "bounds", "region", "sweep"]),
+    st.sampled_from(["placement-paper", "cournot-paper", "quadratic-demo"]),
+    st.lists(st.tuples(st.sampled_from(DOCUMENTED_KEYS), OVERRIDE_VALUES),
+             min_size=1, max_size=2, unique_by=lambda kv: kv[0]),
+)
+def test_random_overrides_exit_0_2_or_3(tmp_path_factory, command, preset, overrides):
+    sets = SHORT_RUNS + [f"{key}={value}" for key, value in overrides]
+    args = [arg for kv in sets for arg in ("--set", kv)]
+    out = tmp_path_factory.mktemp("o")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_cli(command, "--preset", preset, *args, "--out", str(out))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

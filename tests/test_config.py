@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsim.config import ExperimentConfig, parse_config, serialize_config
 from aggsim.exceptions import ConfigError
@@ -135,3 +136,31 @@ def test_cournot_problem_seeded_reproducible():
     p2 = ExperimentConfig(raw).build_problem()
     x = np.linspace(1, 2, p1.dim)
     assert p1.objective(x) == p2.objective(x)
+
+
+SCALAR_TEXTS = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["true", "False", "nan", "-inf", "1e400", "1_000", "+7", "007", "", "-"]),
+    st.text("abcxyz_.-+0123456789 ", max_size=8),
+)
+VALUE_TEXTS = st.one_of(SCALAR_TEXTS, st.lists(SCALAR_TEXTS, min_size=2, max_size=4).map(",".join))
+KEYS = st.lists(st.sampled_from(["solver", "alpha", "k2", "x_0", "problem"]),
+                min_size=1, max_size=3).map(".".join)
+
+
+def same_config(a, b):
+    """Equal config dicts, NaN equal to NaN."""
+    def norm(v):
+        if isinstance(v, list):
+            return [norm(x) for x in v]
+        return "nan" if isinstance(v, float) and v != v else (type(v), v)
+    return a.keys() == b.keys() and all(norm(a[k]) == norm(b[k]) for k in a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(KEYS, VALUE_TEXTS, max_size=6))
+def test_parse_serialize_parse_round_trips(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    parsed = parse_config(text)
+    assert same_config(parse_config(serialize_config(parsed)), parsed)

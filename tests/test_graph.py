@@ -118,6 +118,12 @@ def test_random_requires_edge_prob():
         build_topology("ring", 5, edge_prob=0.5)
 
 
+def test_negative_seed_rejected():
+    # numpy's default_rng raises a plain ValueError on a negative seed
+    with pytest.raises(InvalidArgument):
+        build_topology("random", 5, edge_prob=0.5, seed=-1)
+
+
 def test_unconnectable_random_raises():
     with pytest.raises(ConstructionFailed):
         build_topology("random", 40, edge_prob=1e-4, seed=0)

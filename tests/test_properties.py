@@ -65,7 +65,7 @@ def test_step_matches_reference_steps_bitwise(instance, noise_seed):
         ours = ref = init_state(problem, graph, x0, x_minus1=x_minus1)
         ch_ours, ch_ref = channel(graph, noise_seed), channel(graph, noise_seed)
         for _ in range(ROUNDS):
-            ours = step(ours, problem, graph, cfg, ch_ours)
+            ours = step(ours, problem, ch_ours or graph, cfg)
             ref = reference_step(ref, problem, graph, cfg, ch_ref)
             assert_states_equal(ours, ref)
 
@@ -94,7 +94,7 @@ def test_zero_momentum_bitwise_equal_across_algorithms(instance, noise_seed):
     states = [init_state(problem, graph, x0, x_minus1=x_minus1) for _ in cfgs]
     channels = [channel(graph, noise_seed) for _ in cfgs]
     for _ in range(ROUNDS):
-        states = [step(s, problem, graph, c, ch) for s, c, ch in zip(states, cfgs, channels)]
+        states = [step(s, problem, ch or graph, c) for s, c, ch in zip(states, cfgs, channels)]
         assert_states_equal(states[0], states[1])
         assert_states_equal(states[0], states[2])
 

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aggsim.exceptions import DivergenceDetected, InvalidArgument
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
-from aggsim.solver import CommChannel, SolverConfig, SolverState, init_state, run, step
+from aggsim.solver import (
+    CommChannel, IterTrace, SolverConfig, SolverState, init_state, run, step,
+)
 from aggsim.problems import make_quadratic
 
 from test_problems import paper_placement, seeded_cournot
@@ -187,7 +191,7 @@ def test_step_matches_reference_steps(problem, noise_sigma):
         channels = [CommChannel(g, noise_sigma=noise_sigma, seed=3) if noise_sigma else None
                     for _ in range(2)]
         for _ in range(30):
-            st = step(st, problem, g, cfg, channels[0])
+            st = step(st, problem, channels[0] or g, cfg)
             ref = reference_step(ref, problem, g, cfg, channels[1])
             assert_states_equal(st, ref)
 
@@ -352,6 +356,73 @@ def test_delayed_run_preserves_tracking_means():
     assert max(trace.s_mean_err) <= 1e-9
 
 
+# the trace columns a hold tick repeats: all but k
+ROW_COLUMNS = ("residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err",
+               "u_mean_err", "s_mean_err")
+
+
+def trace_rows(trace):
+    return list(zip(*(getattr(trace, name) for name in ROW_COLUMNS)))
+
+
+def delay_case(delay_steps=0, noise_sigma=0.0, max_iter=60, tol=0.0, alpha=0.01):
+    p = seeded_cournot(n=6, seed=8)
+    g = build_topology("ring", 6)
+    cfg = SolverConfig("dagt_hb", alpha=alpha, beta=0.1, max_iter=max_iter, tol=tol,
+                       delay_steps=delay_steps, noise_sigma=noise_sigma, seed=5)
+    return p, g, cfg, np.linspace(1, 2, 6)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("delay", [1, 2, 3])
+# 60, 61 and 62 ticks end on an arrival for some delays and inside a hold
+# for others; noise-free, tol = 1e-2 converges before 2000 ticks
+@pytest.mark.parametrize("max_iter,tol", [(60, 0.0), (61, 0.0), (62, 0.0), (2000, 1e-2)])
+def test_delayed_trace_repeats_each_undelayed_row(delay, noise_sigma, max_iter, tol):
+    p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter, tol)
+    delayed = run(p, g, cfg, x0, oracle_solution=solve(p))
+    undelayed = run(p, g, replace(cfg, delay_steps=0), x0, oracle_solution=solve(p))
+    rows = trace_rows(undelayed)
+    expected = rows[:1] + [row for row in rows[1:] for _ in range(delay + 1)]
+    if undelayed.converged:
+        # the run stops at the arrival of the converged state, before its holds
+        assert delayed.converged
+        expected = expected[:len(expected) - delay]
+    assert trace_rows(delayed) == expected[:max_iter + 1]
+    assert delayed.k == list(range(len(delayed)))
+    assert delayed.final_state.k == delayed.k[-1]
+    rounds = (delayed.k[-1] + delay) // (delay + 1)  # arrivals at ticks 1, delay + 2, ...
+    at_round = run(p, g, replace(cfg, delay_steps=0, max_iter=rounds), x0)
+    assert np.array_equal(delayed.final_state.x, at_round.final_state.x)
+
+
+@pytest.mark.parametrize("delay", [1, 2, 3])
+def test_delayed_divergence_names_the_arrival_tick(delay):
+    p, g, cfg, x0 = delay_case(delay, alpha=1.0, max_iter=10_000)
+    with pytest.raises(DivergenceDetected) as undelayed:
+        run(p, g, replace(cfg, delay_steps=0), x0)
+    rounds = undelayed.value.iteration
+    with pytest.raises(DivergenceDetected) as delayed:
+        run(p, g, cfg, x0)
+    assert delayed.value.iteration == 1 + (rounds - 1) * (delay + 1)
+
+
+def test_record_called_once_per_distinct_state(monkeypatch):
+    recorded = []
+    record = IterTrace.record
+
+    def counting(self, problem, state, *args):
+        recorded.append(state.k)
+        return record(self, problem, state, *args)
+
+    monkeypatch.setattr(IterTrace, "record", counting)
+    p, g, cfg, x0 = delay_case(delay_steps=2, max_iter=62)
+    trace = run(p, g, cfg, x0)
+    # x0 at tick 0, then one record per arrival: ticks 1, 4, ..., 61
+    assert recorded == [0] + list(range(1, 62, 3))
+    assert len(trace) == 63
+
+
 def test_noise_bounded_floor():
     p = seeded_cournot(n=10, seed=6)
     g = build_topology("random", 10, edge_prob=0.5, seed=2)
@@ -381,15 +452,12 @@ def test_noise_determinism_same_seed():
     assert t0.to_csv() == t1.to_csv()
 
 
-def test_comm_channel_delay_period_and_noise():
+def test_comm_channel_noise():
     g = build_topology("ring", 4)
-    ch = CommChannel(g, delay_steps=2)
-    assert ch.period == 3
-    assert ch.updates_at(0) and not ch.updates_at(1)
     ch = CommChannel(g, noise_sigma=0.5, seed=1)
     assert ch.noise_sigma == 0.5
     with pytest.raises(InvalidArgument):
-        CommChannel(g, delay_steps=-1)
+        CommChannel(g, noise_sigma=-1.0)
 
 
 def test_noise_only_on_received_entries():
@@ -411,6 +479,7 @@ def test_solver_config_validation():
         SolverConfig(algorithm="dagt_hb", alpha=-0.1)
     with pytest.raises(InvalidArgument):
         SolverConfig(algorithm="momentum", alpha=0.1)
-    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"tol": float("nan")}):
+    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"tol": float("nan")},
+                {"delay_steps": -1}, {"seed": -1}):
         with pytest.raises(InvalidArgument):
             SolverConfig(**{"algorithm": "dagt_hb", "alpha": 0.1, **bad})
