@@ -262,21 +262,28 @@ def _grid(cfg, axis, default_max):
     return np.linspace(lo, hi, steps)
 
 
+def _region_rows(constants, member_fn, matrix_fn, a_grid, m_grid):
+    """(alpha, momentum, member, spectral radius) rows of the grid,
+    alpha-major: one matrix stack, whose one eigensolve serves both the
+    radius column and membership. The rows come as an iterator over four
+    column lists, so the arrays are freed before the row tuples are made."""
+    c = constants
+    A, M = np.meshgrid(a_grid, m_grid, indexing="ij")
+    mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+    radius = mat.spectral_radius()
+    member = member_fn(c, A, M, matrix=mat)
+    return zip(*[v.ravel().tolist() for v in (A, M, member, radius)])
+
+
 def cmd_region(cfg):
     constants = _constants(cfg)
     algorithm = cfg.get("region.algorithm", "dagt_hb")
     if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
-    member_fn, matrix_fn = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
-                            else (region_member_nes, error_matrix_nes))
-    a_grid = _grid(cfg, "alpha", 1.0 / constants.L1)
-    m_grid = _grid(cfg, "momentum", 0.5)
-    rows = []
-    for a in a_grid:
-        for m in m_grid:
-            mat = matrix_fn(constants.mu, constants.L1, constants.L2, constants.L3,
-                            constants.rho, a, m)
-            rows.append((float(a), float(m), member_fn(constants, a, m), mat.spectral_radius()))
+    fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
+           else (region_member_nes, error_matrix_nes))
+    rows = list(_region_rows(constants, *fns, _grid(cfg, "alpha", 1.0 / constants.L1),
+                             _grid(cfg, "momentum", 0.5)))
     summary = {"algorithm": algorithm, "members": sum(1 for r in rows if r[2]), "points": len(rows)}
     files = {"region.csv": csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)}
     return summary, files, 0

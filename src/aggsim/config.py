@@ -83,14 +83,16 @@ def load_config(path):
 
 
 def convert(kind, value, key):
-    """kind(value) for a config value; a failed conversion, and a float
-    that is not finite, is a ConfigError."""
+    """kind(value) for a config value; a failed conversion, a float that
+    is not finite and a fractional value for an int is a ConfigError."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from None
     if kind is float and not np.isfinite(out):
         raise ConfigError(f"expected a finite float, got {value!r}", key=key)
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"expected an integer, got {value!r}", key=key)
     return out
 
 
@@ -183,6 +185,9 @@ class ExperimentConfig:
         is_random = kind == "random"
         edge_prob = self.value("topology.edge_prob", float, None) if is_random else None
         seed = self.seed("topology.seed", None) if is_random else None
+        if is_random and seed is None:
+            # an unseeded draw would give a different graph on every run
+            raise ConfigError("a random topology needs a seed", key="topology.seed")
         try:
             return build_topology(kind, n, edge_prob=edge_prob, seed=seed)
         except (InvalidArgument, ConstructionFailed) as exc:

@@ -6,6 +6,10 @@ conservative step/momentum bounds from a positive-witness argument, exact
 stability-region membership via the Jury table, and the quadratic-case
 block matrices whose spectral radii give exact convergence rates.
 
+The error matrices, spectral radii, characteristic polynomials, Jury test
+and region membership work on arrays: a grid of (step size, momentum)
+points is one (..., 4, 4) stack, one eigensolve and one Jury table.
+
 The 4x4 matrices and the closed-form polynomial coefficients are
 transcribed verbatim from their published display forms. Where a display
 form is internally inconsistent (see compare_char_coeffs and the module
@@ -15,6 +19,7 @@ transcription is kept only as a double-entry cross-check.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,21 +35,11 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class JuryVerdict:
+    """One verdict, or one per polynomial (arrays) for a stack of them."""
+
     stable: bool
     failed_condition: str  # '' when stable
     margin: float  # smallest slack among all strict conditions
-
-
-def jury_table(coeffs):
-    """Derived rows of the Jury table for ascending coefficients a0..an."""
-    rows = []
-    row = np.asarray(coeffs, dtype=float)
-    while row.size > 3:
-        m = row.size
-        nxt = row[0] * row[: m - 1] - row[m - 1] * row[::-1][: m - 1]
-        rows.append(nxt)
-        row = nxt
-    return tuple(rows)
 
 
 def jury_stable(coeffs):
@@ -53,32 +48,41 @@ def jury_stable(coeffs):
 
     Parameters
     ----------
-    coeffs : ascending coefficients a0..an with n >= 3 and an > 0.
+    coeffs : ascending coefficients a0..an with n >= 3 and an > 0, or a
+        stack of them over the leading axes (one verdict each).
 
     The four conditions (value at 1, signed value at -1, |a0| < an, and
     the first-vs-last magnitude test on every derived table row) are
     evaluated strictly; `margin` reports the smallest slack so callers can
     treat near-zero margins as indeterminate.
     """
-    a = np.asarray(coeffs, dtype=float)
-    n = a.size - 1
+    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    n = a.shape[-1] - 1
     if n < 3:
         raise UnsupportedDegree(f"need polynomial degree >= 3, got {n}")
-    if not a[-1] > 0:
+    if not (a[..., -1] > 0).all():
         raise InvalidArgument("leading coefficient must be positive")
 
-    checks = [
-        ("H(1) > 0", float(a.sum())),
-        ("(-1)^n H(-1) > 0", float((-1) ** n * (a * (-1.0) ** np.arange(n + 1)).sum())),
-        ("|a0| < an", float(a[-1] - abs(a[0]))),
+    names = ["H(1) > 0", "(-1)^n H(-1) > 0", "|a0| < an"]
+    slacks = [
+        a.sum(axis=-1),
+        (-1) ** n * (a * (-1.0) ** np.arange(n + 1)).sum(axis=-1),
+        a[..., -1] - np.abs(a[..., 0]),
     ]
-    rows = jury_table(a)
-    for i, row in enumerate(rows):
-        checks.append((f"|row{i}[0]| > |row{i}[-1]|", float(abs(row[0]) - abs(row[-1]))))
-
-    margin = min(slack for _, slack in checks)
-    failed = next((name for name, slack in checks if not slack > 0), "")
-    return JuryVerdict(stable=failed == "", failed_condition=failed, margin=margin)
+    row = a
+    for i in range(n - 2):  # the derived rows of the table
+        row = row[..., :1] * row[..., :-1] - row[..., -1:] * row[..., :0:-1]
+        names.append(f"|row{i}[0]| > |row{i}[-1]|")
+        slacks.append(np.abs(row[..., 0]) - np.abs(row[..., -1]))
+    slack = np.stack(slacks, axis=-1)
+    ok = slack > 0
+    stable = ok.all(axis=-1)
+    # the first failed condition by name; '' (the appended name) when stable
+    failed = np.array(names + [""], dtype=object)[np.where(stable, len(names), np.argmin(ok, axis=-1))]
+    margin = slack.min(axis=-1)
+    if a.ndim == 1:
+        return JuryVerdict(stable=bool(stable), failed_condition=str(failed), margin=float(margin))
+    return JuryVerdict(stable=stable, failed_condition=failed, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -111,61 +115,87 @@ class StabilityConstants:
 
 @dataclass(frozen=True)
 class ErrorSystemMatrix:
+    """A square matrix, or a stack of them over the leading axes; its
+    eigenvalues are computed once, by one batched eigensolve."""
+
     entries: np.ndarray
 
+    def __post_init__(self):
+        if not np.isfinite(self.entries).all():
+            raise InvalidArgument("error matrix has a non-finite entry: step size or momentum too large")
+
+    @cached_property
+    def eigenvalues(self):
+        return np.linalg.eigvals(self.entries)
+
     def spectral_radius(self):
-        return float(np.abs(np.linalg.eigvals(self.entries)).max())
+        """Largest eigenvalue modulus: a float, or one per matrix of a stack."""
+        radius = np.abs(self.eigenvalues).max(axis=-1)
+        return float(radius) if radius.ndim == 0 else radius
 
 
+def _stacked(rows):
+    """The matrix whose broadcastable entries are given row by row: n x n
+    for scalars, a (..., n, n) stack for arrays."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    n = len(rows)
+    return ErrorSystemMatrix(np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n)))
+
+
+# on the builders below, an overflowing entry is reported once, by the
+# ErrorSystemMatrix check, not by numpy warnings
+_QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
+
+
+@np.errstate(**_QUIET_OVERFLOW)
 def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
     """4x4 one-step bound matrix of the heavy-ball error recursion.
 
     Row order: state error, state difference, aggregate-tracking error,
     gradient-sum-tracking error. Entries follow the published display
-    form verbatim (including its row-4 constant choices).
+    form verbatim (including its row-4 constant choices). alpha and beta
+    broadcast: numpy arrays give a (..., 4, 4) stack, one matrix per point.
+    A non-finite entry raises InvalidArgument.
     """
     a, b = alpha, beta
-    m = np.array(
+    return _stacked([
+        [1 - mu * a, b, a * L1, a * L3],
+        [a * L1 * (1 + L3), b, a * L1, a * L3],
+        [a * L1 * L3 * (1 + L3), b * L3, rho + a * L1 * L3, a * L3**2],
         [
-            [1 - mu * a, b, a * L1, a * L3],
-            [a * L1 * (1 + L3), b, a * L1, a * L3],
-            [a * L1 * L3 * (1 + L3), b * L3, rho + a * L1 * L3, a * L3**2],
-            [
-                a * L1 * L3 * (1 + L3) ** 2,
-                b * L2 * (1 + L3),
-                a * L1 * L3 * (1 + L3) + 2 * L2,
-                rho + a * L2 * L3 * (1 + L3),
-            ],
-        ]
-    )
-    return ErrorSystemMatrix(m)
+            a * L1 * L3 * (1 + L3) ** 2,
+            b * L2 * (1 + L3),
+            a * L1 * L3 * (1 + L3) + 2 * L2,
+            rho + a * L2 * L3 * (1 + L3),
+        ],
+    ])
 
 
+@np.errstate(**_QUIET_OVERFLOW)
 def error_matrix_nes(mu, L1, L2, L3, rho, alpha, gamma):
-    """4x4 one-step bound matrix of the Nesterov error recursion."""
+    """4x4 one-step bound matrix of the Nesterov error recursion; alpha
+    and gamma broadcast as in error_matrix_hb."""
     a, g = alpha, gamma
     drag = (1 + g) * (1 + a * L1 + a * L1 * L3) + 1
-    m = np.array(
+    return _stacked([
+        [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
+        [a * L1 * (1 + L3), g * (1 + a * L1 + a * L1 * L3), a * L1, a * L3],
         [
-            [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
-            [a * L1 * (1 + L3), g * (1 + a * L1 + a * L1 * L3), a * L1, a * L3],
-            [
-                a * L1 * L3 * (1 + L3) * (g + 1),
-                g * L3 * drag,
-                rho + a * L1 * L3 * (g + 1),
-                a * L3**2 * (g + 1),
-            ],
-            [
-                a * L1 * L2 * (1 + L3) ** 2 * (g + 1),
-                g * L2 * (L3 + 1) * drag,
-                a * L1 * L2 * (1 + L3) * (g + 1) + 2 * L2,
-                rho + a * L2 * L3 * (1 + L3) * (1 + g),
-            ],
-        ]
-    )
-    return ErrorSystemMatrix(m)
+            a * L1 * L3 * (1 + L3) * (g + 1),
+            g * L3 * drag,
+            rho + a * L1 * L3 * (g + 1),
+            a * L3**2 * (g + 1),
+        ],
+        [
+            a * L1 * L2 * (1 + L3) ** 2 * (g + 1),
+            g * L2 * (L3 + 1) * drag,
+            a * L1 * L2 * (1 + L3) * (g + 1) + 2 * L2,
+            rho + a * L2 * L3 * (1 + L3) * (1 + g),
+        ],
+    ])
 
 
+@np.errstate(**_QUIET_OVERFLOW)
 def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
     """Relaxed Nesterov bound matrix, valid for alpha <= 1/L1 and
     gamma <= min(1/L2, 1/L3) where the nonlinear alpha-gamma products can
@@ -177,48 +207,56 @@ def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
     (see the module tests for counterexamples outside).
     """
     a, g = alpha, gamma
-    if a * L1 > 1 + 1e-15:
+    if np.any(a * L1 > 1 + 1e-15):
         raise OutOfValidityRegion("relaxed matrix requires alpha <= 1/L1")
-    if (L2 > 0 and g * L2 > 1 + 1e-15) or (L3 > 0 and g * L3 > 1 + 1e-15):
+    if (L2 > 0 and np.any(g * L2 > 1 + 1e-15)) or (L3 > 0 and np.any(g * L3 > 1 + 1e-15)):
         raise OutOfValidityRegion("relaxed matrix requires gamma <= min(1/L2, 1/L3)")
-    m = np.array(
+    return _stacked([
+        [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
+        [a * L1 * (1 + L3), g * (2 + L3), a * L1, a * L3],
         [
-            [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
-            [a * L1 * (1 + L3), g * (2 + L3), a * L1, a * L3],
-            [
-                a * L1 * L3 * (2 + L3),
-                g * (L3**2 + 4 * L3 + 2),
-                rho + a * L1 * (L3 + 1),
-                a * L3 * (L3 + 1),
-            ],
-            [
-                a * L1 * (1 + L2) * (1 + L3) ** 2,
-                g * (L3 + 1) * (L2 * L3 + 2 * L2 + L3 + 1),
-                a * L1 * (L2 + 1) * (1 + L3) + 2 * L2,
-                rho + a * L2 * (1 + L3) ** 2,
-            ],
-        ]
-    )
-    return ErrorSystemMatrix(m)
+            a * L1 * L3 * (2 + L3),
+            g * (L3**2 + 4 * L3 + 2),
+            rho + a * L1 * (L3 + 1),
+            a * L3 * (L3 + 1),
+        ],
+        [
+            a * L1 * (1 + L2) * (1 + L3) ** 2,
+            g * (L3 + 1) * (L2 * L3 + 2 * L2 + L3 + 1),
+            a * L1 * (L2 + 1) * (1 + L3) + 2 * L2,
+            rho + a * L2 * (1 + L3) ** 2,
+        ],
+    ])
 
 
-def _entries(matrix):
-    return matrix.entries if isinstance(matrix, ErrorSystemMatrix) else np.asarray(matrix, float)
+def _as_matrix(matrix):
+    return matrix if isinstance(matrix, ErrorSystemMatrix) else ErrorSystemMatrix(np.asarray(matrix, float))
 
 
 def char_poly(matrix):
-    """Ascending monic characteristic-polynomial coefficients a0..a(n-1), 1."""
-    m = _entries(matrix)
-    desc = np.poly(m)  # numeric: from eigenvalues
-    return desc[::-1]
+    """Ascending monic characteristic-polynomial coefficients a0..a(n-1), 1
+    of a matrix, or of each matrix of a stack (over the last two axes).
+
+    np.poly's recurrence, batched over the matrix's eigenvalues: start from
+    1 and convolve with (1, -z_k) for each root z_k in turn. A real matrix
+    has conjugate roots, so the real part is kept.
+    """
+    roots = _as_matrix(matrix).eigenvalues
+    n = roots.shape[-1]
+    desc = np.zeros(roots.shape[:-1] + (n + 1,), dtype=roots.dtype)
+    desc[..., 0] = 1.0
+    for k in range(n):
+        desc[..., 1 : k + 2] -= roots[..., k : k + 1] * desc[..., : k + 1]
+    return desc.real[..., ::-1]
 
 
 def char_poly_4x4(matrix):
-    """Non-leading ascending coefficients (a0, a1, a2, a3) of a 4x4 matrix."""
-    m = _entries(matrix)
-    if m.shape != (4, 4):
+    """Non-leading ascending coefficients (a0, a1, a2, a3) of a 4x4 matrix,
+    or of each matrix of a (..., 4, 4) stack."""
+    m = _as_matrix(matrix)
+    if m.entries.shape[-2:] != (4, 4):
         raise InvalidArgument("expected a 4x4 matrix")
-    return char_poly(m)[:4]
+    return char_poly(m)[..., :4]
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +347,35 @@ def compare_char_coeffs(algorithm, mu, L1, L2, L3, rho, alpha, momentum):
 # Exact stability-region membership
 # ---------------------------------------------------------------------------
 
-def _member(matrix):
-    coeffs = np.concatenate([char_poly_4x4(matrix), [1.0]])
-    return jury_stable(coeffs).stable
+def _member(builder, constants, alpha, momentum, matrix):
+    a, m = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(momentum, float))
+    positive = (a > 0) & (m > 0)
+    member = np.zeros(positive.shape, dtype=bool)
+    if positive.any():
+        if matrix is None:
+            c = constants
+            coeffs = char_poly(builder(c.mu, c.L1, c.L2, c.L3, c.rho, a[positive], m[positive]))
+        else:
+            coeffs = char_poly(matrix)[positive]
+        member[positive] = jury_stable(coeffs).stable
+    return bool(member) if member.ndim == 0 else member
 
 
-def region_member_hb(constants, alpha, beta):
+def region_member_hb(constants, alpha, beta, matrix=None):
     """True iff (alpha, beta) stabilizes the heavy-ball error matrix
-    (Jury conditions on its characteristic polynomial, plus positivity)."""
-    if not (alpha > 0 and beta > 0):
-        return False
-    c = constants
-    return _member(error_matrix_hb(c.mu, c.L1, c.L2, c.L3, c.rho, alpha, beta))
+    (Jury conditions on its characteristic polynomial, plus positivity).
+
+    alpha and beta broadcast: arrays give a boolean array, one verdict per
+    point. `matrix`, the error matrix already built at (alpha, beta), lends
+    its eigenvalues, so a caller that also wants the spectral radius pays
+    for one eigensolve.
+    """
+    return _member(error_matrix_hb, constants, alpha, beta, matrix)
 
 
-def region_member_nes(constants, alpha, gamma):
+def region_member_nes(constants, alpha, gamma, matrix=None):
     """Nesterov analogue of region_member_hb."""
-    if not (alpha > 0 and gamma > 0):
-        return False
-    c = constants
-    return _member(error_matrix_nes(c.mu, c.L1, c.L2, c.L3, c.rho, alpha, gamma))
+    return _member(error_matrix_nes, constants, alpha, gamma, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import aggsim.cli as cli
 from aggsim.cli import main, measured_tail_rate
-from aggsim.config import ExperimentConfig
+from aggsim.config import ExperimentConfig, serialize_config
 from aggsim.presets import get_preset
 from aggsim.solver import TRACE_COLUMNS
+from aggsim.stability import StabilityConstants
+
+from test_stability import reference_region_csv
 
 
 def read_csv(path):
@@ -153,6 +156,12 @@ def test_config_error_exit_code(tmp_path):
                  id="negative-solver-seed"),
     pytest.param("region", "quadratic-demo", ["region.algorithm=dagt_hb,dagt_nes"],
                  id="region-algorithm-list"),
+    # an error matrix entry that overflows to inf
+    pytest.param("region", "cournot-paper", ["region.alpha_max=1e308"], id="region-matrix-overflow"),
+    pytest.param("bounds", "cournot-paper", ["solver.alpha=1e308"], id="bounds-matrix-overflow"),
+    # an integer key is not truncated
+    pytest.param("run", "quadratic-demo", ["solver.max_iter=2.7"], id="fractional-max-iter"),
+    pytest.param("run", "cournot-paper", ["problem.n_agents=0.5"], id="fractional-n-agents"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -161,6 +170,18 @@ def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overri
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def test_unseeded_random_topology_exit_2(tmp_path, capsys):
+    # an unseeded random graph would make the outputs differ run to run
+    raw = get_preset("quadratic-demo")
+    del raw["topology.seed"]
+    cfg = tmp_path / "unseeded.cfg"
+    cfg.write_text(serialize_config(raw))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "topology.seed" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -363,6 +384,33 @@ def test_region_command_members_are_contractive(tmp_path):
     members = [r for r in rows if r[2] == "True"]
     assert members
     assert all(float(r[3]) < 1.0 for r in members)
+
+
+# cournot-paper's default grid has no members, so its grids take the
+# benchmark's ranges, which straddle the region boundary
+COURNOT_REGION_RANGES = {"dagt_hb": (1e-10, 4e-8, 1e-6, 1e-3), "dagt_nes": (1e-10, 5e-6, 1e-6, 1e-3)}
+
+
+@pytest.mark.parametrize("algorithm", ["dagt_hb", "dagt_nes"])
+@pytest.mark.parametrize("preset", ["placement-paper", "quadratic-demo", "cournot-paper"])
+def test_region_csv_matches_per_point_reference(tmp_path, capsys, preset, algorithm):
+    cfg = ExperimentConfig(get_preset(preset))
+    c = StabilityConstants.from_problem(cfg.build_problem(), cfg.build_graph())
+    a_lo, a_hi, m_lo, m_hi = COURNOT_REGION_RANGES[algorithm] if preset == "cournot-paper" else (
+        1e-4, 1.0 / c.L1, 1e-4, 0.5)
+    sets = {
+        "region.algorithm": algorithm, "region.alpha_steps": 30, "region.momentum_steps": 30,
+        "region.alpha_min": repr(a_lo), "region.alpha_max": repr(a_hi),
+        "region.momentum_min": repr(m_lo), "region.momentum_max": repr(m_hi),
+    }
+    args = [arg for key, value in sets.items() for arg in ("--set", f"{key}={value}")]
+    out = tmp_path / "o"
+    assert run_cli("region", "--preset", preset, *args, "--out", str(out)) == 0
+    text = (out / "region.csv").read_text()
+    assert text == reference_region_csv(c, algorithm, np.linspace(a_lo, a_hi, 30),
+                                        np.linspace(m_lo, m_hi, 30))
+    members = json.loads(capsys.readouterr().out)["members"]
+    assert 0 < members == text.count(",True,")
 
 
 def test_rates_command_quadratic_only(tmp_path):

@@ -109,6 +109,19 @@ def test_x0_size_mismatch():
         ExperimentConfig(raw).build_x0(ExperimentConfig(raw).build_problem())
 
 
+@pytest.mark.parametrize("key,value", [
+    ("solver.max_iter", 2.7), ("problem.n_agents", 0.5), ("topology.n_agents", 8.5),
+])
+def test_fractional_int_value_rejected(key, value):
+    cfg = ExperimentConfig({key: value})
+    with pytest.raises(ConfigError) as exc:
+        cfg.value(key, int)
+    assert key in str(exc.value) and "integer" in str(exc.value)
+    # an integral float and an int string still convert
+    assert ExperimentConfig({key: 3.0}).value(key, int) == 3
+    assert ExperimentConfig({key: "3"}).value(key, int) == 3
+
+
 def test_preset_fidelity_to_published_numbers():
     place = get_preset("placement-paper")
     assert place["problem.r"] == [10, 4, 1, 3, 2, 7, 8, 10, 3, 9]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsim.config import ExperimentConfig
 from aggsim.exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
@@ -9,7 +10,7 @@ from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset
 from aggsim.problems import make_quadratic
-from aggsim.solver import SolverConfig, init_state, step
+from aggsim.solver import SolverConfig, csv_text, init_state, step
 from aggsim.stability import (
     StabilityConstants,
     _companion2_radius,
@@ -354,6 +355,136 @@ def test_published_placement_step_sizes_admissible_at_small_mixing():
     c = StabilityConstants(rho=0.0, **PLACEMENT)
     assert region_member_hb(c, 0.005, 0.009)
     assert region_member_nes(c, 0.005, 0.008)
+
+
+# ---------------------------------------------------------------------------
+# batched region path against its per-point reference
+# ---------------------------------------------------------------------------
+
+REGION_BUILDERS = {
+    "dagt_hb": (error_matrix_hb, region_member_hb),
+    "dagt_nes": (error_matrix_nes, region_member_nes),
+}
+# roots this close to the unit circle are left out of the Jury property
+JURY_BAND = 1e-9
+
+
+def reference_jury(coeffs):
+    """The scalar Jury loop the batched table replaced: (stable, margin)
+    of one ascending coefficient vector."""
+    a = np.asarray(coeffs, dtype=float)
+    n = a.size - 1
+    slacks = [
+        float(a.sum()),
+        float((-1) ** n * (a * (-1.0) ** np.arange(n + 1)).sum()),
+        float(a[-1] - abs(a[0])),
+    ]
+    row = a
+    while row.size > 3:
+        m = row.size
+        row = row[0] * row[: m - 1] - row[m - 1] * row[::-1][: m - 1]
+        slacks.append(float(abs(row[0]) - abs(row[-1])))
+    return all(slack > 0 for slack in slacks), min(slacks)
+
+
+def reference_region_point(algorithm, c, alpha, momentum):
+    """(member, spectral radius) of one grid point as the per-point loop
+    computed them: a 4x4 matrix and one eigensolve for the radius; for
+    membership, positivity, then np.poly and the scalar Jury loop."""
+    builder = REGION_BUILDERS[algorithm][0]
+    entries = builder(c.mu, c.L1, c.L2, c.L3, c.rho, alpha, momentum).entries
+    radius = float(np.abs(np.linalg.eigvals(entries)).max())
+    member = alpha > 0 and momentum > 0 and reference_jury(np.poly(entries)[::-1])[0]
+    return bool(member), radius
+
+
+def reference_region_csv(c, algorithm, a_grid, m_grid):
+    """region.csv as the per-point loop wrote it."""
+    rows = [
+        (float(a), float(m), *reference_region_point(algorithm, c, float(a), float(m)))
+        for a in a_grid for m in m_grid
+    ]
+    return csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)
+
+
+@st.composite
+def stability_constants(draw):
+    mu = draw(st.floats(0.05, 5.0))
+    return StabilityConstants(
+        mu=mu, L1=mu * draw(st.floats(1.0, 50.0)), L2=draw(st.floats(0.0, 5.0)),
+        L3=draw(st.floats(0.0, 5.0)), rho=draw(st.floats(0.0, 0.95)),
+    )
+
+
+# grid values spread over six decades, so the points straddle the region
+# boundary; zero and negative ones exercise the positivity mask
+GRID_AXIS = st.lists(
+    st.floats(-6.0, 0.0).map(lambda e: 10.0**e) | st.sampled_from([0.0, -1e-3]),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stability_constants(), GRID_AXIS, GRID_AXIS, st.sampled_from(sorted(REGION_BUILDERS)))
+def test_batched_region_matches_per_point_reference(c, alpha_fracs, momenta, algorithm):
+    builder, member_fn = REGION_BUILDERS[algorithm]
+    A, M = np.meshgrid(np.array(alpha_fracs) / c.L1, momenta, indexing="ij")
+    matrix = builder(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+    radius = matrix.spectral_radius()
+    member = member_fn(c, A, M, matrix=matrix)
+    # lending the built matrix changes nothing
+    assert np.array_equal(member, member_fn(c, A, M))
+    for idx in np.ndindex(A.shape):
+        a, m = float(A[idx]), float(M[idx])
+        assert np.array_equal(matrix.entries[idx], builder(c.mu, c.L1, c.L2, c.L3, c.rho, a, m).entries)
+        assert member_fn(c, a, m) is bool(member[idx])
+        assert (bool(member[idx]), float(radius[idx])) == reference_region_point(algorithm, c, a, m)
+
+
+@st.composite
+def monic_roots(draw, degree):
+    """Roots of a real monic polynomial: conjugate pairs and real roots,
+    with moduli in [0, 2] outside the band around the unit circle."""
+    modulus = st.floats(0.0, 2.0).filter(lambda r: abs(r - 1.0) > JURY_BAND)
+    roots = []
+    for _ in range(draw(st.integers(0, degree // 2))):
+        r, phase = draw(modulus), draw(st.floats(0.01, math.pi - 0.01))
+        roots += [r * np.exp(1j * phase), r * np.exp(-1j * phase)]
+    while len(roots) < degree:
+        roots.append(draw(modulus) * draw(st.sampled_from([-1.0, 1.0])))
+    return roots
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(3, 6).flatmap(lambda n: st.lists(monic_roots(n), min_size=1, max_size=8)))
+def test_batched_jury_agrees_with_roots(root_sets):
+    coeffs = np.array([np.real(np.poly(roots))[::-1] for roots in root_sets])
+    verdict = jury_stable(coeffs)
+    assert verdict.stable.tolist() == [bool(np.abs(roots).max() < 1.0) for roots in root_sets]
+    for i, row in enumerate(coeffs):
+        # each row reads the same verdict as a scalar call and the reference loop
+        single = jury_stable(row)
+        assert (single.stable, single.failed_condition, single.margin) == (
+            bool(verdict.stable[i]), str(verdict.failed_condition[i]), float(verdict.margin[i]))
+        assert (single.stable, single.margin) == reference_jury(row)
+
+
+def test_batched_jury_names_the_first_failed_condition():
+    verdict = jury_stable([[0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.1, 1.0]])
+    assert verdict.stable.tolist() == [True, False]
+    assert verdict.failed_condition.tolist() == ["", "H(1) > 0"]
+    assert verdict.margin.tolist() == [jury_stable([0.0, 0.0, 0.0, 0.0, 1.0]).margin,
+                                       jury_stable([0.0, 0.0, 0.0, -1.1, 1.0]).margin]
+
+
+def test_error_matrix_with_overflowing_entry_rejected():
+    c = StabilityConstants(rho=0.4, **PLACEMENT)
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        error_matrix_hb(c.mu, c.L1, c.L2, c.L3, c.rho, np.array([1e-3, 1e308]), 0.1)
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        region_member_nes(c, 1e308, 0.1)
+    # a nonpositive point is no member and builds no matrix
+    assert region_member_hb(c, -1e308, 0.1) is False
 
 
 # ---------------------------------------------------------------------------
