@@ -11,8 +11,8 @@ from .exceptions import (
     OutOfValidityRegion,
     UnsupportedDegree,
 )
-from .graph import CommGraph, build_topology, validate
-from .oracle import OracleSolution, brute_force_check, solve
+from .graph import CommGraph, build_topology
+from .oracle import OracleSolution, solve
 from .problems import (
     AggregativeProblem,
     RegularityConstants,

@@ -17,8 +17,12 @@ Mixing is one call, ``mix(u, s)``: a CommGraph mixes exactly and a
 CommChannel adds noise to received tracker entries. Under delay a round
 takes ``delay_steps + 1`` ticks of the run's clock, and agents hold their
 state until its messages arrive, so the tracker means stay conserved.
+
+The state carries phi(y) and grad2 f(y, u), so each round evaluates both
+once, at the new point, as the methods do.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,7 +96,10 @@ class SolverState:
     """Per-agent stacked iterates and trackers after k rounds.
 
     x, x_prev, y: (N, local_dim), y the point the next gradient is taken
-    at (x itself when gamma = 0); u, s: (N, agg_dim) trackers.
+    at (x itself when gamma = 0); u, s: (N, agg_dim) trackers. phi_y and
+    g2_y are phi(y) and grad2 f(y, u), carried so that `step` and the
+    trace need not evaluate them again; a state built without them (None)
+    gets them evaluated on demand.
     """
 
     x: np.ndarray
@@ -101,9 +108,30 @@ class SolverState:
     u: np.ndarray
     s: np.ndarray
     k: int = 0
+    phi_y: np.ndarray = None
+    g2_y: np.ndarray = None
 
     def finite(self):
         return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
+
+    def step_finite(self):
+        """finite() for a state made by `step`, whose x_prev is the x before
+        it: only x, u, s and, when it is not x, y are new."""
+        new = (self.x, self.u, self.s) if self.y is self.x else (self.x, self.y, self.u, self.s)
+        return all(np.isfinite(p).all() for p in new)
+
+    def evaluations(self, problem):
+        """(phi(y), grad2 f(y, u)): the carried values, or fresh ones."""
+        phi_y = problem.phi_all(self.y) if self.phi_y is None else self.phi_y
+        g2_y = problem.grad2_all(self.y, self.u) if self.g2_y is None else self.g2_y
+        return phi_y, g2_y
+
+
+def _norm(v):
+    """Euclidean norm of all entries: np.linalg.norm's own computation,
+    bit for bit, without its dispatch."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 class CommChannel:
@@ -153,7 +181,7 @@ def init_state(problem, graph, x0, x_minus1=None):
     xm = x.copy() if x_minus1 is None else problem.as_agents(x_minus1).copy()
     u = problem.phi_all(x)
     s = problem.grad2_all(x, u)
-    return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, k=0)
+    return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, k=0, phi_y=u, g2_y=s)
 
 
 def step(state, problem, channel, config):
@@ -164,19 +192,23 @@ def step(state, problem, channel, config):
     which equals x + beta (x - x_prev) - alpha g; the next gradient point is
     y+ = x+ + gamma (x+ - x). The x_prev term is skipped when beta = gamma and
     the extrapolation when gamma = 0, so zero momentum is the plain tracked
-    method bit for bit.
+    method bit for bit. phi and grad2 f are evaluated once, at y+.
     """
     beta, gamma = config.family
     x, y, u, s = state.x, state.y, state.u, state.s
+    phi_y, g2_y = state.evaluations(problem)
     g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
     x_new = y - config.alpha * g
     if beta != gamma:
         x_new = x_new + (beta - gamma) * (x - state.x_prev)
     y_new = x_new + gamma * (x_new - x) if gamma != 0.0 else x_new
     mix_u, mix_s = channel.mix(u, s)
-    u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
-    s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
-    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1)
+    phi_new = problem.phi_all(y_new)
+    u_new = mix_u + phi_new - phi_y
+    g2_new = problem.grad2_all(y_new, u_new)
+    s_new = mix_s + g2_new - g2_y
+    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1,
+                       phi_y=phi_new, g2_y=g2_new)
 
 
 @dataclass
@@ -200,7 +232,6 @@ class IterTrace:
 
     def record(self, problem, state, oracle_solution, grad_vec):
         xa = state.x
-        z = state.y
         n = problem.n_agents
         if oracle_solution is not None:
             dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
@@ -212,14 +243,15 @@ class IterTrace:
             self.residual_msq.append(float("nan"))
             self.obj_gap.append(float("nan"))
         self.k.append(state.k)
-        self.grad_norm.append(float(np.linalg.norm(grad_vec)))
+        self.grad_norm.append(_norm(grad_vec))
         # every mean is sum / N, which is bit-identical to .mean(axis=0)
         u_mean = state.u.sum(axis=0) / n
         s_mean = state.s.sum(axis=0) / n
-        self.u_track_err.append(float(np.linalg.norm(state.u - u_mean)))
-        self.s_track_err.append(float(np.linalg.norm(state.s - s_mean)))
-        phi_mean = problem.phi_all(z).sum(axis=0) / n
-        g2_mean = problem.grad2_all(z, state.u).sum(axis=0) / n
+        self.u_track_err.append(_norm(state.u - u_mean))
+        self.s_track_err.append(_norm(state.s - s_mean))
+        phi_y, g2_y = state.evaluations(problem)
+        phi_mean = phi_y.sum(axis=0) / n
+        g2_mean = g2_y.sum(axis=0) / n
         self.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
         self.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
@@ -243,7 +275,9 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     its arrival tick, and its row repeats on the delay_steps hold ticks
     after it. The stopping gradient is computed centrally for monitoring
     only; the agents never use it. Raises DivergenceDetected at the first
-    tick with a non-finite state.
+    tick with a non-finite state: the initial state is checked whole, and
+    each later one only in the arrays its step made (x_prev is the checked
+    x before it).
     """
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
@@ -251,12 +285,12 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     trace = IterTrace()
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        if not state.finite():
+            raise DivergenceDetected(state.k)
         while True:
-            if not state.finite():
-                raise DivergenceDetected(state.k)
             trace.record(problem, state, oracle_solution, problem.global_gradient(state.x))
-            gnorm = trace.grad_norm[-1]
-            if np.isfinite(gnorm) and gnorm < config.tol:
+            # a NaN or infinite norm is never below the finite tol
+            if trace.grad_norm[-1] < config.tol:
                 trace.converged = True
                 break
             if state.k > 0 and config.delay_steps > 0:
@@ -265,5 +299,7 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
             if state.k >= config.max_iter:
                 break
             state = step(state, problem, channel, config)
+            if not state.step_finite():
+                raise DivergenceDetected(state.k)
     trace.final_state = state
     return trace

@@ -147,6 +147,13 @@ def _stacked(rows):
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
 
 
+def _numpy_float(L3):
+    """L3 as a numpy float, whose squares overflow to inf where a Python
+    float's raise OverflowError; both powers call the same libm pow, so
+    every finite value is unchanged."""
+    return np.float64(L3)
+
+
 @np.errstate(**_QUIET_OVERFLOW)
 def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
     """4x4 one-step bound matrix of the heavy-ball error recursion.
@@ -157,7 +164,7 @@ def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
     broadcast: numpy arrays give a (..., 4, 4) stack, one matrix per point.
     A non-finite entry raises InvalidArgument.
     """
-    a, b = alpha, beta
+    a, b, L3 = alpha, beta, _numpy_float(L3)
     return _stacked([
         [1 - mu * a, b, a * L1, a * L3],
         [a * L1 * (1 + L3), b, a * L1, a * L3],
@@ -175,7 +182,7 @@ def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
 def error_matrix_nes(mu, L1, L2, L3, rho, alpha, gamma):
     """4x4 one-step bound matrix of the Nesterov error recursion; alpha
     and gamma broadcast as in error_matrix_hb."""
-    a, g = alpha, gamma
+    a, g, L3 = alpha, gamma, _numpy_float(L3)
     drag = (1 + g) * (1 + a * L1 + a * L1 * L3) + 1
     return _stacked([
         [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
@@ -206,7 +213,7 @@ def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
     gamma*(1+L3) <= 1 and gamma + alpha*L1*(1+L3)*(1+gamma) <= L3 + (L3+1)/L2
     (see the module tests for counterexamples outside).
     """
-    a, g = alpha, gamma
+    a, g, L3 = alpha, gamma, _numpy_float(L3)
     if np.any(a * L1 > 1 + 1e-15):
         raise OutOfValidityRegion("relaxed matrix requires alpha <= 1/L1")
     if (L2 > 0 and np.any(g * L2 > 1 + 1e-15)) or (L3 > 0 and np.any(g * L3 > 1 + 1e-15)):
@@ -397,6 +404,7 @@ class ConservativeBounds:
     momentum_terms: dict  # M1..M4 or G1..G4
 
 
+@np.errstate(**_QUIET_OVERFLOW)
 def conservative_bounds_hb(constants, z2=1.0, z3=1.0, alpha=None):
     """Sufficient (alpha, beta) box for heavy-ball stability.
 
@@ -408,7 +416,8 @@ def conservative_bounds_hb(constants, z2=1.0, z3=1.0, alpha=None):
     """
     if z2 <= 0 or z3 <= 0:
         raise InvalidArgument("witness parameters z2, z3 must be positive")
-    mu, L1, L2, L3, rho = constants.mu, constants.L1, constants.L2, constants.L3, constants.rho
+    mu, L1, L2, rho = constants.mu, constants.L1, constants.L2, constants.rho
+    L3 = _numpy_float(constants.L3)
     z4 = 3 * L2 * z3 / (1 - rho)
     z1 = (2 * L1 * z3 + L3 * z4) / mu
     load = L1 * (1 + L3) * z1 + L1 * z3 + L3 * z4
@@ -447,6 +456,7 @@ def conservative_bounds_hb(constants, z2=1.0, z3=1.0, alpha=None):
     )
 
 
+@np.errstate(**_QUIET_OVERFLOW)
 def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
     """Sufficient (alpha, gamma) box for Nesterov stability: each term is a
     row bound of M t < t for M = error_matrix_nes_relaxed and the completed
@@ -454,7 +464,8 @@ def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
     enforces the relaxed matrix's own validity cap min(1/L2, 1/L3)."""
     if t2 <= 0 or t3 <= 0:
         raise InvalidArgument("witness parameters t2, t3 must be positive")
-    mu, L1, L2, L3, rho = constants.mu, constants.L1, constants.L2, constants.L3, constants.rho
+    mu, L1, L2, rho = constants.mu, constants.L1, constants.L2, constants.rho
+    L3 = _numpy_float(constants.L3)
     t4 = 3 * L2 * t3 / (1 - rho)
     t1 = (2 * L1 * t3 + L3 * t4) / mu
     load = L1 * (1 + L3) * t1 + L1 * t3 + L3 * t4

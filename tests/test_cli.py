@@ -159,6 +159,9 @@ def test_config_error_exit_code(tmp_path):
     # an error matrix entry that overflows to inf
     pytest.param("region", "cournot-paper", ["region.alpha_max=1e308"], id="region-matrix-overflow"),
     pytest.param("bounds", "cournot-paper", ["solver.alpha=1e308"], id="bounds-matrix-overflow"),
+    # a constant whose square overflows: numpy's power gives inf, Python's raises
+    pytest.param("bounds", "placement-paper", ["bounds.L3=1e200"], id="bounds-L3-square-overflow"),
+    pytest.param("region", "placement-paper", ["bounds.L3=1e200"], id="region-L3-square-overflow"),
     # an integer key is not truncated
     pytest.param("run", "quadratic-demo", ["solver.max_iter=2.7"], id="fractional-max-iter"),
     pytest.param("run", "cournot-paper", ["problem.n_agents=0.5"], id="fractional-n-agents"),
@@ -496,7 +499,7 @@ DOCUMENTED_KEYS = (
 )
 OVERRIDE_VALUES = st.one_of(
     st.integers(-3, 5).map(str),
-    st.sampled_from(["1e400", "-1e400", "nan", "", "abc", "1,2", "0.5", "dagt_nes"]),
+    st.sampled_from(["1e400", "-1e400", "1e200", "nan", "", "abc", "1,2", "0.5", "dagt_nes"]),
 )
 # caps that keep every run short; a drawn override comes after them and wins
 SHORT_RUNS = ["solver.max_iter=100", "sweep.values=0.0,0.5",

@@ -2,10 +2,53 @@ import numpy as np
 import pytest
 
 from aggsim.exceptions import NotConverged
-from aggsim.oracle import brute_force_check, solve, solve_gradient_descent
+from aggsim.oracle import OracleSolution, solve
 from aggsim.problems import make_cournot, make_placement, make_quadratic
 
 from test_problems import paper_placement, seeded_cournot
+
+
+# ---------------------------------------------------------------------------
+# independent cross-checks of the closed-form solve; they share no code with
+# it or with the solvers under test
+# ---------------------------------------------------------------------------
+
+def solve_gradient_descent(problem, tol=1e-12, max_iter=200000):
+    """Centralized gradient descent with step 1/L1 until the gradient norm
+    falls below tol."""
+    x = np.zeros(problem.dim)
+    step = 1.0 / problem.constants.L1
+    for _ in range(max_iter):
+        g = problem.global_gradient(x)
+        if np.linalg.norm(g) < tol:
+            break
+        x = x - step * g
+    else:
+        raise NotConverged(
+            f"gradient descent at {np.linalg.norm(problem.global_gradient(x)):.3e} "
+            f"after {max_iter} iterations (tol {tol:.1e})"
+        )
+    grad_norm = float(np.linalg.norm(problem.global_gradient(x)))
+    return OracleSolution(x_star=x, f_star=problem.objective(x), grad_norm=grad_norm,
+                          method="gradient_descent")
+
+
+def brute_force_check(problem, x_star, radius, n_samples, seed):
+    """True iff no sampled point in a ball around x_star beats its value.
+
+    Uniform directions with uniform radius; the tolerance matches the
+    float noise of objective evaluation.
+    """
+    rng = np.random.default_rng(seed)
+    x_star = np.asarray(x_star, dtype=float)
+    f_star = problem.objective(x_star)
+    for _ in range(n_samples):
+        direction = rng.normal(size=x_star.shape)
+        direction /= np.linalg.norm(direction)
+        pt = x_star + rng.uniform(0.0, radius) * direction
+        if problem.objective(pt) < f_star - 1e-12:
+            return False
+    return True
 
 
 def test_placement_closed_form_values():

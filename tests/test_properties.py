@@ -1,5 +1,5 @@
-"""Property tests of the momentum-family step and the stopping gradient
-on generated inputs.
+"""Property tests of the momentum-family step, the run loop and the
+stopping gradient on generated inputs.
 
 Each example draws a generic affine-quadratic problem (every coefficient
 nonzero, local dimension 1 or 2), a ring, star or complete graph, a step
@@ -7,15 +7,18 @@ size and a momentum value, optionally a seeded noisy channel, and runs
 about 20 rounds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from aggsim.graph import build_topology
+from aggsim.oracle import solve
 from aggsim.problems import AggregativeProblem
 from aggsim.solver import CommChannel, SolverConfig, init_state, step
 
 from test_problems import reference_global_gradient
-from test_solver import assert_states_equal, reference_step
+from test_solver import assert_runs_equal, assert_states_equal, reference_step
 
 ROUNDS = 20
 PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -68,6 +71,29 @@ def test_step_matches_reference_steps_bitwise(instance, noise_seed):
             ours = step(ours, problem, ch_ours or graph, cfg)
             ref = reference_step(ref, problem, graph, cfg, ch_ref)
             assert_states_equal(ours, ref)
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.none() | st.integers(0, 1000), st.integers(0, 3), st.integers(0, 30),
+       st.sampled_from([0.0, 1.0, 10.0]), st.booleans())
+def test_run_matches_reference_run_bitwise(instance, noise_seed, delay, max_iter, tol, blow_up):
+    problem, graph, x0, x_minus1, alpha, momentum = instance
+    noise = {} if noise_seed is None else {"noise_sigma": 1e-2, "seed": noise_seed}
+    oracle = solve(problem)
+    # a step size of 1e19 overflows the state within the budget, so the
+    # runs must name the same divergence tick
+    for cfg in configs(1e19 if blow_up else alpha, momentum):
+        cfg = replace(cfg, max_iter=max_iter, tol=tol, delay_steps=delay, **noise)
+        assert_runs_equal((problem, graph, cfg, x0),
+                          {"x_minus1": x_minus1, "oracle_solution": oracle})
+        # the evaluations a step carries are the ones a fresh call gives
+        state = init_state(problem, graph, x0, x_minus1=x_minus1)
+        ch = channel(graph, noise_seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(ROUNDS):
+                state = step(state, problem, ch or graph, cfg)
+                assert state.phi_y.tobytes() == problem.phi_all(state.y).tobytes()
+                assert state.g2_y.tobytes() == problem.grad2_all(state.y, state.u).tobytes()
 
 
 @PROPERTY_SETTINGS

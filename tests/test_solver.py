@@ -3,13 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aggsim.solver as solver
+from aggsim.cli import Experiment
+from aggsim.config import ExperimentConfig
 from aggsim.exceptions import DivergenceDetected, InvalidArgument
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
+from aggsim.presets import get_preset
+from aggsim.problems import AggregativeProblem, make_quadratic
 from aggsim.solver import (
-    CommChannel, IterTrace, SolverConfig, SolverState, init_state, run, step,
+    ALGORITHMS, CommChannel, IterTrace, SolverConfig, SolverState, init_state, run, step,
 )
-from aggsim.problems import make_quadratic
 
 from test_problems import paper_placement, seeded_cournot
 
@@ -77,6 +81,86 @@ def reference_step(state, problem, graph, config, channel=None):
 def assert_states_equal(a, b):
     for name in ("x", "x_prev", "y", "u", "s", "k"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# ---------------------------------------------------------------------------
+# reference run: the loop before the state carried phi(y) and grad2 f(y, u),
+# kept to check `run` bit for bit. It checks the whole state on every tick
+# and takes the reference steps and record, which evaluate both afresh.
+# ---------------------------------------------------------------------------
+
+def reference_record(trace, problem, state, oracle_solution, grad_vec):
+    xa = state.x
+    z = state.y
+    n = problem.n_agents
+    if oracle_solution is not None:
+        dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
+        trace.residual_msq.append(float((dx**2).sum() / n))
+        trace.obj_gap.append(float(0.5 * dx @ (problem.quadratic_model[0] @ dx)))
+    else:
+        trace.residual_msq.append(float("nan"))
+        trace.obj_gap.append(float("nan"))
+    trace.k.append(state.k)
+    trace.grad_norm.append(float(np.linalg.norm(grad_vec)))
+    u_mean = state.u.sum(axis=0) / n
+    s_mean = state.s.sum(axis=0) / n
+    trace.u_track_err.append(float(np.linalg.norm(state.u - u_mean)))
+    trace.s_track_err.append(float(np.linalg.norm(state.s - s_mean)))
+    phi_mean = problem.phi_all(z).sum(axis=0) / n
+    g2_mean = problem.grad2_all(z, state.u).sum(axis=0) / n
+    trace.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
+    trace.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
+
+
+def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
+    state = init_state(problem, graph, x0, x_minus1=x_minus1)
+    channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
+               if config.noise_sigma > 0 else None)
+    trace = IterTrace()
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if not state.finite():
+                raise DivergenceDetected(state.k)
+            reference_record(trace, problem, state, oracle_solution,
+                             problem.global_gradient(state.x))
+            gnorm = trace.grad_norm[-1]
+            if np.isfinite(gnorm) and gnorm < config.tol:
+                trace.converged = True
+                break
+            if state.k > 0 and config.delay_steps > 0:
+                trace.hold(min(config.delay_steps, config.max_iter - state.k))
+                state = replace(state, k=trace.k[-1])
+            if state.k >= config.max_iter:
+                break
+            state = reference_step(state, problem, graph, config, channel)
+    trace.final_state = state
+    return trace
+
+
+# every per-tick column of IterTrace, the tracker-mean residuals included
+TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err",
+                "u_mean_err", "s_mean_err")
+
+
+def assert_runs_equal(run_args, run_kwargs):
+    """run and reference_run end alike, bit for bit: the same trace and
+    final state, or a divergence at the same tick."""
+    outcomes = []
+    for fn in (run, reference_run):
+        try:
+            outcomes.append(fn(*run_args, **run_kwargs))
+        except DivergenceDetected as exc:
+            outcomes.append(exc.iteration)
+    ours, ref = outcomes
+    if not isinstance(ref, IterTrace):
+        assert ours == ref
+        return
+    assert isinstance(ours, IterTrace)
+    for name in TRACE_FIELDS:
+        a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(ref, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert ours.converged == ref.converged
+    assert_states_equal(ours.final_state, ref.final_state)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +489,93 @@ def test_delayed_divergence_names_the_arrival_tick(delay):
     with pytest.raises(DivergenceDetected) as delayed:
         run(p, g, cfg, x0)
     assert delayed.value.iteration == 1 + (rounds - 1) * (delay + 1)
+
+
+def test_run_evaluates_phi_and_grad2_once_per_state(monkeypatch):
+    # init_state evaluates both at x0; after that each step evaluates them
+    # once, at its new point, and neither the next step nor the record
+    # evaluates them again
+    p, g, cfg, x0 = delay_case(delay_steps=2, noise_sigma=1e-2, max_iter=62)
+    oracle = solve(p)
+    calls = {"phi_all": 0, "grad2_all": 0, "step": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(AggregativeProblem, "phi_all")
+    counting(AggregativeProblem, "grad2_all")
+    counting(solver, "step")
+    for alg, beta, gamma in (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1)):
+        calls.update(phi_all=0, grad2_all=0, step=0)
+        run(p, g, replace(cfg, algorithm=alg, beta=beta, gamma=gamma), x0,
+            oracle_solution=oracle)
+        assert calls["step"] == 21  # arrivals at ticks 1, 4, ..., 61
+        assert calls["phi_all"] == calls["grad2_all"] == 1 + calls["step"]
+
+
+def test_non_finite_x_minus1_diverges_at_tick_zero():
+    # only the initial x_prev is checked as such; every later one is the x
+    # checked a tick before
+    p, g, cfg, x0 = delay_case()
+    x_minus1 = x0.copy()
+    x_minus1[3] = np.nan
+    for alg in ALGORITHMS:
+        with pytest.raises(DivergenceDetected) as exc:
+            run(p, g, replace(cfg, algorithm=alg, beta=0.0), x0, x_minus1=x_minus1)
+        assert exc.value.iteration == 0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("delay,tick", [(0, 134), (2, 400)])
+def test_placement_divergence_tick_unchanged(algorithm, delay, tick):
+    # the `--set solver.alpha=5` reproducer on placement-paper diverges at
+    # the same tick as the reference loop, which checks every array each tick
+    cfg = ExperimentConfig({**get_preset("placement-paper"), "solver.alpha": 5.0,
+                            "solver.algorithm": algorithm, "solver.delay_steps": delay})
+    exp = Experiment(cfg)
+    for fn in (run, reference_run):
+        with pytest.raises(DivergenceDetected) as exc:
+            fn(exp.problem, exp.graph, cfg.build_solver_config(), exp.x0,
+               x_minus1=exp.x_prev, oracle_solution=exp.oracle)
+        assert exc.value.iteration == tick
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_tracker_overflow_with_finite_x_is_detected(delay):
+    # with h = b = e = 0 the iterates ignore the trackers, so x stays finite
+    # while noise of scale 1e308 overflows u and s; the run must still stop
+    # at the reference loop's tick
+    p = AggregativeProblem(name="decoupled", c=[1.0, 2.0, 3.0], h=[0.0] * 3, s=[0.0] * 3,
+                           p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
+    g = build_topology("ring", 3)
+    for alg, beta, gamma in (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1)):
+        cfg = SolverConfig(alg, alpha=0.1, beta=beta, gamma=gamma, max_iter=20, tol=0.0,
+                           delay_steps=delay, noise_sigma=1e308, seed=1)
+        ticks = []
+        for fn in (run, reference_run):
+            with pytest.raises(DivergenceDetected) as exc:
+                fn(p, g, cfg, np.ones(3))
+            ticks.append(exc.value.iteration)
+        assert ticks[0] == ticks[1] > 0
+
+
+def test_hand_built_state_gets_its_evaluations_on_first_step():
+    # a state built without phi(y) and grad2 f(y, u) steps exactly as the
+    # same state built by init_state
+    p = seeded_cournot(n=6, seed=8)
+    g = build_topology("ring", 6)
+    st = init_state(p, g, np.linspace(1, 2, 6))
+    bare = replace(st, phi_y=None, g2_y=None)
+    cfg = SolverConfig("dagt_nes", alpha=0.01, gamma=0.2)
+    nxt, bare_nxt = step(st, p, g, cfg), step(bare, p, g, cfg)
+    assert_states_equal(nxt, bare_nxt)
+    assert np.array_equal(bare_nxt.phi_y, p.phi_all(bare_nxt.y))
+    assert np.array_equal(bare_nxt.g2_y, p.grad2_all(bare_nxt.y, bare_nxt.u))
 
 
 def test_record_called_once_per_distinct_state(monkeypatch):
