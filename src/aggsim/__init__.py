@@ -7,7 +7,6 @@ from .exceptions import (
     DivergenceDetected,
     InconsistentResult,
     InvalidArgument,
-    NotConverged,
     OutOfValidityRegion,
     UnsupportedDegree,
 )

@@ -21,7 +21,6 @@ from .exceptions import (
     DivergenceDetected,
     InconsistentResult,
     InvalidArgument,
-    NotConverged,
 )
 from .graph import build_topology
 from .oracle import solve
@@ -370,7 +369,7 @@ def main(argv=None):
         # violated precondition is a rejected configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceDetected, NotConverged, InconsistentResult) as exc:
+    except (DivergenceDetected, InconsistentResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     # summaries list dir-relative names so byte-identical reruns stay

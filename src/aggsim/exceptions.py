@@ -17,10 +17,6 @@ class DivergenceDetected(RuntimeError):
         super().__init__(message or f"non-finite state at iteration {iteration}")
 
 
-class NotConverged(RuntimeError):
-    """An iterative routine hit its iteration budget before its tolerance."""
-
-
 class InconsistentResult(RuntimeError):
     """Two computations of one quantity disagree beyond their tolerance."""
 

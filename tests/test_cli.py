@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aggsim.cli as cli
+import aggsim.stability as stability
 from aggsim.cli import main, measured_tail_rate
 from aggsim.config import ExperimentConfig, serialize_config
 from aggsim.presets import get_preset
@@ -159,7 +160,7 @@ def test_config_error_exit_code(tmp_path):
     # an error matrix entry that overflows to inf
     pytest.param("region", "cournot-paper", ["region.alpha_max=1e308"], id="region-matrix-overflow"),
     pytest.param("bounds", "cournot-paper", ["solver.alpha=1e308"], id="bounds-matrix-overflow"),
-    # a constant whose square overflows: numpy's power gives inf, Python's raises
+    # a constant whose square overflows
     pytest.param("bounds", "placement-paper", ["bounds.L3=1e200"], id="bounds-L3-square-overflow"),
     pytest.param("region", "placement-paper", ["bounds.L3=1e200"], id="region-L3-square-overflow"),
     # an integer key is not truncated
@@ -173,6 +174,16 @@ def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overri
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    for kv in overrides:
+        assert OVERFLOW_CAUSES.get(kv, "") in err
+
+
+# an overflow names its cause: the constant, or the step size or momentum
+OVERFLOW_CAUSES = {
+    "bounds.L3=1e200": "L3 = 1e+200 too large",
+    "region.alpha_max=1e308": "step size or momentum too large",
+    "solver.alpha=1e308": "step size or momentum too large",
+}
 
 
 def test_unseeded_random_topology_exit_2(tmp_path, capsys):
@@ -211,8 +222,8 @@ def test_printed_summary_equals_written_file(tmp_path, capsys, command, preset, 
 
 
 # rho_graph of the 4-ring is 1/3, the tuned heavy-ball radius at these
-# parameters: the dense eigensolver loses precision on the repeated root
-RATES_GATE_MISS = [
+# parameters: a root that the full matrix's diagonal blocks share
+RATES_SHARED_ROOT = [
     "problem.c=4,1,1,1", "problem.h=0.5,0.5,0.5,0.5", "problem.l=0,0,0,0",
     "topology.n_agents=4", "topology.kind=ring", "solver.algorithm=dagt_hb",
     "solver.alpha=0.4444444444444444", "solver.beta=0.1111111111111111",
@@ -220,9 +231,22 @@ RATES_GATE_MISS = [
 
 
 @pytest.mark.parametrize("command", ["run", "rates"])
-def test_rates_gate_disagreement_exits_3(tmp_path, capsys, command):
+def test_rates_shared_root_passes_the_gate(tmp_path, command):
     out = tmp_path / "o"
-    sets = [arg for kv in RATES_GATE_MISS for arg in ("--set", kv)]
+    sets = [arg for kv in RATES_SHARED_ROOT for arg in ("--set", kv)]
+    assert run_cli(command, "--preset", "quadratic-demo", *sets, "--out", str(out)) == 0
+    if command == "run":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["reduced_radius"] == pytest.approx(1 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["run", "rates"])
+def test_rates_gate_disagreement_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a reduced radius off by 1e-6 stands in for a full/reduced mismatch
+    reduced = stability.quad_reduced_radius
+    monkeypatch.setattr(stability, "quad_reduced_radius", lambda *args: reduced(*args) + 1e-6)
+    out = tmp_path / "o"
+    sets = [arg for kv in RATES_SHARED_ROOT for arg in ("--set", kv)]
     assert run_cli(command, "--preset", "quadratic-demo", *sets, "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: full/reduced spectral radii disagree")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from aggsim.exceptions import NotConverged
 from aggsim.oracle import OracleSolution, solve
 from aggsim.problems import make_cournot, make_placement, make_quadratic
 
 from test_problems import paper_placement, seeded_cournot
+
+
+class NotConverged(RuntimeError):
+    """An iterative routine hit its iteration budget before its tolerance."""
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aggsim.config import ExperimentConfig
-from aggsim.exceptions import InvalidArgument, OutOfValidityRegion, UnsupportedDegree
+from aggsim.exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset
@@ -673,6 +673,121 @@ def test_bounds_handle_vanishing_lipschitz_constants():
     b = conservative_bounds_hb(c)
     assert 0 < b.alpha_bar <= 1.0 / 9.0
     assert b.momentum_bar > 0
+    alpha_bar, momentum_bar, J, M = hand_bounds_hb(c, b.alpha_eval)
+    assert b.alpha_bar == pytest.approx(alpha_bar, rel=1e-14)
+    assert b.momentum_bar == pytest.approx(momentum_bar, rel=1e-14)
+    assert b.step_terms["J4"] == b.step_terms["J5"] == J["J5"] == math.inf
+    assert b.momentum_terms["M4"] == M["M4"] == math.inf
+    # the relaxed Nesterov row 4 keeps an alpha slope against zero slack
+    assert hand_bounds_nes(c)[0] == 0.0
+    with pytest.raises(InvalidArgument, match=r"alpha must lie in \(0, 0\.0\)"):
+        conservative_bounds_nes(c)
+
+
+# the terms written out row by row, as the boxes were first derived; the
+# certificate that reads them off the matrices must reproduce every one
+
+def safe_div(num, den):
+    # a vanishing denominator means the constraint row is vacuous
+    return num / den if den > 0 else math.inf
+
+
+def hand_bounds_hb(constants, alpha=None):
+    """(alpha_bar, momentum_bar, J, M) of the heavy-ball box, z2 = z3 = 1."""
+    mu, L1, L2, L3, rho = (getattr(constants, k) for k in ("mu", "L1", "L2", "L3", "rho"))
+    z2 = z3 = 1.0
+    z4 = 3 * L2 * z3 / (1 - rho)
+    z1 = (2 * L1 * z3 + L3 * z4) / mu
+    load = L1 * (1 + L3) * z1 + L1 * z3 + L3 * z4
+    J = {
+        "J1": safe_div(z2, load),
+        "J2": safe_div(1 - rho, L1 * L3),
+        "J3": safe_div((1 - rho) * z3, L1 * L3 * (1 + L3) * z1 + L1 * L3 * z3 + L3**2 * z4),
+        "J4": safe_div(1 - rho, L2 * L3 * (1 + L3)),
+        "J5": safe_div((1 - rho) * z4 - 2 * L2 * z3, L2 * (1 + L3) * load),
+    }
+    alpha_bar = min(list(J.values()) + [1.0 / L1])
+    a = alpha_bar / 2 if alpha is None else alpha
+    M = {
+        "M1": a * (mu * z1 - L1 * z3 - L3 * z4) / z2,
+        "M2": (z2 - a * L1 * (1 + L3) * z1 - a * L1 * z3 - a * L3 * z4) / z2,
+        "M3": safe_div(
+            (1 - rho - a * L1 * L3) * z3 - a * L1 * L3 * (1 + L3) * z1 - a * L3**2 * z4,
+            L3 * z2,
+        ),
+        "M4": safe_div(
+            (1 - rho - a * L2 * L3 * (1 + L3)) * z4
+            - a * L1 * L2 * (1 + L3) ** 2 * z1
+            - (a * L1 * L2 * (1 + L3) + 2 * L2) * z3,
+            L2 * (1 + L3) * z2,
+        ),
+    }
+    return alpha_bar, min(M.values()), J, M
+
+
+def hand_bounds_nes(constants, alpha=None):
+    """(alpha_bar, momentum_bar, T, G) of the Nesterov box, t2 = t3 = 1."""
+    mu, L1, L2, L3, rho = (getattr(constants, k) for k in ("mu", "L1", "L2", "L3", "rho"))
+    t2 = t3 = 1.0
+    t4 = 3 * L2 * t3 / (1 - rho)
+    t1 = (2 * L1 * t3 + L3 * t4) / mu
+    load = L1 * (1 + L3) * t1 + L1 * t3 + L3 * t4
+    T = {
+        "T1": safe_div(t2, load),
+        "T2": safe_div(1 - rho, L1 * (L3 + 1)),
+        "T3": safe_div(
+            (1 - rho) * t3,
+            L1 * L3 * (2 + L3) * t1 + L1 * (L3 + 1) * t3 + (L3**2 + L3) * t4,
+        ),
+        "T4": safe_div(1 - rho, L2 * (1 + L3) ** 2),
+        "T5": safe_div(
+            (1 - rho) * t4 - 2 * L2 * t3,
+            L1 * (L2 + 1) * (1 + L3) * ((1 + L3) * t1 + t3) + L2 * (1 + L3) ** 2 * t4,
+        ),
+    }
+    alpha_bar = min(list(T.values()) + [1.0 / L1])
+    a = alpha_bar / 2 if alpha is None else alpha
+    G = {
+        "G1": a * (mu * t1 - L1 * t3 - L3 * t4) / ((1 - mu * a) * t2),
+        "G2": (t2 - a * L1 * (1 + L3) * t1 - a * L1 * t3 - a * L3 * t4) / ((2 + L3) * t2),
+        "G3": (
+            (1 - rho - a * L1 * (L3 + 1)) * t3
+            - a * L1 * L3 * (2 + L3) * t1
+            - a * L3 * (L3 + 1) * t4
+        )
+        / ((L3**2 + 4 * L3 + 2) * t2),
+        "G4": safe_div(
+            (1 - rho - a * L2 * (1 + L3) ** 2) * t4
+            - a * L1 * (L2 + 1) * (1 + L3) ** 2 * t1
+            - (a * L1 * (L2 + 1) * (1 + L3) + 2 * L2) * t3,
+            (L3 + 1) * (L2 * L3 + 2 * L2 + L3 + 1) * t2,
+        ),
+    }
+    caps = [safe_div(1.0, L2), safe_div(1.0, L3)]
+    return alpha_bar, min(list(G.values()) + caps), T, G
+
+
+def assert_matches_hand_terms(c, rel):
+    for certified, hand in ((conservative_bounds_hb, hand_bounds_hb),
+                            (conservative_bounds_nes, hand_bounds_nes)):
+        b = certified(c)
+        alpha_bar, momentum_bar, step, momentum = hand(c, b.alpha_eval)
+        assert list(b.step_terms) == list(step) and list(b.momentum_terms) == list(momentum)
+        for name, value in (b.step_terms | b.momentum_terms).items():
+            assert value == pytest.approx((step | momentum)[name], rel=rel), name
+        assert b.alpha_bar == pytest.approx(alpha_bar, rel=rel)
+        assert b.momentum_bar == pytest.approx(momentum_bar, rel=rel)
+
+
+@pytest.mark.parametrize("preset", ["cournot-paper", "placement-paper"])
+def test_certificate_matches_hand_terms_on_presets(preset):
+    assert_matches_hand_terms(preset_constants(preset), rel=1e-14)
+
+
+def test_certificate_matches_hand_terms_on_random_constants():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        assert_matches_hand_terms(random_constants(rng), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +927,33 @@ def test_quadratic_rates_report_consistency():
         assert rep.predicted_rate == max(rep.rho_graph, rep.reduced_radius)
         assert rep.spectral_radius == pytest.approx(rep.predicted_rate, abs=1e-7)
         assert rep.matrix.entries.shape[0] == (24 if alg == "dagt" else 32)
+
+
+def test_quadratic_rates_where_the_graph_shares_the_reduced_root():
+    # rho_graph of the 4-ring and the tuned heavy-ball radius are both 1/3;
+    # taken whole, the dense eigensolve of the full matrix is off by 2e-6
+    qp = make_quadratic(np.array([4.0, 1.0, 1.0, 1.0]), np.full(4, 0.5), np.zeros(4))
+    g = build_topology("ring", 4)
+    a, m = optimal_params("dagt_hb", 1.0, 4.0)
+    rep = quadratic_rates(qp, g, a, m, "dagt_hb")
+    assert rep.predicted_rate == pytest.approx(1 / 3, rel=1e-15)
+    assert rep.spectral_radius == pytest.approx(1 / 3, abs=1e-9)
+    assert rep.matrix.entries.shape == (16, 16)
+
+
+def test_quadratic_rates_checks_the_block_structure(monkeypatch):
+    import aggsim.stability as stability
+
+    qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
+    g = build_topology("ring", 5)
+    full = quad_full_matrix(qp, g, 0.1, 0.2, "dagt_hb")
+    # in the state order (s; x, x_prev; u) every block above the diagonal is
+    # exactly zero
+    assert not full[15:, :15].any() and not full[:10, 10:15].any()
+    full[0, 12] = 1e-300
+    monkeypatch.setattr(stability, "quad_full_matrix", lambda *args: full)
+    with pytest.raises(InconsistentResult, match="block lower-triangular"):
+        quadratic_rates(qp, g, 0.1, 0.2, "dagt_hb")
 
 
 def test_optimal_params_validation():
