@@ -115,6 +115,7 @@ def _run_summary(exp, solver_cfg, trace):
         "alpha": solver_cfg.alpha,
         "momentum": solver_cfg.momentum,
         **_outcome(trace),
+        "stop_reason": "tolerance" if trace.converged else "budget",
         "final_grad_norm": trace.grad_norm[-1],
         "final_residual_msq": trace.residual_msq[-1],
         "final_obj_gap": trace.obj_gap[-1],
@@ -303,8 +304,8 @@ def cmd_rates(cfg):
         predicted = _per_tick(report.predicted_rate, solver_cfg)
         measured = measured_tail_rate(trace)
         rel = abs(measured - predicted) / predicted
-        rows.append((alg, alpha, m, report.reduced_radius, report.rho_graph,
-                     predicted, measured, rel))
+        rows.append((alg, *map(float, (alpha, m, report.reduced_radius, report.rho_graph,
+                                        predicted, measured, rel))))
         details[alg] = {"predicted": predicted, "measured": measured, "rel_error": rel}
         if not trace.converged:
             code = 3

@@ -33,14 +33,18 @@ ALGORITHMS = ("dagt", "dagt_hb", "dagt_nes")
 
 TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err")
 
+# recorded states per diagnostics block (see IterTrace). On cournot-paper
+# (N d = 50) a block of 128 or 256 rows stacks arrays past the allocator's
+# mmap threshold, mapped afresh on every block (about 0.5 minor page
+# faults per row), and costs more per row than a block of 64
+BLOCK = 64
+
 
 def csv_text(header, rows):
-    """CSV text of a table: floats by repr, so they round-trip exactly."""
+    """CSV text of a table of Python scalars. str of a Python float is its
+    repr, so floats round-trip exactly."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
-        )
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -114,12 +118,6 @@ class SolverState:
     def finite(self):
         return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
 
-    def step_finite(self):
-        """finite() for a state made by `step`, whose x_prev is the x before
-        it: only x, u, s and, when it is not x, y are new."""
-        new = (self.x, self.u, self.s) if self.y is self.x else (self.x, self.y, self.u, self.s)
-        return all(np.isfinite(p).all() for p in new)
-
     def evaluations(self, problem):
         """(phi(y), grad2 f(y, u)): the carried values, or fresh ones."""
         phi_y = problem.phi_all(self.y) if self.phi_y is None else self.phi_y
@@ -132,6 +130,19 @@ def _norm(v):
     bit for bit, without its dispatch."""
     v = v.ravel()
     return math.sqrt(v.dot(v))
+
+
+def _stack(arrays):
+    """np.stack of same-shape arrays, as one concatenate: np.stack makes a
+    view of each array first, which costs more than the copy."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+def _row_norms(v):
+    """_norm of each v[i], bit for bit: a stacked matmul of 1 x m by m x 1
+    runs the same BLAS dot per row that v[i].dot(v[i]) runs."""
+    v = v.reshape(len(v), -1)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
 class CommChannel:
@@ -213,7 +224,15 @@ def step(state, problem, channel, config):
 
 @dataclass
 class IterTrace:
-    """Per-tick diagnostics of one run (one row per tick, k = 0 first)."""
+    """Per-tick diagnostics of one run (one row per tick, k = 0 first).
+
+    `record` keeps per tick only what the stop test reads, k and
+    grad_norm, and queues the state; `flush` computes every other column
+    for the queued states at once and checks that they are finite. It runs
+    when BLOCK states are queued and at the end of `run`. Each column holds
+    the same floats as a row-by-row computation: the stacked products run
+    one BLAS dot or GEMV per row, as one row's would.
+    """
 
     k: list = field(default_factory=list)
     residual_msq: list = field(default_factory=list)
@@ -226,41 +245,78 @@ class IterTrace:
     s_mean_err: list = field(default_factory=list)
     converged: bool = False
     final_state: SolverState = None
+    # queued states not yet flushed, and (queue index, hold ticks) pairs
+    _queue: list = field(default_factory=list, repr=False)
+    _holds: list = field(default_factory=list, repr=False)
 
     def __len__(self):
         return len(self.k)
 
     def record(self, problem, state, oracle_solution, grad_vec):
-        xa = state.x
-        n = problem.n_agents
-        if oracle_solution is not None:
-            dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
-            self.residual_msq.append(float((dx**2).sum() / n))
-            # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
-            # cancel at the size of F and can come out negative
-            self.obj_gap.append(float(0.5 * dx @ (problem.quadratic_model[0] @ dx)))
-        else:
-            self.residual_msq.append(float("nan"))
-            self.obj_gap.append(float("nan"))
+        if len(self._queue) == BLOCK:
+            self.flush(problem, oracle_solution)
         self.k.append(state.k)
         self.grad_norm.append(_norm(grad_vec))
-        # every mean is sum / N, which is bit-identical to .mean(axis=0)
-        u_mean = state.u.sum(axis=0) / n
-        s_mean = state.s.sum(axis=0) / n
-        self.u_track_err.append(_norm(state.u - u_mean))
-        self.s_track_err.append(_norm(state.s - s_mean))
-        phi_y, g2_y = state.evaluations(problem)
-        phi_mean = phi_y.sum(axis=0) / n
-        g2_mean = g2_y.sum(axis=0) / n
-        self.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
-        self.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
+        # a reference, not a copy: `step` builds new arrays every round and
+        # nothing writes into a state's arrays
+        self._queue.append(state)
 
     def hold(self, ticks):
         """Repeat the last row on `ticks` hold ticks, where the state rests."""
         self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
-        for column in (self.residual_msq, self.obj_gap, self.grad_norm, self.u_track_err,
-                       self.s_track_err, self.u_mean_err, self.s_mean_err):
-            column.extend(column[-1:] * ticks)
+        self.grad_norm.extend(self.grad_norm[-1:] * ticks)
+        self._holds.append((len(self._queue) - 1, ticks))
+
+    def flush(self, problem, oracle_solution):
+        """Compute the queued rows and their holds; raise DivergenceDetected
+        at the tick of the first queued state that is not finite (x_prev is
+        the x of the state before it, so x, u, s and y cover every new array)."""
+        states, holds = self._queue, self._holds
+        if not states:
+            return
+        self._queue, self._holds = [], []
+        size = len(states)
+        X = _stack([st.x for st in states]).reshape(size, -1)
+        U = _stack([st.u for st in states])
+        S = _stack([st.s for st in states])
+        checked = [X, U.reshape(size, -1), S.reshape(size, -1)]
+        if any(st.y is not st.x for st in states):
+            checked.append(_stack([st.y for st in states]).reshape(size, -1))
+        finite = np.isfinite(np.concatenate(checked, axis=1)).all(axis=1)
+        if not finite.all():
+            raise DivergenceDetected(states[int(finite.argmin())].k)
+        evaluations = [st.evaluations(problem) for st in states]
+        phi = _stack([e[0] for e in evaluations])
+        g2 = _stack([e[1] for e in evaluations])
+        n_agents = problem.n_agents
+        if oracle_solution is not None:
+            dx = X - np.asarray(oracle_solution.x_star, dtype=float)
+            residual_msq = (dx**2).sum(axis=1) / n_agents
+            # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
+            # cancel at the size of F and can come out negative. The 0.5
+            # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
+            h_dx = np.matmul(problem.quadratic_model[0], dx[:, :, None])
+            obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
+        else:
+            residual_msq = obj_gap = np.full(size, np.nan)
+        # every mean is sum / N, which is bit-identical to .mean(axis=0)
+        u_mean = U.sum(axis=1) / n_agents
+        s_mean = S.sum(axis=1) / n_agents
+        columns = {
+            "residual_msq": residual_msq,
+            "obj_gap": obj_gap,
+            "u_track_err": _row_norms(U - u_mean[:, None, :]),
+            "s_track_err": _row_norms(S - s_mean[:, None, :]),
+            "u_mean_err": np.abs(u_mean - phi.sum(axis=1) / n_agents).max(axis=1),
+            "s_mean_err": np.abs(s_mean - g2.sum(axis=1) / n_agents).max(axis=1),
+        }
+        if holds:
+            repeats = np.ones(size, dtype=np.intp)
+            for row, ticks in holds:
+                repeats[row] += ticks
+            columns = {name: np.repeat(values, repeats) for name, values in columns.items()}
+        for name, values in columns.items():
+            getattr(self, name).extend(values.tolist())
 
     def to_csv(self):
         return csv_text(TRACE_COLUMNS, zip(self.k, self.residual_msq, self.obj_gap,
@@ -276,8 +332,9 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     after it. The stopping gradient is computed centrally for monitoring
     only; the agents never use it. Raises DivergenceDetected at the first
     tick with a non-finite state: the initial state is checked whole, and
-    each later one only in the arrays its step made (x_prev is the checked
-    x before it).
+    each later one only in the arrays its step made, per block of recorded
+    states (see IterTrace.flush). Rounds stepped after a divergence but
+    before its block is flushed are NaN work whose trace is thrown away.
     """
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
@@ -299,7 +356,7 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
             if state.k >= config.max_iter:
                 break
             state = step(state, problem, channel, config)
-            if not state.step_finite():
-                raise DivergenceDetected(state.k)
+        # a state that meets tol with non-finite trackers still raises here
+        trace.flush(problem, oracle_solution)
     trace.final_state = state
     return trace

@@ -107,8 +107,9 @@ class StabilityConstants:
         if not (0 <= self.rho < 1):
             raise InvalidArgument("rho must lie in [0, 1)")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.float64(1 + self.L3) ** 2):  # the matrices' largest power
-                raise InvalidArgument(f"L3 = {self.L3} too large: (1 + L3)^2 overflows")
+            L3 = np.float64(self.L3)
+            if not np.isfinite(L3 * (1 + L3) ** 2):  # the matrices' largest power of L3
+                raise InvalidArgument(f"L3 = {self.L3} too large: L3 (1 + L3)^2 overflows")
 
     @classmethod
     def from_problem(cls, problem, graph):

@@ -35,6 +35,7 @@ def test_run_quadratic_demo(tmp_path):
     assert len(rows) >= 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"]
+    assert summary["stop_reason"] == "tolerance"
     assert summary["predicted_rate"] == pytest.approx(0.8, abs=1e-9)
     assert abs(summary["measured_tail_rate"] - 0.8) / 0.8 < 0.05
 
@@ -107,6 +108,7 @@ def test_run_max_iter_zero_flags_not_converged(tmp_path):
     assert len(rows) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert not summary["converged"]
+    assert summary["stop_reason"] == "budget"
 
 
 def test_run_exports_graph_on_request(tmp_path):
@@ -163,6 +165,9 @@ def test_config_error_exit_code(tmp_path):
     # a constant whose square overflows
     pytest.param("bounds", "placement-paper", ["bounds.L3=1e200"], id="bounds-L3-square-overflow"),
     pytest.param("region", "placement-paper", ["bounds.L3=1e200"], id="region-L3-square-overflow"),
+    # L3 (1 + L3)^2 overflows though (1 + L3)^2 does not
+    pytest.param("bounds", "placement-paper", ["bounds.L3=1e120"], id="bounds-L3-cube-overflow"),
+    pytest.param("region", "placement-paper", ["bounds.L3=1e120"], id="region-L3-cube-overflow"),
     # an integer key is not truncated
     pytest.param("run", "quadratic-demo", ["solver.max_iter=2.7"], id="fractional-max-iter"),
     pytest.param("run", "cournot-paper", ["problem.n_agents=0.5"], id="fractional-n-agents"),
@@ -181,6 +186,7 @@ def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overri
 # an overflow names its cause: the constant, or the step size or momentum
 OVERFLOW_CAUSES = {
     "bounds.L3=1e200": "L3 = 1e+200 too large",
+    "bounds.L3=1e120": "L3 = 1e+120 too large",
     "region.alpha_max=1e308": "step size or momentum too large",
     "solver.alpha=1e308": "step size or momentum too large",
 }

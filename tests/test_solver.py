@@ -12,7 +12,8 @@ from aggsim.oracle import solve
 from aggsim.presets import get_preset
 from aggsim.problems import AggregativeProblem, make_quadratic
 from aggsim.solver import (
-    ALGORITHMS, CommChannel, IterTrace, SolverConfig, SolverState, init_state, run, step,
+    ALGORITHMS, CommChannel, IterTrace, SolverConfig, SolverState, csv_text, init_state, run,
+    step,
 )
 
 from test_problems import paper_placement, seeded_cournot
@@ -84,9 +85,10 @@ def assert_states_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# reference run: the loop before the state carried phi(y) and grad2 f(y, u),
-# kept to check `run` bit for bit. It checks the whole state on every tick
-# and takes the reference steps and record, which evaluate both afresh.
+# reference run: the loop before the state carried phi(y) and grad2 f(y, u)
+# and before the diagnostics ran in blocks, kept to check `run` bit for bit.
+# It checks the whole state on every tick and takes the reference steps,
+# record and hold, which evaluate every row on its own tick.
 # ---------------------------------------------------------------------------
 
 def reference_record(trace, problem, state, oracle_solution, grad_vec):
@@ -112,6 +114,14 @@ def reference_record(trace, problem, state, oracle_solution, grad_vec):
     trace.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
 
+def reference_hold(trace, ticks):
+    """Repeat the last row on `ticks` hold ticks."""
+    trace.k.extend(range(trace.k[-1] + 1, trace.k[-1] + 1 + ticks))
+    for name in TRACE_FIELDS[1:]:
+        column = getattr(trace, name)
+        column.extend(column[-1:] * ticks)
+
+
 def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
@@ -128,7 +138,7 @@ def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=Non
                 trace.converged = True
                 break
             if state.k > 0 and config.delay_steps > 0:
-                trace.hold(min(config.delay_steps, config.max_iter - state.k))
+                reference_hold(trace, min(config.delay_steps, config.max_iter - state.k))
                 state = replace(state, k=trace.k[-1])
             if state.k >= config.max_iter:
                 break
@@ -564,6 +574,79 @@ def test_tracker_overflow_with_finite_x_is_detected(delay):
         assert ticks[0] == ticks[1] > 0
 
 
+# ---------------------------------------------------------------------------
+# block edges: the diagnostics run per block of BLOCK recorded states, and
+# match the reference's row-by-row record at every block boundary
+# ---------------------------------------------------------------------------
+
+BLOCK = solver.BLOCK
+FAMILIES = (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1))
+
+
+def arrival_tick(row, delay):
+    """The tick at which the state of recorded row `row` arrives."""
+    return 0 if row == 0 else 1 + (row - 1) * (delay + 1)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("family", FAMILIES, ids=[f[0] for f in FAMILIES])
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_block_edge_budgets_match_reference(rows, family, noise_sigma):
+    p, g, cfg, x0 = delay_case(noise_sigma=noise_sigma, max_iter=rows - 1)
+    alg, beta, gamma = family
+    cfg = replace(cfg, algorithm=alg, beta=beta, gamma=gamma)
+    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert len(run(p, g, cfg, x0)) == rows
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("delay", [1, 2, 3])
+# budgets that end inside the holds of a block's last row, on the arrival
+# of the next block's first row, inside its holds, and one row later
+@pytest.mark.parametrize("offset", [(BLOCK - 1, 1), (BLOCK, 0), (BLOCK, 1), (BLOCK + 1, 0)])
+def test_holds_across_a_flush_match_reference(delay, noise_sigma, offset):
+    row, extra = offset
+    max_iter = arrival_tick(row, delay) + extra
+    p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter=max_iter)
+    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    trace = run(p, g, cfg, x0)
+    assert trace.k == list(range(max_iter + 1))
+
+
+def doubling_case(diverge_row, delay, noise_sigma):
+    """Iterates that double in size with alternating sign every round,
+    x_r = (-2)^r x0 exactly, and overflow in round `diverge_row`; with
+    h = b = e = 0 the noisy trackers never reach the iterates."""
+    p = AggregativeProblem(name="doubling", c=[1.0] * 3, h=[0.0] * 3, s=[0.0] * 3,
+                           p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
+    g = build_topology("ring", 3)
+    cfg = SolverConfig("dagt", alpha=3.0, max_iter=4 * (BLOCK + 2) * (delay + 1), tol=0.0,
+                       delay_steps=delay, noise_sigma=noise_sigma, seed=3)
+    return p, g, cfg, np.full(3, 2.0 ** (1024 - diverge_row))
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("delay", [0, 1, 3])
+# inside the first block, its last row, the second block's first row
+@pytest.mark.parametrize("diverge_row", [BLOCK // 2, BLOCK - 1, BLOCK])
+def test_divergence_at_block_edges_matches_reference(diverge_row, delay, noise_sigma):
+    p, g, cfg, x0 = doubling_case(diverge_row, delay, noise_sigma)
+    ticks = []
+    for fn in (run, reference_run):
+        with pytest.raises(DivergenceDetected) as exc:
+            fn(p, g, cfg, x0, oracle_solution=solve(p))
+        ticks.append(exc.value.iteration)
+    assert ticks == [arrival_tick(diverge_row, delay)] * 2
+
+
+def test_budget_before_divergence_matches_reference():
+    # a budget that ends one round before the overflow returns a trace
+    p, g, cfg, x0 = doubling_case(BLOCK + 1, 0, 0.0)
+    cfg = replace(cfg, max_iter=BLOCK)
+    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert len(run(p, g, cfg, x0)) == BLOCK + 1
+
+
 def test_hand_built_state_gets_its_evaluations_on_first_step():
     # a state built without phi(y) and grad2 f(y, u) steps exactly as the
     # same state built by init_state
@@ -654,3 +737,23 @@ def test_solver_config_validation():
                 {"delay_steps": -1}, {"seed": -1}):
         with pytest.raises(InvalidArgument):
             SolverConfig(**{"algorithm": "dagt_hb", "alpha": 0.1, **bad})
+
+
+def reference_csv_text(header, rows):
+    """csv_text as it formatted each cell: floats by repr(float(v))."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_text_matches_per_cell_repr():
+    rng = np.random.default_rng(11)
+    floats = [0.1, 1 / 3, 1e16, 1e-5, 1e22, -0.0, 5e-324, 1.7976931348623157e308,
+              float("nan"), float("inf"), -float("inf")]
+    floats += (rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)).tolist()
+    rows = [(f, i, i % 3 == 0, f"r{i}", np.float64(f)) for i, f in enumerate(floats)]
+    header = ("float", "int", "bool", "str", "numpy_float")
+    assert csv_text(header, rows) == reference_csv_text(header, rows)
