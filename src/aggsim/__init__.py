@@ -36,14 +36,12 @@ from .stability import (
     StabilityConstants,
     attained_optimal_radius,
     char_poly_4x4,
-    compare_char_coeffs,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,
     error_matrix_nes,
     error_matrix_nes_relaxed,
     jury_stable,
-    momentum_threshold_bound,
     optimal_params,
     optimal_rate_formula,
     quad_full_matrix,

@@ -25,7 +25,7 @@ from .exceptions import (
 from .graph import build_topology
 from .oracle import solve
 from .presets import get_preset, preset_names
-from .solver import ALGORITHMS, csv_text, run as run_solver
+from .solver import ALGORITHMS, CommChannel, csv_text, run as run_solver
 from .stability import (
     StabilityConstants,
     conservative_bounds_hb,
@@ -88,9 +88,19 @@ def _outcome(trace):
     return {"iterations": int(trace.k[-1]), "converged": bool(trace.converged)}
 
 
+def _stop_reason(trace):
+    return "tolerance" if trace.converged else "budget"
+
+
 class Experiment:
     """The problem, graph, start point and oracle of one config, built
-    once; each run varies only the solver config (and maybe the graph)."""
+    once; each run varies only the solver config (and maybe the graph).
+
+    Noisy runs on one graph with one noise_sigma and seed share a
+    CommChannel, so the command draws their noise stream once and every
+    run replays it. The channels, and the noise they record, live as long
+    as the experiment: one command.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -98,11 +108,19 @@ class Experiment:
         self.graph = cfg.build_graph()
         self.x0, self.x_prev = cfg.build_x0(self.problem)
         self.oracle = solve(self.problem)
+        self._channels = {}
 
     def run(self, graph=None, **overrides):
         solver_cfg = self.cfg.build_solver_config(**overrides)
+        graph = self.graph if graph is None else graph
+        if solver_cfg.noise_sigma > 0:
+            # each channel holds its graph, so no other graph takes its id
+            key = (id(graph), solver_cfg.noise_sigma, solver_cfg.seed)
+            if key not in self._channels:
+                self._channels[key] = CommChannel(graph, solver_cfg.noise_sigma, solver_cfg.seed)
+            graph = self._channels[key]
         trace = run_solver(
-            self.problem, self.graph if graph is None else graph, solver_cfg, self.x0,
+            self.problem, graph, solver_cfg, self.x0,
             x_minus1=self.x_prev, oracle_solution=self.oracle,
         )
         return solver_cfg, trace
@@ -115,7 +133,7 @@ def _run_summary(exp, solver_cfg, trace):
         "alpha": solver_cfg.alpha,
         "momentum": solver_cfg.momentum,
         **_outcome(trace),
-        "stop_reason": "tolerance" if trace.converged else "budget",
+        "stop_reason": _stop_reason(trace),
         "final_grad_norm": trace.grad_norm[-1],
         "final_residual_msq": trace.residual_msq[-1],
         "final_obj_gap": trace.obj_gap[-1],
@@ -162,10 +180,13 @@ def cmd_sweep(cfg):
     for v in (convert(float, v, "sweep.values") for v in values):
         try:
             # the algorithm's config keeps the parameter it uses
-            rows.append({"momentum": v, **_outcome(exp.run(beta=v, gamma=v)[1])})
+            trace = exp.run(beta=v, gamma=v)[1]
+            rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
         except DivergenceDetected as exc:
-            rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False})
-    files = {"sweep.csv": csv_text(("momentum", "iterations", "converged"), map(dict.values, rows))}
+            rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False,
+                         "stop_reason": "divergence"})
+    header = ("momentum", "iterations", "converged", "stop_reason")
+    files = {"sweep.csv": csv_text(header, map(dict.values, rows))}
     return {"algorithm": algorithm, "rows": rows}, files, 0
 
 
@@ -262,17 +283,24 @@ def _grid(cfg, axis, default_max):
     return np.linspace(lo, hi, steps)
 
 
-def _region_rows(constants, member_fn, matrix_fn, a_grid, m_grid):
-    """(alpha, momentum, member, spectral radius) rows of the grid,
-    alpha-major: one matrix stack, whose one eigensolve serves both the
-    radius column and membership. The rows come as an iterator over four
-    column lists, so the arrays are freed before the row tuples are made."""
+def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
+    """region.csv of the grid, alpha-major, and its member count: one
+    matrix stack, whose one eigensolve serves both the radius column and
+    membership. The text is csv_text's: each axis value is formatted once
+    and every row joins the two axis strings, the member flag and the
+    radius."""
     c = constants
     A, M = np.meshgrid(a_grid, m_grid, indexing="ij")
     mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
     radius = mat.spectral_radius()
     member = member_fn(c, A, M, matrix=mat)
-    return zip(*[v.ravel().tolist() for v in (A, M, member, radius)])
+    m_text = [f"{m}," for m in m_grid.tolist()]
+    prefixes = [f"{a},{m}" for a in a_grid.tolist() for m in m_text]
+    flags = ("False,", "True,")
+    lines = ["alpha,momentum,member,spectral_radius"]
+    lines.extend(p + flags[f] + str(r) for p, f, r in
+                 zip(prefixes, member.ravel().tolist(), radius.ravel().tolist()))
+    return "\n".join(lines) + "\n", int(member.sum())
 
 
 def cmd_region(cfg):
@@ -282,11 +310,10 @@ def cmd_region(cfg):
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
     fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
            else (region_member_nes, error_matrix_nes))
-    rows = list(_region_rows(constants, *fns, _grid(cfg, "alpha", 1.0 / constants.L1),
-                             _grid(cfg, "momentum", 0.5)))
-    summary = {"algorithm": algorithm, "members": sum(1 for r in rows if r[2]), "points": len(rows)}
-    files = {"region.csv": csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)}
-    return summary, files, 0
+    a_grid, m_grid = _grid(cfg, "alpha", 1.0 / constants.L1), _grid(cfg, "momentum", 0.5)
+    text, members = _region_csv(constants, *fns, a_grid, m_grid)
+    summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}
+    return summary, {"region.csv": text}, 0
 
 
 def cmd_rates(cfg):

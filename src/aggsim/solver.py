@@ -152,6 +152,14 @@ class CommChannel:
     of standard deviation noise_sigma to every received (off-diagonal)
     tracker entry; own values are never corrupted. `step` takes either a
     channel or the graph itself, which mixes without noise.
+
+    The channel records the received noise of every mixing round it has
+    drawn, one (2, N, d) array per round (u's noise, then s's), and
+    `rewind` makes the next `mix` replay round 0. A round is drawn once,
+    the first time a mix reaches it, so every run of one channel sees the
+    same stream that a fresh channel of the same seed would draw. The
+    record holds 2 N d floats per round (8 MB for 10,000 rounds at
+    N d = 50) and lives as long as the channel.
     """
 
     def __init__(self, graph, noise_sigma=0.0, seed=None):
@@ -161,18 +169,35 @@ class CommChannel:
         self.off_weights = graph.weights.copy()
         np.fill_diagonal(self.off_weights, 0.0)
         self.noise_sigma = float(noise_sigma)
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._rounds = []
+        self._next = 0
+
+    def rewind(self):
+        """Make the next `mix` use round 0 again."""
+        self._next = 0
 
     def _received_noise(self, shape):
-        n, d = shape
-        eta = self._rng.normal(0.0, self.noise_sigma, size=(n, n, d))
-        return np.einsum("ij,ijd->id", self.off_weights, eta)
+        """The next round's noise: recorded, or drawn now. One draw of
+        both trackers' entries gives the same floats as one draw per
+        tracker, u's first."""
+        if self._next == len(self._rounds):
+            n, d = shape
+            eta = self._rng.normal(0.0, self.noise_sigma, size=(2, n, n, d))
+            self._rounds.append(np.einsum("ij,kijd->kid", self.off_weights, eta))
+        noise = self._rounds[self._next]
+        if noise.shape[1:] != shape:
+            raise InvalidArgument(f"channel records noise of shape {noise.shape[1:]}, not {shape}")
+        self._next += 1
+        return noise
 
     def mix(self, u, s):
         mix_u, mix_s = self.graph.mix(u, s)
         if self.noise_sigma > 0.0:
-            mix_u = mix_u + self._received_noise(u.shape)
-            mix_s = mix_s + self._received_noise(s.shape)
+            noise = self._received_noise(u.shape)
+            mix_u = mix_u + noise[0]
+            mix_s = mix_s + noise[1]
         return mix_u, mix_s
 
 
@@ -327,6 +352,11 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     """Iterate until the central gradient-norm monitor passes tol or the
     tick budget max_iter runs out; returns the full per-tick trace.
 
+    graph is a CommGraph or a CommChannel. A channel is rewound, so runs
+    that share it replay one noise stream, and its noise_sigma and seed
+    must be the config's; on a bare graph a noisy config draws from a
+    fresh channel.
+
     The first round fires at tick 0; each later state is recorded once, at
     its arrival tick, and its row repeats on the delay_steps hold ticks
     after it. The stopping gradient is computed centrally for monitoring
@@ -336,9 +366,19 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     states (see IterTrace.flush). Rounds stepped after a divergence but
     before its block is flushed are NaN work whose trace is thrown away.
     """
+    if isinstance(graph, CommChannel):
+        channel, graph = graph, graph.graph
+        if (channel.noise_sigma, channel.seed) != (config.noise_sigma, config.seed):
+            raise InvalidArgument(
+                f"channel has noise_sigma {channel.noise_sigma} and seed {channel.seed}, "
+                f"config has {config.noise_sigma} and {config.seed}"
+            )
+        channel.rewind()
+    elif config.noise_sigma > 0:
+        channel = CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
+    else:
+        channel = graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
-    channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
-               if config.noise_sigma > 0 else graph)
     trace = IterTrace()
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):

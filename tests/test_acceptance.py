@@ -42,7 +42,6 @@ from aggsim.stability import (
     error_matrix_hb,
     error_matrix_nes,
     jury_stable,
-    momentum_threshold_bound,
     optimal_params,
     optimal_rate_formula,
     quad_full_matrix,
@@ -51,6 +50,8 @@ from aggsim.stability import (
     region_member_hb,
     region_member_nes,
 )
+
+from test_stability import momentum_threshold_bound
 
 PLACEMENT_POSITIONS = np.array(
     [

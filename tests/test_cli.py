@@ -12,7 +12,7 @@ import aggsim.stability as stability
 from aggsim.cli import main, measured_tail_rate
 from aggsim.config import ExperimentConfig, serialize_config
 from aggsim.presets import get_preset
-from aggsim.solver import TRACE_COLUMNS
+from aggsim.solver import TRACE_COLUMNS, csv_text
 from aggsim.stability import StabilityConstants
 
 from test_stability import reference_region_csv
@@ -309,7 +309,7 @@ def test_sweep_empty_values_header_only(tmp_path):
     )
     assert code == 0
     header, rows = read_csv(out / "sweep.csv")
-    assert header == ["momentum", "iterations", "converged"]
+    assert header == ["momentum", "iterations", "converged", "stop_reason"]
     assert rows == []
     out = tmp_path / "t"
     code = run_cli(
@@ -334,6 +334,21 @@ def test_sweep_zero_momentum_matches_plain_run(tmp_path):
             "--out", str(out / "plain"))
     plain = json.loads((out / "plain" / "summary.json").read_text())
     assert int(rows[0][1]) == plain["iterations"]
+
+
+def test_sweep_names_each_stop_reason(tmp_path):
+    # 0.0 converges, 0.9 runs out of its 300 ticks and 50 overflows at 183
+    out = tmp_path / "o"
+    assert run_cli(
+        "sweep", "--preset", "quadratic-demo", "--set", "solver.algorithm = dagt_hb",
+        "--set", "sweep.values = 0.0,0.9,50", "--set", "solver.max_iter = 300",
+        "--out", str(out),
+    ) == 0
+    expected = [["0.0", "135", "True", "tolerance"], ["0.9", "300", "False", "budget"],
+                ["50.0", "183", "False", "divergence"]]
+    assert read_csv(out / "sweep.csv")[1] == expected
+    rows = json.loads((out / "summary.json").read_text())["rows"]
+    assert [r["stop_reason"] for r in rows] == ["tolerance", "budget", "divergence"]
 
 
 def test_sweep_cournot_unimodal_iterations(tmp_path):
@@ -393,6 +408,37 @@ def test_robustness_quadratic(tmp_path):
         assert (out / f"robustness_noise_{alg}.csv").exists()
 
 
+def test_robustness_draws_each_noise_round_once(tmp_path, monkeypatch):
+    # the three noisy runs share one channel, so a command draws its
+    # noise_max_iter rounds once, not once per algorithm; a second command
+    # builds its own channels and draws them afresh
+    draws = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def normal(self, *args, **kwargs):
+            draws.append(kwargs["size"])
+            return self._rng.normal(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: CountingGenerator(default_rng(*a, **k)))
+    sets = ["--set", "robustness.noise_max_iter = 50"]
+    texts = []
+    for name in ("a", "b"):
+        draws.clear()
+        assert run_cli("robustness", "--preset", "quadratic-demo", *sets,
+                       "--out", str(tmp_path / name)) == 0
+        assert draws == [(2, 8, 8, 1)] * 50
+        texts.append(sorted((p.name, p.read_text()) for p in (tmp_path / name).iterdir()))
+    assert texts[0] == texts[1]
+
+
 def test_bounds_command(tmp_path):
     out = tmp_path / "o"
     assert run_cli("bounds", "--preset", "placement-paper", "--out", str(out)) == 0
@@ -444,6 +490,37 @@ def test_region_csv_matches_per_point_reference(tmp_path, capsys, preset, algori
                                         np.linspace(m_lo, m_hi, 30))
     members = json.loads(capsys.readouterr().out)["members"]
     assert 0 < members == text.count(",True,")
+
+
+@pytest.mark.parametrize("algorithm", ["dagt_hb", "dagt_nes"])
+@pytest.mark.parametrize("steps", [0, 1, 100])
+def test_region_csv_matches_csv_text(algorithm, steps):
+    # the region text formats each axis value once; csv_text of the
+    # (alpha, momentum, member, radius) rows is the same text
+    a_lo, a_hi, m_lo, m_hi = COURNOT_REGION_RANGES[algorithm]
+    cfg = ExperimentConfig({
+        **get_preset("cournot-paper"), "region.algorithm": algorithm,
+        "region.alpha_min": a_lo, "region.alpha_max": a_hi, "region.alpha_steps": steps,
+        "region.momentum_min": m_lo, "region.momentum_max": m_hi, "region.momentum_steps": steps,
+    })
+    summary, files, code = cli.cmd_region(cfg)
+    c = cli._constants(cfg)
+    matrix_fn, member_fn = ((stability.error_matrix_hb, stability.region_member_hb)
+                            if algorithm == "dagt_hb"
+                            else (stability.error_matrix_nes, stability.region_member_nes))
+    A, M = np.meshgrid(np.linspace(a_lo, a_hi, steps), np.linspace(m_lo, m_hi, steps),
+                       indexing="ij")
+    mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+    columns = [v.ravel().tolist() for v in (A, M, member_fn(c, A, M, matrix=mat),
+                                           mat.spectral_radius())]
+    rows = list(zip(*columns))
+    expected = csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)
+    # lines, not one string: pytest diffs a failed 10,000-line string slowly
+    assert files["region.csv"].split("\n") == expected.split("\n")
+    assert (summary["points"], summary["members"]) == (steps**2, sum(r[2] for r in rows))
+    assert code == 0
+    if steps == 100:
+        assert 0 < summary["members"] < steps**2
 
 
 def test_rates_command_quadratic_only(tmp_path):

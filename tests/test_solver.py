@@ -38,6 +38,28 @@ def consensus_state(problem):
 # one momentum-family step replaced, kept to check it bit for bit
 # ---------------------------------------------------------------------------
 
+class ReferenceChannel:
+    """The noisy channel as it was before it recorded its rounds: each mix
+    draws one Gaussian array per tracker, u's first, and reduces each with
+    its own einsum."""
+
+    def __init__(self, graph, noise_sigma, seed):
+        self.graph = graph
+        self.off_weights = graph.weights.copy()
+        np.fill_diagonal(self.off_weights, 0.0)
+        self.noise_sigma = noise_sigma
+        self._rng = np.random.default_rng(seed)
+
+    def _received_noise(self, shape):
+        n, d = shape
+        eta = self._rng.normal(0.0, self.noise_sigma, size=(n, n, d))
+        return np.einsum("ij,ijd->id", self.off_weights, eta)
+
+    def mix(self, u, s):
+        mix_u, mix_s = self.graph.weights @ u, self.graph.weights @ s
+        return mix_u + self._received_noise(u.shape), mix_s + self._received_noise(s.shape)
+
+
 def _reference_mix(graph, state, channel):
     if channel is not None:
         return channel.mix(state.u, state.s)
@@ -124,7 +146,7 @@ def reference_hold(trace, ticks):
 
 def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
-    channel = (CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
+    channel = (ReferenceChannel(graph, config.noise_sigma, config.seed)
                if config.noise_sigma > 0 else None)
     trace = IterTrace()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,25 +174,29 @@ TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_t
                 "u_mean_err", "s_mean_err")
 
 
-def assert_runs_equal(run_args, run_kwargs):
+def assert_runs_equal(run_args, run_kwargs, channel=None):
     """run and reference_run end alike, bit for bit: the same trace and
-    final state, or a divergence at the same tick."""
+    final state, or a divergence at the same tick. With a channel, run
+    takes it in place of the graph. Returns the reference's trace or
+    divergence tick."""
+    ours_args = run_args if channel is None else (run_args[0], channel, *run_args[2:])
     outcomes = []
-    for fn in (run, reference_run):
+    for fn, args in ((run, ours_args), (reference_run, run_args)):
         try:
-            outcomes.append(fn(*run_args, **run_kwargs))
+            outcomes.append(fn(*args, **run_kwargs))
         except DivergenceDetected as exc:
             outcomes.append(exc.iteration)
     ours, ref = outcomes
     if not isinstance(ref, IterTrace):
         assert ours == ref
-        return
+        return ref
     assert isinstance(ours, IterTrace)
     for name in TRACE_FIELDS:
         a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(ref, name))
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert ours.converged == ref.converged
     assert_states_equal(ours.final_state, ref.final_state)
+    return ref
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +308,11 @@ def test_step_matches_reference_steps(problem, noise_sigma):
     for cfg in (SolverConfig("dagt", alpha=0.01), SolverConfig("dagt_hb", alpha=0.01, beta=0.3),
                 SolverConfig("dagt_nes", alpha=0.01, gamma=0.3)):
         st = ref = init_state(problem, g, x0, x_minus1=x0[::-1])
-        channels = [CommChannel(g, noise_sigma=noise_sigma, seed=3) if noise_sigma else None
-                    for _ in range(2)]
+        channel = CommChannel(g, noise_sigma=noise_sigma, seed=3) if noise_sigma else g
+        ref_channel = ReferenceChannel(g, noise_sigma, seed=3) if noise_sigma else None
         for _ in range(30):
-            st = step(st, problem, channels[0] or g, cfg)
-            ref = reference_step(ref, problem, g, cfg, channels[1])
+            st = step(st, problem, channel, cfg)
+            ref = reference_step(ref, problem, g, cfg, ref_channel)
             assert_states_equal(st, ref)
 
 
@@ -712,6 +738,60 @@ def test_comm_channel_noise():
     assert ch.noise_sigma == 0.5
     with pytest.raises(InvalidArgument):
         CommChannel(g, noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_channel_rounds_match_two_draw_reference(d):
+    # one (2, N, N, d) draw and one einsum per round give the floats of a
+    # draw and an einsum per tracker; a rewound channel replays them
+    g = build_topology("random", 7, edge_prob=0.6, seed=1)
+    rng = np.random.default_rng(0)
+    trackers = [rng.standard_normal((2, 7, d)) for _ in range(6)]
+    channel = CommChannel(g, noise_sigma=0.1, seed=4)
+    for rewound in (False, True, True):
+        ref = ReferenceChannel(g, 0.1, seed=4)
+        for u, s in trackers[:4] if rewound else trackers:
+            for ours, theirs in zip(channel.mix(u, s), ref.mix(u, s)):
+                assert ours.tobytes() == theirs.tobytes()
+        channel.rewind()
+    assert len(channel._rounds) == 6
+    # a recorded round never reaches trackers of another shape
+    with pytest.raises(InvalidArgument):
+        channel.mix(np.zeros((7, d + 1)), np.zeros((7, d + 1)))
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_runs_sharing_a_channel_match_fresh_channels(family, delay):
+    # a diverging run draws its rounds first; a shorter run replays part
+    # of them, and a longer one replays them all and draws past the end
+    alg, beta, gamma = family
+    p, g, cfg, x0 = delay_case(delay, noise_sigma=1e-2)
+    cfg = replace(cfg, algorithm=alg, beta=beta, gamma=gamma)
+    channel = CommChannel(g, noise_sigma=cfg.noise_sigma, seed=cfg.seed)
+    oracle = solve(p)
+
+    def shared(config):
+        outcome = assert_runs_equal((p, g, config, x0), {"oracle_solution": oracle},
+                                    channel=channel)
+        return outcome, len(channel._rounds)
+
+    tick, drawn = shared(replace(cfg, alpha=10.0, max_iter=10_000))
+    assert isinstance(tick, int) and drawn >= 40
+    trace, rounds = shared(replace(cfg, max_iter=40))
+    assert isinstance(trace, IterTrace) and rounds == drawn
+    # rounds arrive at ticks 1, delay + 2, ...: this budget is 40 rounds more
+    trace, rounds = shared(replace(cfg, max_iter=(drawn + 40) * (delay + 1)))
+    assert isinstance(trace, IterTrace) and rounds == drawn + 40
+
+
+def test_run_rejects_a_channel_of_another_sigma_or_seed():
+    p, g, cfg, x0 = delay_case(noise_sigma=1e-2)
+    for noise_sigma, seed in ((1e-3, cfg.seed), (cfg.noise_sigma, cfg.seed + 1), (0.0, cfg.seed)):
+        with pytest.raises(InvalidArgument):
+            run(p, CommChannel(g, noise_sigma=noise_sigma, seed=seed), cfg, x0)
+    with pytest.raises(InvalidArgument):
+        run(p, CommChannel(g, noise_sigma=1e-2, seed=cfg.seed), replace(cfg, noise_sigma=0.0), x0)
 
 
 def test_noise_only_on_received_entries():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,14 +18,12 @@ from aggsim.stability import (
     attained_optimal_radius,
     char_poly,
     char_poly_4x4,
-    compare_char_coeffs,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,
     error_matrix_nes,
     error_matrix_nes_relaxed,
     jury_stable,
-    momentum_threshold_bound,
     optimal_params,
     optimal_rate_formula,
     quad_full_matrix,
@@ -293,6 +292,133 @@ def test_char_poly_roots_match_eigenvalues():
         roots = np.roots(coeffs[::-1])
         eigs = np.linalg.eigvals(m)
         assert np.allclose(np.sort_complex(roots), np.sort_complex(eigs), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# transcribed closed forms: the published characteristic coefficients and
+# momentum threshold bound, kept executable as records of where the paper's
+# printed forms deviate from the matrices
+# ---------------------------------------------------------------------------
+
+def char_coeffs_hb_closed_form(mu, L1, L2, L3, rho, alpha, beta):
+    """Closed-form (a0, a1, a2, a3) for the heavy-ball matrix, transcribed
+    from the published display. Known to deviate from the numeric
+    polynomial (the cubic coefficient mixes up rho and alpha); kept only
+    so compare_char_coeffs can report the discrepancy.
+    """
+    a, b = alpha, beta
+    d1 = 1 - mu * a - a * L1 * (1 + L3)
+    d2 = L3 * (1 + L3) * (L2 - L3)
+    d3 = -2 * a * L2 + rho * (1 + L3)
+    a0 = b * d1 * rho * (rho + 2 * a * d2)
+    a1 = (
+        b * (-d1 * rho + (d1 + rho) * (-rho + 2 * a * d2))
+        + (mu * a - 1) * rho * (rho + a * d2)
+        - a * L3 * d1 * (a * L1 * (rho + a * L3 * d2) + a * L3 * d3)
+    )
+    a2 = (
+        b * (d1 + 2 * rho + a * d2)
+        + (1 - mu * a) * (2 * rho + a * d2)
+        + rho * (rho + a * d2)
+        + a * L3 * d1 * (L1 + L3 * (1 + L3))
+        + L3 * (a * L1 * (rho + a * d2) + a * L3 * d3)
+    )
+    a3 = -b + (mu - 2) * a - 1 - a * L3 * (L2 * (1 + L3) + L1)
+    return np.array([a0, a1, a2, a3])
+
+
+def char_coeffs_nes_closed_form(mu, L1, L2, L3, rho, alpha, gamma):
+    """Closed-form (a0, a1, a2, a3) for the Nesterov matrix, transcribed
+    from the published display; cross-check only (see compare_char_coeffs).
+    """
+    a, g = alpha, gamma
+    e1 = a * (mu + L1 * (1 + L3))
+    e2 = a * L2 * (rho * (1 + L3) - 2 * L3)
+    e3 = g * (1 + a * L1 + a * L1 * L3)
+    e4 = a * L2 * L3 * (1 + L3)
+    a0 = (e1 - 1) * (a * L3 * (rho * a * L1 - e2) + rho**2 * e3) + rho**2 * a * g * e1 * L1 * (1 + L3)
+    a1 = (
+        (e1 - 1) * (L3 * e2 * (1 + g) - e4 * g + rho * (2 * e3 + rho - a * L3**2))
+        + g * L3 * (e2 + a * L3 * (e1 + rho * e1 - 1 - 2 * rho))
+        - rho**2 * e3
+        - a * L1 * (1 + L3) * rho * (2 * g * e1 + rho)
+    )
+    a2 = (
+        (1 + g) * L3 * e2
+        + (e1 - 1) * ((1 + g) * e4 + 2 * rho + e3)
+        + a * L1 * ((1 + L3) * (2 * rho + g * e1) + L3 * g + L3 * (1 + g) * (e1 - 1 - rho))
+        - g * e4
+        + rho * (2 * e3 + rho)
+    )
+    a3 = e1 - e2 - 1 - 2 * rho - (1 + g) * e4 - a * L1 * (L3 * (2 + g) + 1)
+    return np.array([a0, a1, a2, a3])
+
+
+@dataclass(frozen=True)
+class CoeffComparison:
+    numeric: np.ndarray
+    closed_form: np.ndarray
+    deltas: np.ndarray
+    max_abs_delta: float
+
+
+def compare_char_coeffs(algorithm, mu, L1, L2, L3, rho, alpha, momentum):
+    """Numeric vs transcribed characteristic coefficients; the numeric side
+    is authoritative, deviations are reported rather than resolved."""
+    if algorithm in ("dagt", "dagt_hb"):
+        numeric = char_poly_4x4(error_matrix_hb(mu, L1, L2, L3, rho, alpha, momentum))
+        closed = char_coeffs_hb_closed_form(mu, L1, L2, L3, rho, alpha, momentum)
+    elif algorithm == "dagt_nes":
+        numeric = char_poly_4x4(error_matrix_nes(mu, L1, L2, L3, rho, alpha, momentum))
+        closed = char_coeffs_nes_closed_form(mu, L1, L2, L3, rho, alpha, momentum)
+    else:
+        raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    deltas = numeric - closed
+    return CoeffComparison(
+        numeric=numeric, closed_form=closed, deltas=deltas,
+        max_abs_delta=float(np.abs(deltas).max()),
+    )
+
+
+
+
+def momentum_threshold_bound(algorithm, mu, L1, alpha, momentum):
+    """Quoted radius bound for momentum above its coalescence threshold.
+
+    Both forms are kept verbatim for reference; neither is a valid bound
+    on the whole region it states.
+
+    dagt_hb: requires beta >= (1 - sqrt(alpha L1))^2 and returns beta
+    itself. The heavy-ball reduced radius never falls below sqrt(beta)
+    (the root product of every 2x2 block is beta), so the returned value
+    understates the attainable radius whenever 0 < beta < 1. The
+    precondition is also off: for alpha <= 1/L1 the binding end is mu,
+    and Polyak's threshold is beta >= (1 - sqrt(alpha mu))^2, on which
+    the radius equals sqrt(beta). Below it the radius exceeds sqrt(beta).
+
+    dagt_nes: requires 1/L1 <= alpha <= 1/mu and
+    gamma >= (1 - sqrt(alpha mu))/(1 + sqrt(alpha mu)) and returns
+    sqrt((1 - alpha mu) gamma), the modulus of the mu-end block, which is
+    tight at the tuned parameters. For alpha > 1/L1 the L1-end block has
+    a negative real root of magnitude
+    r_L = ((1+gamma) t + sqrt((1+gamma)^2 t^2 + 4 gamma t))/2,
+    t = alpha L1 - 1, and the radius is the larger of the two. The form
+    therefore fails wherever r_L exceeds it, which covers most of the
+    stated box; it holds at alpha = 1/L1, where r_L = 0.
+    """
+    slack = 1e-12  # tuned parameters sit exactly on the threshold
+    if algorithm == "dagt_hb":
+        if momentum < (1.0 - math.sqrt(alpha * L1)) ** 2 - slack:
+            raise OutOfValidityRegion("requires beta >= (1 - sqrt(alpha L1))^2")
+        return float(momentum)
+    if algorithm == "dagt_nes":
+        if not (1.0 / L1 - slack <= alpha <= 1.0 / mu + slack):
+            raise OutOfValidityRegion("requires 1/L1 <= alpha <= 1/mu")
+        thr = (1.0 - math.sqrt(alpha * mu)) / (1.0 + math.sqrt(alpha * mu))
+        if momentum < thr - slack:
+            raise OutOfValidityRegion("requires gamma >= (1-sqrt(alpha mu))/(1+sqrt(alpha mu))")
+        return math.sqrt((1.0 - alpha * mu) * momentum)
+    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 
 def test_closed_form_coeffs_reported_not_trusted():
