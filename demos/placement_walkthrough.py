@@ -36,9 +36,9 @@ print()
 # the stability region reported by the bounds machinery
 configs = {
     "plain tracking (dagt)": SolverConfig("dagt", alpha=0.005, max_iter=20000, tol=1e-9),
-    "heavy ball  (dagt_hb)": SolverConfig("dagt_hb", alpha=0.005, beta=0.009,
+    "heavy ball  (dagt_hb)": SolverConfig("dagt_hb", alpha=0.005, momentum=0.009,
                                           max_iter=20000, tol=1e-9),
-    "nesterov   (dagt_nes)": SolverConfig("dagt_nes", alpha=0.005, gamma=0.008,
+    "nesterov   (dagt_nes)": SolverConfig("dagt_nes", alpha=0.005, momentum=0.008,
                                           max_iter=20000, tol=1e-9),
 }
 

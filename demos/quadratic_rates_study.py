@@ -36,15 +36,11 @@ print(f"{'variant':<10} {'alpha':>8} {'momentum':>9} {'radius':>8} {'target':>8}
       f"{'predicted':>10} {'measured':>9}")
 for alg in ("dagt", "dagt_hb", "dagt_nes"):
     alpha, momentum = optimal_params(alg, MU, L1)
-    report = quadratic_rates(problem, graph, alpha, momentum or 0.0, alg)
-    kw = {}
-    if alg == "dagt_hb":
-        kw["beta"] = momentum
-    elif alg == "dagt_nes":
-        kw["gamma"] = momentum
-    cfg = SolverConfig(alg, alpha=alpha, max_iter=3000, tol=1e-12, **kw)
+    momentum = momentum or 0.0  # dagt has none
+    report = quadratic_rates(problem, graph, alpha, momentum, alg)
+    cfg = SolverConfig(alg, alpha=alpha, momentum=momentum, max_iter=3000, tol=1e-12)
     trace = run(problem, graph, cfg, np.linspace(1, 2, N), oracle_solution=oracle)
-    print(f"{alg:<10} {alpha:>8.4f} {0.0 if momentum is None else momentum:>9.4f} "
+    print(f"{alg:<10} {alpha:>8.4f} {momentum:>9.4f} "
           f"{report.reduced_radius:>8.4f} {optimal_rate_formula(alg, MU, L1):>8.4f} "
           f"{report.predicted_rate:>10.4f} {measured_tail_rate(trace):>9.4f}")
 

@@ -8,9 +8,11 @@ the limit exact; noise leaves a stochastic floor.
 Run with: python demos/robustness_study.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from aggsim import SolverConfig, build_topology, make_cournot, run, solve
+from aggsim import CommChannel, SolverConfig, build_topology, make_cournot, run, solve
 
 # a 12-generator power market; each generator's cost depends on the total
 # output through the market price
@@ -29,23 +31,21 @@ print()
 
 print("--- synchronous two-step delay -------------------------------------")
 print(f"{'variant':<10} {'clean ticks':>12} {'delayed ticks':>14} {'final grad':>12}")
-for alg, kw in (("dagt", {}), ("dagt_hb", {"beta": 0.006}), ("dagt_nes", {"gamma": 0.005})):
-    clean = run(problem, graph,
-                SolverConfig(alg, alpha=0.003, max_iter=100000, tol=1e-6, **kw),
-                x0, oracle_solution=oracle)
-    delayed = run(problem, graph,
-                  SolverConfig(alg, alpha=0.003, max_iter=100000, tol=1e-6, delay_steps=2, **kw),
-                  x0, oracle_solution=oracle)
+for alg, momentum in (("dagt", 0.0), ("dagt_hb", 0.006), ("dagt_nes", 0.005)):
+    cfg = SolverConfig(alg, alpha=0.003, momentum=momentum, max_iter=100000, tol=1e-6)
+    clean = run(problem, graph, cfg, x0, oracle_solution=oracle)
+    delayed = run(problem, graph, replace(cfg, delay_steps=2), x0, oracle_solution=oracle)
     print(f"{alg:<10} {clean.k[-1]:>12} {delayed.k[-1]:>14} {delayed.grad_norm[-1]:>12.2e}")
 print("delay stretches every round but the limit point is unchanged.")
 print()
 
 print("--- white noise on received tracker entries -------------------------")
 print(f"{'sigma':>8} {'floor (mean sq residual)':>26}")
+cfg = SolverConfig("dagt_hb", alpha=0.003, momentum=0.006, max_iter=6000, tol=0.0)
 for sigma in (1e-4, 1e-3, 1e-2):
-    cfg = SolverConfig("dagt_hb", alpha=0.003, beta=0.006, max_iter=6000, tol=0.0,
-                       noise_sigma=sigma, seed=5)
-    trace = run(problem, graph, cfg, x0, oracle_solution=oracle)
+    # the channel owns the noise: its level and the seed of its stream
+    channel = CommChannel(graph, noise_sigma=sigma, seed=5)
+    trace = run(problem, channel, cfg, x0, oracle_solution=oracle)
     res = np.asarray(trace.residual_msq)
     print(f"{sigma:>8.0e} {np.median(res[-600:]):>26.3e}")
 print("the residual no longer vanishes; its floor scales with the noise power.")

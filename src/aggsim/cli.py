@@ -25,7 +25,7 @@ from .exceptions import (
 from .graph import build_topology
 from .oracle import solve
 from .presets import get_preset, preset_names
-from .solver import ALGORITHMS, CommChannel, csv_text, run as run_solver
+from .solver import ALGORITHMS, NONNEGATIVE, CommChannel, csv_text, run as run_solver
 from .stability import (
     StabilityConstants,
     conservative_bounds_hb,
@@ -93,13 +93,16 @@ def _stop_reason(trace):
 
 
 class Experiment:
-    """The problem, graph, start point and oracle of one config, built
-    once; each run varies only the solver config (and maybe the graph).
+    """The problem, graph, start point, oracle and noise of one config,
+    built once; each run varies only the solver config (and maybe the
+    graph or the noise level).
 
-    Noisy runs on one graph with one noise_sigma and seed share a
-    CommChannel, so the command draws their noise stream once and every
-    run replays it. The channels, and the noise they record, live as long
-    as the experiment: one command.
+    The experiment is where noisy channels are built: solver.noise_sigma
+    and solver.seed are read here, once, and the seed is checked even when
+    the noise level is 0. Noisy runs on one graph with one noise_sigma
+    share a CommChannel, so the command draws their noise stream once and
+    every run replays it. The channels, and the noise they record, live as
+    long as the experiment: one command.
     """
 
     def __init__(self, cfg):
@@ -108,16 +111,23 @@ class Experiment:
         self.graph = cfg.build_graph()
         self.x0, self.x_prev = cfg.build_x0(self.problem)
         self.oracle = solve(self.problem)
+        self.noise_sigma = cfg.value("solver.noise_sigma", float, 0.0)
+        self.seed = cfg.seed("solver.seed", 0)
+        if self.noise_sigma < 0:
+            raise ConfigError(NONNEGATIVE, key="solver.*")
         self._channels = {}
 
-    def run(self, graph=None, **overrides):
+    def run(self, graph=None, noise_sigma=None, **overrides):
+        """One run at the config's solver settings, with overrides; graph
+        and noise_sigma default to the experiment's."""
         solver_cfg = self.cfg.build_solver_config(**overrides)
         graph = self.graph if graph is None else graph
-        if solver_cfg.noise_sigma > 0:
+        noise_sigma = self.noise_sigma if noise_sigma is None else noise_sigma
+        if noise_sigma != 0:
             # each channel holds its graph, so no other graph takes its id
-            key = (id(graph), solver_cfg.noise_sigma, solver_cfg.seed)
+            key = (id(graph), noise_sigma)
             if key not in self._channels:
-                self._channels[key] = CommChannel(graph, solver_cfg.noise_sigma, solver_cfg.seed)
+                self._channels[key] = CommChannel(graph, noise_sigma, self.seed)
             graph = self._channels[key]
         trace = run_solver(
             self.problem, graph, solver_cfg, self.x0,
@@ -145,7 +155,7 @@ def _run_summary(exp, solver_cfg, trace):
         "max_u_mean_err": max(trace.u_mean_err),
         "max_s_mean_err": max(trace.s_mean_err),
     }
-    if _has_exact_rates(problem) and solver_cfg.noise_sigma == 0:
+    if _has_exact_rates(problem) and exp.noise_sigma == 0:
         report = quadratic_rates(
             problem, graph, solver_cfg.alpha, solver_cfg.momentum, solver_cfg.algorithm
         )
@@ -179,8 +189,7 @@ def cmd_sweep(cfg):
     rows = []
     for v in (convert(float, v, "sweep.values") for v in values):
         try:
-            # the algorithm's config keeps the parameter it uses
-            trace = exp.run(beta=v, gamma=v)[1]
+            trace = exp.run(momentum=v)[1]
             rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
         except DivergenceDetected as exc:
             rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False,
@@ -210,6 +219,8 @@ def cmd_robustness(cfg):
     delay = cfg.value("robustness.delay_steps", int, 2)
     sigma = cfg.value("robustness.noise_sigma", float, 0.001)
     noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
+    if sigma < 0:
+        raise ConfigError("noise_sigma must be nonnegative", key="robustness.noise_sigma")
     exp = Experiment(cfg)
     files, summary = {}, {"delay": {}, "noise": {}, "delay_steps": delay, "noise_sigma": sigma}
     code = 0
@@ -327,7 +338,7 @@ def cmd_rates(cfg):
         alpha, momentum = optimal_params(alg, mu, L1)
         m = 0.0 if momentum is None else momentum
         report = quadratic_rates(exp.problem, exp.graph, alpha, m, alg)
-        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, beta=m, gamma=m)
+        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=m)
         predicted = _per_tick(report.predicted_rate, solver_cfg)
         measured = measured_tail_rate(trace)
         rel = abs(measured - predicted) / predicted

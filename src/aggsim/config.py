@@ -195,25 +195,22 @@ class ExperimentConfig:
 
     # -- solver ------------------------------------------------------------
     def build_solver_config(self, algorithm=None, **overrides):
+        """The SolverConfig of one run. Heavy ball takes its momentum from
+        solver.beta and Nesterov from solver.gamma; both keys are checked
+        for every algorithm."""
+        algorithm = algorithm or self.get("solver.algorithm", "dagt_hb")
         kw = dict(
-            algorithm=algorithm or self.get("solver.algorithm", "dagt_hb"),
+            algorithm=algorithm,
             alpha=self.value("solver.alpha", float),
-            beta=self.value("solver.beta", float, 0.0),
-            gamma=self.value("solver.gamma", float, 0.0),
+            momentum={"dagt_hb": self.value("solver.beta", float, 0.0),
+                      "dagt_nes": self.value("solver.gamma", float, 0.0)}.get(algorithm, 0.0),
             max_iter=self.value("solver.max_iter", int, 5000),
             tol=self.value("solver.tol", float, 1e-6),
             delay_steps=self.value("solver.delay_steps", int, 0),
-            noise_sigma=self.value("solver.noise_sigma", float, 0.0),
-            seed=self.seed("solver.seed", 0),
         )
         kw.update(overrides)
-        if kw["algorithm"] not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {kw['algorithm']!r}", key="solver.algorithm")
-        # each algorithm keeps only the momentum parameter it is configured by
-        if kw["algorithm"] != "dagt_hb":
-            kw["beta"] = 0.0
-        if kw["algorithm"] != "dagt_nes":
-            kw["gamma"] = 0.0
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algorithm!r}", key="solver.algorithm")
         try:
             return SolverConfig(**kw)
         except InvalidArgument as exc:

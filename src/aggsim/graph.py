@@ -22,14 +22,15 @@ TOPOLOGY_KINDS = ("ring", "star", "complete", "random")
 
 @dataclass(frozen=True)
 class CommGraph:
-    """Validated mixing matrix plus its cached contraction factor.
+    """Validated mixing matrix plus its agent count and cached contraction
+    factor, both derived from the weights.
 
     Immutable after construction; safe to share across threads.
     """
 
-    n_agents: int
     weights: np.ndarray
-    rho: float = field(default=None)
+    n_agents: int = field(init=False)
+    rho: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -40,8 +41,7 @@ class CommGraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "n_agents", w.shape[0])
-        if self.rho is None:
-            object.__setattr__(self, "rho", contraction_factor_of(w))
+        object.__setattr__(self, "rho", contraction_factor_of(w))
 
     def mix(self, u, s):
         """One noise-free mixing round of both trackers: (W u, W s)."""
@@ -130,7 +130,7 @@ def build_topology(kind, n_agents, edge_prob=None, seed=None):
     for _ in range(attempts):
         adj = _pattern(kind, n_agents, edge_prob, rng)
         if _is_connected(adj):
-            return CommGraph(n_agents=n_agents, weights=_metropolis(adj))
+            return CommGraph(_metropolis(adj))
     raise ConstructionFailed(
         f"no connected pattern after {RANDOM_RETRIES} retries "
         f"(n_agents={n_agents}, edge_prob={edge_prob})"

@@ -7,16 +7,18 @@ Every algorithm is one member of a single momentum family (Lessard, Recht
     x+  = x + beta (x - x_prev) - alpha g(y)
 
 after which the aggregate and gradient-sum trackers mix over the graph and
-absorb the local increments at y. The plain tracked method (dagt) is
-beta = gamma = 0, heavy ball (dagt_hb) is gamma = 0, and Nesterov
-(dagt_nes) is beta = gamma; `momentum_family` maps an algorithm onto its
-(beta, gamma). Zero momentum gives all three the same trajectory, bit for
-bit.
+absorb the local increments at y. Each method is set by one step size and
+one momentum m: the plain tracked method (dagt) is beta = gamma = 0,
+heavy ball (dagt_hb) is (m, 0) and Nesterov (dagt_nes) is (m, m);
+`momentum_family` maps an algorithm and its m onto (beta, gamma). Zero
+momentum gives all three the same trajectory, bit for bit.
 
-Mixing is one call, ``mix(u, s)``: a CommGraph mixes exactly and a
-CommChannel adds noise to received tracker entries. Under delay a round
-takes ``delay_steps + 1`` ticks of the run's clock, and agents hold their
-state until its messages arrive, so the tracker means stay conserved.
+A SolverConfig holds the iteration alone. Mixing is one call,
+``mix(u, s)``: a CommGraph mixes exactly, and a CommChannel, which owns
+the noise level and seed, adds noise to received tracker entries. Under
+delay a round takes ``delay_steps + 1`` ticks of the run's clock, and
+agents hold their state until its messages arrive, so the tracker means
+stay conserved.
 
 The state carries phi(y) and grad2 f(y, u), so each round evaluates both
 once, at the new point, as the methods do.
@@ -39,6 +41,10 @@ TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", 
 # faults per row), and costs more per row than a block of 64
 BLOCK = 64
 
+# the config error of a negative solver.max_iter, delay_steps or
+# noise_sigma; SolverConfig checks the first two, cli.Experiment the third
+NONNEGATIVE = "max_iter, delay_steps, noise_sigma must be nonnegative"
+
 
 def csv_text(header, rows):
     """CSV text of a table of Python scalars. str of a Python float is its
@@ -48,10 +54,10 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def momentum_family(algorithm, beta, gamma):
-    """The family's (beta, gamma) for an algorithm with configured beta and
-    gamma: heavy ball is gamma = 0 and Nesterov is beta = gamma."""
-    family = {"dagt": (0.0, 0.0), "dagt_hb": (beta, 0.0), "dagt_nes": (gamma, gamma)}
+def momentum_family(algorithm, momentum):
+    """The family's (beta, gamma) for an algorithm at momentum m: dagt is
+    (0, 0), heavy ball (m, 0) and Nesterov (m, m)."""
+    family = {"dagt": (0.0, 0.0), "dagt_hb": (momentum, 0.0), "dagt_nes": (momentum, momentum)}
     if algorithm not in family:
         raise InvalidArgument(f"unknown algorithm {algorithm!r}")
     return family[algorithm]
@@ -59,40 +65,33 @@ def momentum_family(algorithm, beta, gamma):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """One method's iteration: step size, momentum, stopping rule, delay."""
+
     algorithm: str
     alpha: float
-    beta: float = 0.0
-    gamma: float = 0.0
+    momentum: float = 0.0
     max_iter: int = 1000
     tol: float = 1e-6
     delay_steps: int = 0
-    noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidArgument(f"unknown algorithm {self.algorithm!r}")
-        for name in ("alpha", "beta", "gamma", "tol", "noise_sigma"):
+        for name in ("alpha", "momentum", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidArgument(f"{name} must be finite")
         if self.alpha <= 0:
             raise InvalidArgument("alpha must be positive")
-        if self.beta < 0 or self.gamma < 0:
+        if self.momentum < 0:
             raise InvalidArgument("momentum parameters must be nonnegative")
-        if self.algorithm == "dagt" and (self.beta != 0 or self.gamma != 0):
-            raise InvalidArgument("dagt requires beta = gamma = 0")
-        if self.max_iter < 0 or self.delay_steps < 0 or self.noise_sigma < 0:
-            raise InvalidArgument("max_iter, delay_steps, noise_sigma must be nonnegative")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be nonnegative")
+        if self.algorithm == "dagt" and self.momentum != 0:
+            raise InvalidArgument("dagt requires momentum = 0")
+        if self.max_iter < 0 or self.delay_steps < 0:
+            raise InvalidArgument(NONNEGATIVE)
 
     @property
     def family(self):
-        return momentum_family(self.algorithm, self.beta, self.gamma)
-
-    @property
-    def momentum(self):
-        return self.family[0]
+        return momentum_family(self.algorithm, self.momentum)
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,7 @@ class SolverState:
     x, x_prev, y: (N, local_dim), y the point the next gradient is taken
     at (x itself when gamma = 0); u, s: (N, agg_dim) trackers. phi_y and
     g2_y are phi(y) and grad2 f(y, u), carried so that `step` and the
-    trace need not evaluate them again; a state built without them (None)
-    gets them evaluated on demand.
+    trace need not evaluate them again.
     """
 
     x: np.ndarray
@@ -111,18 +109,12 @@ class SolverState:
     y: np.ndarray
     u: np.ndarray
     s: np.ndarray
+    phi_y: np.ndarray
+    g2_y: np.ndarray
     k: int = 0
-    phi_y: np.ndarray = None
-    g2_y: np.ndarray = None
 
     def finite(self):
         return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
-
-    def evaluations(self, problem):
-        """(phi(y), grad2 f(y, u)): the carried values, or fresh ones."""
-        phi_y = problem.phi_all(self.y) if self.phi_y is None else self.phi_y
-        g2_y = problem.grad2_all(self.y, self.u) if self.g2_y is None else self.g2_y
-        return phi_y, g2_y
 
 
 def _norm(v):
@@ -163,8 +155,12 @@ class CommChannel:
     """
 
     def __init__(self, graph, noise_sigma=0.0, seed=None):
+        if not np.isfinite(noise_sigma):
+            raise InvalidArgument("noise_sigma must be finite")
         if noise_sigma < 0:
             raise InvalidArgument("noise_sigma must be nonnegative")
+        if seed is not None and seed < 0:
+            raise InvalidArgument("seed must be nonnegative")
         self.graph = graph
         self.off_weights = graph.weights.copy()
         np.fill_diagonal(self.off_weights, 0.0)
@@ -232,7 +228,6 @@ def step(state, problem, channel, config):
     """
     beta, gamma = config.family
     x, y, u, s = state.x, state.y, state.u, state.s
-    phi_y, g2_y = state.evaluations(problem)
     g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
     x_new = y - config.alpha * g
     if beta != gamma:
@@ -240,9 +235,9 @@ def step(state, problem, channel, config):
     y_new = x_new + gamma * (x_new - x) if gamma != 0.0 else x_new
     mix_u, mix_s = channel.mix(u, s)
     phi_new = problem.phi_all(y_new)
-    u_new = mix_u + phi_new - phi_y
+    u_new = mix_u + phi_new - state.phi_y
     g2_new = problem.grad2_all(y_new, u_new)
-    s_new = mix_s + g2_new - g2_y
+    s_new = mix_s + g2_new - state.g2_y
     return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1,
                        phi_y=phi_new, g2_y=g2_new)
 
@@ -310,9 +305,8 @@ class IterTrace:
         finite = np.isfinite(np.concatenate(checked, axis=1)).all(axis=1)
         if not finite.all():
             raise DivergenceDetected(states[int(finite.argmin())].k)
-        evaluations = [st.evaluations(problem) for st in states]
-        phi = _stack([e[0] for e in evaluations])
-        g2 = _stack([e[1] for e in evaluations])
+        phi = _stack([st.phi_y for st in states])
+        g2 = _stack([st.g2_y for st in states])
         n_agents = problem.n_agents
         if oracle_solution is not None:
             dx = X - np.asarray(oracle_solution.x_star, dtype=float)
@@ -348,14 +342,13 @@ class IterTrace:
                                            self.grad_norm, self.u_track_err, self.s_track_err))
 
 
-def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
+def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
     """Iterate until the central gradient-norm monitor passes tol or the
     tick budget max_iter runs out; returns the full per-tick trace.
 
-    graph is a CommGraph or a CommChannel. A channel is rewound, so runs
-    that share it replay one noise stream, and its noise_sigma and seed
-    must be the config's; on a bare graph a noisy config draws from a
-    fresh channel.
+    channel is a CommGraph, which mixes exactly, or a CommChannel, which
+    adds its noise. A channel is rewound, so runs that share it replay one
+    noise stream.
 
     The first round fires at tick 0; each later state is recorded once, at
     its arrival tick, and its row repeats on the delay_steps hold ticks
@@ -366,18 +359,10 @@ def run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
     states (see IterTrace.flush). Rounds stepped after a divergence but
     before its block is flushed are NaN work whose trace is thrown away.
     """
-    if isinstance(graph, CommChannel):
-        channel, graph = graph, graph.graph
-        if (channel.noise_sigma, channel.seed) != (config.noise_sigma, config.seed):
-            raise InvalidArgument(
-                f"channel has noise_sigma {channel.noise_sigma} and seed {channel.seed}, "
-                f"config has {config.noise_sigma} and {config.seed}"
-            )
+    graph = channel
+    if isinstance(channel, CommChannel):
         channel.rewind()
-    elif config.noise_sigma > 0:
-        channel = CommChannel(graph, noise_sigma=config.noise_sigma, seed=config.seed)
-    else:
-        channel = graph
+        graph = channel.graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     trace = IterTrace()
     # divergence surfaces as NaN/Inf checks, not as float warnings

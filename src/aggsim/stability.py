@@ -147,15 +147,11 @@ def _stacked(rows):
 
 
 # on the builders below, an overflowing entry is reported once, by the
-# ErrorSystemMatrix check, not by numpy warnings
+# ErrorSystemMatrix check, not by numpy warnings. Each takes L3 as
+# np.float64, whose squares overflow to inf where a Python float's raise
+# OverflowError; both powers call the same libm pow, so every finite value
+# is unchanged
 _QUIET_OVERFLOW = dict(over="ignore", invalid="ignore")
-
-
-def _numpy_float(L3):
-    """L3 as a numpy float, whose squares overflow to inf where a Python
-    float's raise OverflowError; both powers call the same libm pow, so
-    every finite value is unchanged."""
-    return np.float64(L3)
 
 
 @np.errstate(**_QUIET_OVERFLOW)
@@ -168,7 +164,7 @@ def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
     broadcast: numpy arrays give a (..., 4, 4) stack, one matrix per point.
     A non-finite entry raises InvalidArgument.
     """
-    a, b, L3 = alpha, beta, _numpy_float(L3)
+    a, b, L3 = alpha, beta, np.float64(L3)
     return _stacked([
         [1 - mu * a, b, a * L1, a * L3],
         [a * L1 * (1 + L3), b, a * L1, a * L3],
@@ -186,7 +182,7 @@ def error_matrix_hb(mu, L1, L2, L3, rho, alpha, beta):
 def error_matrix_nes(mu, L1, L2, L3, rho, alpha, gamma):
     """4x4 one-step bound matrix of the Nesterov error recursion; alpha
     and gamma broadcast as in error_matrix_hb."""
-    a, g, L3 = alpha, gamma, _numpy_float(L3)
+    a, g, L3 = alpha, gamma, np.float64(L3)
     drag = (1 + g) * (1 + a * L1 + a * L1 * L3) + 1
     return _stacked([
         [1 - mu * a, (1 - mu * a) * g, a * L1, a * L3],
@@ -217,7 +213,7 @@ def error_matrix_nes_relaxed(mu, L1, L2, L3, rho, alpha, gamma):
     gamma*(1+L3) <= 1 and gamma + alpha*L1*(1+L3)*(1+gamma) <= L3 + (L3+1)/L2
     (see the module tests for counterexamples outside).
     """
-    a, g, L3 = alpha, gamma, _numpy_float(L3)
+    a, g, L3 = alpha, gamma, np.float64(L3)
     if np.any(a * L1 > 1 + 1e-15):
         raise OutOfValidityRegion("relaxed matrix requires alpha <= 1/L1")
     if (L2 > 0 and np.any(g * L2 > 1 + 1e-15)) or (L3 > 0 and np.any(g * L3 > 1 + 1e-15)):
@@ -431,7 +427,7 @@ def quad_reduced_radius(c, alpha, momentum, algorithm):
     z^2 - (1 + beta - alpha c_i (1 + gamma)) z + (beta - alpha c_i gamma)
     at the algorithm's family (beta, gamma).
     """
-    beta, gamma = momentum_family(algorithm, momentum, momentum)
+    beta, gamma = momentum_family(algorithm, momentum)
     return float(max(
         _companion2_radius(1.0 + beta - alpha * ci * (1.0 + gamma), beta - alpha * ci * gamma)
         for ci in np.asarray(c, dtype=float)
@@ -444,7 +440,7 @@ def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
     displayed block factors. Its aggregate row follows from
     y_{k+1} - y_k = (1 + gamma) x_{k+1} - (1 + 2 gamma) x_k + gamma x_{k-1}.
     """
-    beta, gamma = momentum_family(algorithm, momentum, momentum)
+    beta, gamma = momentum_family(algorithm, momentum)
     c = np.asarray(qp.c, dtype=float)
     h = np.asarray(qp.h, dtype=float)
     n = c.size

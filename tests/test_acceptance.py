@@ -33,7 +33,7 @@ from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset, preset_names
 from aggsim.problems import make_quadratic
-from aggsim.solver import ALGORITHMS, SolverConfig, SolverState, run, step
+from aggsim.solver import ALGORITHMS, CommChannel, SolverConfig, SolverState, run, step
 from aggsim.stability import (
     StabilityConstants,
     attained_optimal_radius,
@@ -121,7 +121,7 @@ def test_criterion_03_zero_momentum_equivalence():
             sol = solve(problem)
             csvs = []
             for alg in ALGORITHMS:
-                scfg = preset_solver_cfg(cfg, alg, beta=0.0, gamma=0.0)
+                scfg = preset_solver_cfg(cfg, alg, momentum=0.0)
                 trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
                 csvs.append(trace.to_csv())
             assert csvs[0] == csvs[1] == csvs[2], name
@@ -141,7 +141,8 @@ def test_criterion_04_fixed_point_stationarity():
             ).copy()
             for alg in ALGORITHMS:
                 scfg = preset_solver_cfg(cfg, alg)
-                st = SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u.copy(), s=s.copy())
+                st = SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u.copy(), s=s.copy(),
+                                 phi_y=problem.phi_all(x), g2_y=problem.grad2_all(x, u))
                 total = 0.0
                 for _ in range(1000):
                     nxt = step(st, problem, graph, scfg)
@@ -256,12 +257,7 @@ def test_criterion_08_measured_vs_predicted_rate():
         for alg in ALGORITHMS:
             alpha, momentum = optimal_params(alg, mu, L1)
             report = quadratic_rates(problem, graph, alpha, momentum or 0.0, alg)
-            overrides = {"alpha": alpha}
-            if alg == "dagt_hb":
-                overrides["beta"] = momentum
-            elif alg == "dagt_nes":
-                overrides["gamma"] = momentum
-            scfg = preset_solver_cfg(cfg, alg, **overrides)
+            scfg = preset_solver_cfg(cfg, alg, alpha=alpha, momentum=momentum or 0.0)
             trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
             measured = measured_tail_rate(trace)
             assert abs(measured - report.predicted_rate) / report.predicted_rate < 0.05, alg
@@ -362,12 +358,11 @@ def test_criterion_11_robustness():
         assert iters["dagt_hb"] < iters["dagt"]
         assert iters["dagt_nes"] < iters["dagt"]
 
+        channel = CommChannel(graph, noise_sigma=float(cfg.get("robustness.noise_sigma")),
+                              seed=cfg.seed("solver.seed", 0))
         for alg in ALGORITHMS:
-            scfg = preset_solver_cfg(
-                cfg, alg, noise_sigma=float(cfg.get("robustness.noise_sigma")),
-                max_iter=10000, tol=0.0,
-            )
-            trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+            scfg = preset_solver_cfg(cfg, alg, max_iter=10000, tol=0.0)
+            trace = run(problem, channel, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
             res = np.asarray(trace.residual_msq)
             assert np.isfinite(res).all(), alg
             assert np.median(res[-1000:]) < res[0], alg

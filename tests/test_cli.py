@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,22 @@ import aggsim.cli as cli
 import aggsim.stability as stability
 from aggsim.cli import main, measured_tail_rate
 from aggsim.config import ExperimentConfig, serialize_config
+from aggsim.graph import CommGraph
 from aggsim.presets import get_preset
-from aggsim.solver import TRACE_COLUMNS, csv_text
+from aggsim.solver import TRACE_COLUMNS, SolverConfig, csv_text
 from aggsim.stability import StabilityConstants
 
 from test_stability import reference_region_csv
+
+
+def assert_same_lines(text, expected):
+    """text == expected, reported as the two line counts or as the first
+    differing line and its two rows: pytest's diff of two long strings
+    can take minutes."""
+    ours, theirs = text.split("\n"), expected.split("\n")
+    assert len(ours) == len(theirs), f"{len(ours)} lines, expected {len(theirs)}"
+    first = next((i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b), None)
+    assert first is None, f"line {first}: {ours[first]!r}, expected {theirs[first]!r}"
 
 
 def read_csv(path):
@@ -190,6 +202,47 @@ OVERFLOW_CAUSES = {
     "region.alpha_max=1e308": "step size or momentum too large",
     "solver.alpha=1e308": "step size or momentum too large",
 }
+
+
+# the config boundary of the run parameters: each case is rejected with
+# exit 2 and this exact stderr line, and writes nothing
+@pytest.mark.parametrize("command,preset,overrides,message", [
+    pytest.param("run", "quadratic-demo", ["solver.seed=-1"],
+                 "seed must be nonnegative (key 'solver.seed')", id="seed-at-sigma-0"),
+    pytest.param("run", "quadratic-demo", ["solver.noise_sigma=-1"],
+                 "max_iter, delay_steps, noise_sigma must be nonnegative (key 'solver.*')",
+                 id="negative-sigma"),
+    pytest.param("run", "quadratic-demo", ["solver.noise_sigma=1e400"],
+                 "expected a finite float, got inf (key 'solver.noise_sigma')", id="infinite-sigma"),
+    # placement-paper runs heavy ball, which does not use solver.gamma
+    pytest.param("run", "placement-paper", ["solver.gamma=nanx"],
+                 "expected float, got 'nanx' (key 'solver.gamma')", id="unparsable-unused-gamma"),
+    pytest.param("run", "placement-paper", ["solver.beta=-1"],
+                 "momentum parameters must be nonnegative (key 'solver.*')", id="negative-beta"),
+    pytest.param("run", "placement-paper", ["solver.algorithm=dagt_nes", "solver.gamma=-1"],
+                 "momentum parameters must be nonnegative (key 'solver.*')", id="negative-gamma"),
+    pytest.param("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=-0.5"],
+                 "momentum parameters must be nonnegative (key 'solver.*')",
+                 id="negative-sweep-value"),
+    pytest.param("robustness", "quadratic-demo", ["robustness.noise_sigma=-1"],
+                 "noise_sigma must be nonnegative (key 'robustness.noise_sigma')",
+                 id="negative-robustness-sigma"),
+])
+def test_run_parameter_errors_name_their_key(tmp_path, capsys, command, preset, overrides,
+                                             message):
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    out = tmp_path / "o"
+    assert run_cli(command, "--preset", preset, *sets, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_parameters_have_one_owner():
+    # the solver config holds the iteration alone, the channel the noise,
+    # and a graph is built from its weights alone
+    assert [f.name for f in fields(SolverConfig)] == [
+        "algorithm", "alpha", "momentum", "max_iter", "tol", "delay_steps"]
+    assert [f.name for f in fields(CommGraph) if f.init] == ["weights"]
 
 
 def test_unseeded_random_topology_exit_2(tmp_path, capsys):
@@ -486,8 +539,8 @@ def test_region_csv_matches_per_point_reference(tmp_path, capsys, preset, algori
     out = tmp_path / "o"
     assert run_cli("region", "--preset", preset, *args, "--out", str(out)) == 0
     text = (out / "region.csv").read_text()
-    assert text == reference_region_csv(c, algorithm, np.linspace(a_lo, a_hi, 30),
-                                        np.linspace(m_lo, m_hi, 30))
+    assert_same_lines(text, reference_region_csv(c, algorithm, np.linspace(a_lo, a_hi, 30),
+                                                 np.linspace(m_lo, m_hi, 30)))
     members = json.loads(capsys.readouterr().out)["members"]
     assert 0 < members == text.count(",True,")
 
@@ -515,8 +568,7 @@ def test_region_csv_matches_csv_text(algorithm, steps):
                                            mat.spectral_radius())]
     rows = list(zip(*columns))
     expected = csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)
-    # lines, not one string: pytest diffs a failed 10,000-line string slowly
-    assert files["region.csv"].split("\n") == expected.split("\n")
+    assert_same_lines(files["region.csv"], expected)
     assert (summary["points"], summary["members"]) == (steps**2, sum(r[2] for r in rows))
     assert code == 0
     if steps == 100:

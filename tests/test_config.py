@@ -99,7 +99,15 @@ def test_dagt_forces_zero_momentum():
     raw = get_preset("placement-paper")
     cfg = ExperimentConfig(raw)
     scfg = cfg.build_solver_config(algorithm="dagt")
-    assert scfg.beta == 0.0 and scfg.gamma == 0.0
+    assert scfg.momentum == 0.0 and scfg.family == (0.0, 0.0)
+
+
+def test_each_momentum_algorithm_takes_its_key():
+    # heavy ball is configured by solver.beta and Nesterov by solver.gamma
+    raw = get_preset("placement-paper")
+    cfg = ExperimentConfig(raw)
+    assert cfg.build_solver_config(algorithm="dagt_hb").family == (raw["solver.beta"], 0.0)
+    assert cfg.build_solver_config(algorithm="dagt_nes").family == (raw["solver.gamma"],) * 2
 
 
 def test_x0_size_mismatch():

@@ -1,8 +1,4 @@
-"""The demos call the public API as a user would: each must run to the end.
-
-`robustness_study.py` is left out because it takes about 15 s, against
-well under a second for each demo run here.
-"""
+"""The demos call the public API as a user would: each must run to the end."""
 
 import os
 import subprocess
@@ -17,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "placement_walkthrough.py",
     "quadratic_rates_study.py",
+    "robustness_study.py",
     "stability_analysis.py",
 ])
 def test_demo_exits_0(tmp_path, demo):

@@ -131,7 +131,7 @@ def test_unconnectable_random_raises():
 
 def test_comm_graph_rejects_invalid_matrix():
     with pytest.raises(InvalidArgument):
-        CommGraph(n_agents=3, weights=np.eye(3))
+        CommGraph(np.eye(3))
 
 
 def test_weights_csv_roundtrip():

@@ -51,8 +51,8 @@ def instances(draw):
 def configs(alpha, momentum):
     return [
         SolverConfig("dagt", alpha=alpha),
-        SolverConfig("dagt_hb", alpha=alpha, beta=momentum),
-        SolverConfig("dagt_nes", alpha=alpha, gamma=momentum),
+        SolverConfig("dagt_hb", alpha=alpha, momentum=momentum),
+        SolverConfig("dagt_nes", alpha=alpha, momentum=momentum),
     ]
 
 
@@ -78,13 +78,12 @@ def test_step_matches_reference_steps_bitwise(instance, noise_seed):
        st.sampled_from([0.0, 1.0, 10.0]), st.booleans())
 def test_run_matches_reference_run_bitwise(instance, noise_seed, delay, max_iter, tol, blow_up):
     problem, graph, x0, x_minus1, alpha, momentum = instance
-    noise = {} if noise_seed is None else {"noise_sigma": 1e-2, "seed": noise_seed}
     oracle = solve(problem)
     # a step size of 1e19 overflows the state within the budget, so the
     # runs must name the same divergence tick
     for cfg in configs(1e19 if blow_up else alpha, momentum):
-        cfg = replace(cfg, max_iter=max_iter, tol=tol, delay_steps=delay, **noise)
-        assert_runs_equal((problem, graph, cfg, x0),
+        cfg = replace(cfg, max_iter=max_iter, tol=tol, delay_steps=delay)
+        assert_runs_equal((problem, channel(graph, noise_seed) or graph, cfg, x0),
                           {"x_minus1": x_minus1, "oracle_solution": oracle})
         # the evaluations a step carries are the ones a fresh call gives
         state = init_state(problem, graph, x0, x_minus1=x_minus1)

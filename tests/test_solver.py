@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -30,7 +30,8 @@ def consensus_state(problem):
     s = np.broadcast_to(
         problem.grad2_all(x, u).mean(axis=0), (problem.n_agents, problem.agg_dim)
     ).copy()
-    return SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u, s=s, k=0)
+    return SolverState(x=x.copy(), x_prev=x.copy(), y=x.copy(), u=u, s=s,
+                       phi_y=problem.phi_all(x), g2_y=problem.grad2_all(x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +76,12 @@ def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
     else:
         x_new = x - alpha * g
     mix_u, mix_s = _reference_mix(graph, state, channel)
-    u_new = mix_u + problem.phi_all(x_new) - problem.phi_all(x)
-    s_new = mix_s + problem.grad2_all(x_new, u_new) - problem.grad2_all(x, u)
-    return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, k=state.k + 1)
+    phi_new = problem.phi_all(x_new)
+    u_new = mix_u + phi_new - problem.phi_all(x)
+    g2_new = problem.grad2_all(x_new, u_new)
+    s_new = mix_s + g2_new - problem.grad2_all(x, u)
+    return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
+                       k=state.k + 1)
 
 
 def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
@@ -90,15 +94,18 @@ def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
     else:
         y_new = x_new
     mix_u, mix_s = _reference_mix(graph, state, channel)
-    u_new = mix_u + problem.phi_all(y_new) - problem.phi_all(y)
-    s_new = mix_s + problem.grad2_all(y_new, u_new) - problem.grad2_all(y, u)
-    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1)
+    phi_new = problem.phi_all(y_new)
+    u_new = mix_u + phi_new - problem.phi_all(y)
+    g2_new = problem.grad2_all(y_new, u_new)
+    s_new = mix_s + g2_new - problem.grad2_all(y, u)
+    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
+                       k=state.k + 1)
 
 
 def reference_step(state, problem, graph, config, channel=None):
     if config.algorithm == "dagt_nes":
-        return reference_step_nes(state, problem, graph, config.alpha, config.gamma, channel)
-    return reference_step_hb(state, problem, graph, config.alpha, config.beta, channel)
+        return reference_step_nes(state, problem, graph, config.alpha, config.momentum, channel)
+    return reference_step_hb(state, problem, graph, config.alpha, config.momentum, channel)
 
 
 def assert_states_equal(a, b):
@@ -110,7 +117,9 @@ def assert_states_equal(a, b):
 # reference run: the loop before the state carried phi(y) and grad2 f(y, u)
 # and before the diagnostics ran in blocks, kept to check `run` bit for bit.
 # It checks the whole state on every tick and takes the reference steps,
-# record and hold, which evaluate every row on its own tick.
+# record and hold, which evaluate every row on its own tick. Given a
+# CommChannel, it draws that channel's noise afresh through a
+# ReferenceChannel of the same noise_sigma and seed.
 # ---------------------------------------------------------------------------
 
 def reference_record(trace, problem, state, oracle_solution, grad_vec):
@@ -145,9 +154,12 @@ def reference_hold(trace, ticks):
 
 
 def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
+    channel = None
+    if isinstance(graph, CommChannel):
+        if graph.noise_sigma > 0:
+            channel = ReferenceChannel(graph.graph, graph.noise_sigma, graph.seed)
+        graph = graph.graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
-    channel = (ReferenceChannel(graph, config.noise_sigma, config.seed)
-               if config.noise_sigma > 0 else None)
     trace = IterTrace()
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
@@ -174,16 +186,14 @@ TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_t
                 "u_mean_err", "s_mean_err")
 
 
-def assert_runs_equal(run_args, run_kwargs, channel=None):
+def assert_runs_equal(run_args, run_kwargs):
     """run and reference_run end alike, bit for bit: the same trace and
-    final state, or a divergence at the same tick. With a channel, run
-    takes it in place of the graph. Returns the reference's trace or
-    divergence tick."""
-    ours_args = run_args if channel is None else (run_args[0], channel, *run_args[2:])
+    final state, or a divergence at the same tick. Returns the reference's
+    trace or divergence tick."""
     outcomes = []
-    for fn, args in ((run, ours_args), (reference_run, run_args)):
+    for fn in (run, reference_run):
         try:
-            outcomes.append(fn(*args, **run_kwargs))
+            outcomes.append(fn(*run_args, **run_kwargs))
         except DivergenceDetected as exc:
             outcomes.append(exc.iteration)
     ours, ref = outcomes
@@ -249,16 +259,16 @@ def test_step_hb_hand_computed_quadratic():
     p = make_quadratic([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
     g = build_topology("complete", 2)
     st = init_state(p, g, np.array([1.0, -1.0]))
-    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, beta=0.0))
+    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, momentum=0.0))
     assert nxt.x[:, 0] == pytest.approx([0.5, -0.5], abs=0)
     assert nxt.k == 1
     # x+ = x - alpha x + beta (x - x_prev), with x_prev = 0
     st = init_state(p, g, np.array([1.0, -1.0]), x_minus1=np.zeros(2))
-    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, beta=0.25))
+    nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, momentum=0.25))
     assert nxt.x[:, 0] == pytest.approx([0.75, -0.75], abs=0)
     assert np.array_equal(nxt.y, nxt.x)
     # x+ = y - alpha y, y+ = x+ + gamma (x+ - x)
-    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.5, gamma=0.5))
+    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.5, momentum=0.5))
     assert nxt.x[:, 0] == pytest.approx([0.5, -0.5], abs=0)
     assert nxt.y[:, 0] == pytest.approx([0.25, -0.25], abs=0)
 
@@ -268,8 +278,8 @@ def test_step_hb_hand_computed_quadratic():
 def test_fixed_point_single_step_drift(problem):
     g = build_topology("ring", problem.n_agents)
     st = consensus_state(problem)
-    for cfg in (SolverConfig("dagt_hb", alpha=0.005, beta=0.01),
-                SolverConfig("dagt_nes", alpha=0.005, gamma=0.01)):
+    for cfg in (SolverConfig("dagt_hb", alpha=0.005, momentum=0.01),
+                SolverConfig("dagt_nes", alpha=0.005, momentum=0.01)):
         nxt = step(st, problem, g, cfg)
         drift = max(
             np.abs(nxt.x - st.x).max(), np.abs(nxt.u - st.u).max(), np.abs(nxt.s - st.s).max()
@@ -281,7 +291,7 @@ def test_tracking_means_preserved_after_one_step():
     p = seeded_cournot(n=7, seed=9)
     g = build_topology("random", 7, edge_prob=0.6, seed=1)
     st = init_state(p, g, np.linspace(1, 3, 7))
-    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.01, gamma=0.3))
+    nxt = step(st, p, g, SolverConfig("dagt_nes", alpha=0.01, momentum=0.3))
     assert np.abs(nxt.u.mean(axis=0) - p.phi_all(nxt.y).mean(axis=0)).max() <= 1e-12
     assert np.abs(nxt.s.mean(axis=0) - p.grad2_all(nxt.y, nxt.u).mean(axis=0)).max() <= 1e-12
 
@@ -290,8 +300,8 @@ def test_zero_momentum_steps_identical():
     p = seeded_cournot(n=6, seed=8)
     g = build_topology("ring", 6)
     x0 = np.linspace(0.5, 2.0, 6)
-    cfgs = [SolverConfig("dagt", alpha=0.02), SolverConfig("dagt_hb", alpha=0.02, beta=0.0),
-            SolverConfig("dagt_nes", alpha=0.02, gamma=0.0)]
+    cfgs = [SolverConfig("dagt", alpha=0.02), SolverConfig("dagt_hb", alpha=0.02, momentum=0.0),
+            SolverConfig("dagt_nes", alpha=0.02, momentum=0.0)]
     states = [init_state(p, g, x0, x_minus1=x0 - 0.5) for _ in cfgs]
     for _ in range(25):
         states = [step(st, p, g, cfg) for st, cfg in zip(states, cfgs)]
@@ -305,10 +315,10 @@ def test_zero_momentum_steps_identical():
 def test_step_matches_reference_steps(problem, noise_sigma):
     g = build_topology("ring", problem.n_agents)
     x0 = np.linspace(1.0, 3.0, problem.dim)
-    for cfg in (SolverConfig("dagt", alpha=0.01), SolverConfig("dagt_hb", alpha=0.01, beta=0.3),
-                SolverConfig("dagt_nes", alpha=0.01, gamma=0.3)):
+    for cfg in (SolverConfig("dagt", alpha=0.01), SolverConfig("dagt_hb", alpha=0.01, momentum=0.3),
+                SolverConfig("dagt_nes", alpha=0.01, momentum=0.3)):
         st = ref = init_state(problem, g, x0, x_minus1=x0[::-1])
-        channel = CommChannel(g, noise_sigma=noise_sigma, seed=3) if noise_sigma else g
+        channel = noisy(g, noise_sigma, seed=3)
         ref_channel = ReferenceChannel(g, noise_sigma, seed=3) if noise_sigma else None
         for _ in range(30):
             st = step(st, problem, channel, cfg)
@@ -324,7 +334,7 @@ def test_run_placement_converges_to_anchor_mean():
     p = paper_placement()
     g = build_topology("ring", 5)
     sol = solve(p)
-    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, beta=0.009, max_iter=5000, tol=1e-8)
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, momentum=0.009, max_iter=5000, tol=1e-8)
     trace = run(p, g, cfg, PLACEMENT_X0, x_minus1=PLACEMENT_XM1, oracle_solution=sol)
     assert trace.converged
     u_final = trace.final_state.u
@@ -335,7 +345,7 @@ def test_run_placement_converges_to_anchor_mean():
 def test_run_nes_placement():
     p = paper_placement()
     g = build_topology("ring", 5)
-    cfg = SolverConfig(algorithm="dagt_nes", alpha=0.005, gamma=0.008, max_iter=5000, tol=1e-8)
+    cfg = SolverConfig(algorithm="dagt_nes", alpha=0.005, momentum=0.008, max_iter=5000, tol=1e-8)
     trace = run(p, g, cfg, PLACEMENT_X0, oracle_solution=solve(p))
     assert trace.converged
     assert np.abs(trace.final_state.u - np.array([4.8, 6.6])).max() < 1e-3
@@ -363,8 +373,8 @@ def test_tracking_conservation_along_runs():
     p = seeded_cournot(n=10, seed=6)
     g = build_topology("random", 10, edge_prob=0.5, seed=2)
     x0 = np.linspace(10, 30, 10)
-    for alg, mom in (("dagt", {}), ("dagt_hb", {"beta": 0.05}), ("dagt_nes", {"gamma": 0.05})):
-        cfg = SolverConfig(algorithm=alg, alpha=0.01, max_iter=800, tol=1e-10, **mom)
+    for alg, mom in (("dagt", 0.0), ("dagt_hb", 0.05), ("dagt_nes", 0.05)):
+        cfg = SolverConfig(algorithm=alg, alpha=0.01, momentum=mom, max_iter=800, tol=1e-10)
         trace = run(p, g, cfg, x0, oracle_solution=solve(p))
         assert max(trace.u_mean_err) <= 1e-9
         assert max(trace.s_mean_err) <= 1e-9
@@ -373,7 +383,7 @@ def test_tracking_conservation_along_runs():
 def test_divergence_detection_records_iteration():
     p = paper_placement()
     g = build_topology("ring", 5)
-    cfg = SolverConfig(algorithm="dagt_hb", alpha=1e6, beta=0.5, max_iter=10000, tol=1e-12)
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=1e6, momentum=0.5, max_iter=10000, tol=1e-12)
     with pytest.raises(DivergenceDetected) as exc:
         run(p, g, cfg, PLACEMENT_X0)
     assert exc.value.iteration > 0
@@ -392,12 +402,7 @@ def test_momentum_beats_plain_iterations_on_quadratic():
     iters = {}
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
         a, m = optimal_params(alg, 1.0, 9.0)
-        kw = {}
-        if alg == "dagt_hb":
-            kw["beta"] = m
-        elif alg == "dagt_nes":
-            kw["gamma"] = m
-        cfg = SolverConfig(algorithm=alg, alpha=a, max_iter=2000, tol=1e-6, **kw)
+        cfg = SolverConfig(algorithm=alg, alpha=a, momentum=m or 0.0, max_iter=2000, tol=1e-6)
         trace = run(p, g, cfg, x0)
         assert trace.converged
         iters[alg] = trace.k[-1]
@@ -414,7 +419,7 @@ def test_tail_rate_dominated_by_error_system_prediction():
 
     p = make_quadratic(np.linspace(1, 9, 8), np.full(8, 0.5), np.zeros(8))
     g = build_topology("random", 8, edge_prob=0.8, seed=3)
-    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.1, beta=0.2, max_iter=4000, tol=1e-12)
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.1, momentum=0.2, max_iter=4000, tol=1e-12)
     trace = run(p, g, cfg, np.linspace(1, 2, 8), oracle_solution=solve(p))
     rho_hat = quadratic_rates(p, g, 0.1, 0.2, "dagt_hb").predicted_rate
     rate = measured_tail_rate(trace)
@@ -425,7 +430,7 @@ def test_tail_rate_dominated_by_error_system_prediction():
 def test_linear_convergence_tail_negative_slope():
     p = paper_placement()
     g = build_topology("ring", 5)
-    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, beta=0.009, max_iter=5000, tol=1e-10)
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, momentum=0.009, max_iter=5000, tol=1e-10)
     trace = run(p, g, cfg, PLACEMENT_X0, oracle_solution=solve(p))
     r = np.asarray(trace.residual_msq)
     tail = r[int(0.5 * len(r)):]
@@ -442,13 +447,9 @@ def test_unperturbed_channel_is_identity_semantics():
     p = seeded_cournot(n=6, seed=8)
     g = build_topology("ring", 6)
     x0 = np.linspace(1, 2, 6)
-    cfg0 = SolverConfig(algorithm="dagt_hb", alpha=0.01, beta=0.1, max_iter=60, tol=0.0)
-    cfg1 = SolverConfig(
-        algorithm="dagt_hb", alpha=0.01, beta=0.1, max_iter=60, tol=0.0,
-        delay_steps=0, noise_sigma=0.0,
-    )
-    t0 = run(p, g, cfg0, x0)
-    t1 = run(p, g, cfg1, x0)
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.01, momentum=0.1, max_iter=60, tol=0.0)
+    t0 = run(p, g, cfg, x0)
+    t1 = run(p, CommChannel(g, noise_sigma=0.0), cfg, x0)
     assert t0.grad_norm == t1.grad_norm
     assert np.array_equal(t0.final_state.x, t1.final_state.x)
 
@@ -456,10 +457,8 @@ def test_unperturbed_channel_is_identity_semantics():
 def test_delay_converges_slower():
     p = paper_placement()
     g = build_topology("ring", 5)
-    base = SolverConfig(algorithm="dagt_hb", alpha=0.005, beta=0.009, max_iter=40000, tol=1e-6)
-    delayed = SolverConfig(
-        algorithm="dagt_hb", alpha=0.005, beta=0.009, max_iter=40000, tol=1e-6, delay_steps=2
-    )
+    base = SolverConfig(algorithm="dagt_hb", alpha=0.005, momentum=0.009, max_iter=40000, tol=1e-6)
+    delayed = replace(base, delay_steps=2)
     t0 = run(p, g, base, PLACEMENT_X0)
     t2 = run(p, g, delayed, PLACEMENT_X0)
     assert t0.converged and t2.converged
@@ -485,11 +484,18 @@ def trace_rows(trace):
     return list(zip(*(getattr(trace, name) for name in ROW_COLUMNS)))
 
 
+def noisy(graph, noise_sigma, seed):
+    """The graph, or a channel of it when noise_sigma > 0."""
+    return CommChannel(graph, noise_sigma, seed) if noise_sigma > 0 else graph
+
+
 def delay_case(delay_steps=0, noise_sigma=0.0, max_iter=60, tol=0.0, alpha=0.01):
+    """A cournot instance, its ring (a noisy channel when noise_sigma > 0),
+    a heavy-ball config and a start point."""
     p = seeded_cournot(n=6, seed=8)
-    g = build_topology("ring", 6)
-    cfg = SolverConfig("dagt_hb", alpha=alpha, beta=0.1, max_iter=max_iter, tol=tol,
-                       delay_steps=delay_steps, noise_sigma=noise_sigma, seed=5)
+    g = noisy(build_topology("ring", 6), noise_sigma, seed=5)
+    cfg = SolverConfig("dagt_hb", alpha=alpha, momentum=0.1, max_iter=max_iter, tol=tol,
+                       delay_steps=delay_steps)
     return p, g, cfg, np.linspace(1, 2, 6)
 
 
@@ -546,10 +552,9 @@ def test_run_evaluates_phi_and_grad2_once_per_state(monkeypatch):
     counting(AggregativeProblem, "phi_all")
     counting(AggregativeProblem, "grad2_all")
     counting(solver, "step")
-    for alg, beta, gamma in (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1)):
+    for alg, momentum in FAMILIES:
         calls.update(phi_all=0, grad2_all=0, step=0)
-        run(p, g, replace(cfg, algorithm=alg, beta=beta, gamma=gamma), x0,
-            oracle_solution=oracle)
+        run(p, g, replace(cfg, algorithm=alg, momentum=momentum), x0, oracle_solution=oracle)
         assert calls["step"] == 21  # arrivals at ticks 1, 4, ..., 61
         assert calls["phi_all"] == calls["grad2_all"] == 1 + calls["step"]
 
@@ -562,7 +567,7 @@ def test_non_finite_x_minus1_diverges_at_tick_zero():
     x_minus1[3] = np.nan
     for alg in ALGORITHMS:
         with pytest.raises(DivergenceDetected) as exc:
-            run(p, g, replace(cfg, algorithm=alg, beta=0.0), x0, x_minus1=x_minus1)
+            run(p, g, replace(cfg, algorithm=alg, momentum=0.0), x0, x_minus1=x_minus1)
         assert exc.value.iteration == 0
 
 
@@ -588,14 +593,14 @@ def test_tracker_overflow_with_finite_x_is_detected(delay):
     # at the reference loop's tick
     p = AggregativeProblem(name="decoupled", c=[1.0, 2.0, 3.0], h=[0.0] * 3, s=[0.0] * 3,
                            p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
-    g = build_topology("ring", 3)
-    for alg, beta, gamma in (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1)):
-        cfg = SolverConfig(alg, alpha=0.1, beta=beta, gamma=gamma, max_iter=20, tol=0.0,
-                           delay_steps=delay, noise_sigma=1e308, seed=1)
+    channel = CommChannel(build_topology("ring", 3), noise_sigma=1e308, seed=1)
+    for alg, momentum in FAMILIES:
+        cfg = SolverConfig(alg, alpha=0.1, momentum=momentum, max_iter=20, tol=0.0,
+                           delay_steps=delay)
         ticks = []
         for fn in (run, reference_run):
             with pytest.raises(DivergenceDetected) as exc:
-                fn(p, g, cfg, np.ones(3))
+                fn(p, channel, cfg, np.ones(3))
             ticks.append(exc.value.iteration)
         assert ticks[0] == ticks[1] > 0
 
@@ -606,7 +611,7 @@ def test_tracker_overflow_with_finite_x_is_detected(delay):
 # ---------------------------------------------------------------------------
 
 BLOCK = solver.BLOCK
-FAMILIES = (("dagt", 0.0, 0.0), ("dagt_hb", 0.1, 0.0), ("dagt_nes", 0.0, 0.1))
+FAMILIES = (("dagt", 0.0), ("dagt_hb", 0.1), ("dagt_nes", 0.1))
 
 
 def arrival_tick(row, delay):
@@ -619,8 +624,8 @@ def arrival_tick(row, delay):
 @pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_block_edge_budgets_match_reference(rows, family, noise_sigma):
     p, g, cfg, x0 = delay_case(noise_sigma=noise_sigma, max_iter=rows - 1)
-    alg, beta, gamma = family
-    cfg = replace(cfg, algorithm=alg, beta=beta, gamma=gamma)
+    alg, momentum = family
+    cfg = replace(cfg, algorithm=alg, momentum=momentum)
     assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
     assert len(run(p, g, cfg, x0)) == rows
 
@@ -645,9 +650,9 @@ def doubling_case(diverge_row, delay, noise_sigma):
     h = b = e = 0 the noisy trackers never reach the iterates."""
     p = AggregativeProblem(name="doubling", c=[1.0] * 3, h=[0.0] * 3, s=[0.0] * 3,
                            p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
-    g = build_topology("ring", 3)
+    g = noisy(build_topology("ring", 3), noise_sigma, seed=3)
     cfg = SolverConfig("dagt", alpha=3.0, max_iter=4 * (BLOCK + 2) * (delay + 1), tol=0.0,
-                       delay_steps=delay, noise_sigma=noise_sigma, seed=3)
+                       delay_steps=delay)
     return p, g, cfg, np.full(3, 2.0 ** (1024 - diverge_row))
 
 
@@ -673,20 +678,6 @@ def test_budget_before_divergence_matches_reference():
     assert len(run(p, g, cfg, x0)) == BLOCK + 1
 
 
-def test_hand_built_state_gets_its_evaluations_on_first_step():
-    # a state built without phi(y) and grad2 f(y, u) steps exactly as the
-    # same state built by init_state
-    p = seeded_cournot(n=6, seed=8)
-    g = build_topology("ring", 6)
-    st = init_state(p, g, np.linspace(1, 2, 6))
-    bare = replace(st, phi_y=None, g2_y=None)
-    cfg = SolverConfig("dagt_nes", alpha=0.01, gamma=0.2)
-    nxt, bare_nxt = step(st, p, g, cfg), step(bare, p, g, cfg)
-    assert_states_equal(nxt, bare_nxt)
-    assert np.array_equal(bare_nxt.phi_y, p.phi_all(bare_nxt.y))
-    assert np.array_equal(bare_nxt.g2_y, p.grad2_all(bare_nxt.y, bare_nxt.u))
-
-
 def test_record_called_once_per_distinct_state(monkeypatch):
     recorded = []
     record = IterTrace.record
@@ -707,11 +698,8 @@ def test_noise_bounded_floor():
     p = seeded_cournot(n=10, seed=6)
     g = build_topology("random", 10, edge_prob=0.5, seed=2)
     x0 = np.linspace(10, 30, 10)
-    cfg = SolverConfig(
-        algorithm="dagt_hb", alpha=0.01, beta=0.05, max_iter=3000, tol=0.0,
-        noise_sigma=1e-3, seed=11,
-    )
-    trace = run(p, g, cfg, x0, oracle_solution=solve(p))
+    cfg = SolverConfig(algorithm="dagt_hb", alpha=0.01, momentum=0.05, max_iter=3000, tol=0.0)
+    trace = run(p, CommChannel(g, noise_sigma=1e-3, seed=11), cfg, x0, oracle_solution=solve(p))
     r = np.asarray(trace.residual_msq)
     assert np.isfinite(r).all()
     floor = np.median(r[-300:])
@@ -722,12 +710,9 @@ def test_noise_determinism_same_seed():
     p = seeded_cournot(n=6, seed=8)
     g = build_topology("ring", 6)
     x0 = np.linspace(1, 2, 6)
-    cfg = SolverConfig(
-        algorithm="dagt_nes", alpha=0.01, gamma=0.1, max_iter=100, tol=0.0,
-        noise_sigma=1e-2, seed=5,
-    )
-    t0 = run(p, g, cfg, x0)
-    t1 = run(p, g, cfg, x0)
+    cfg = SolverConfig(algorithm="dagt_nes", alpha=0.01, momentum=0.1, max_iter=100, tol=0.0)
+    t0 = run(p, CommChannel(g, noise_sigma=1e-2, seed=5), cfg, x0)
+    t1 = run(p, CommChannel(g, noise_sigma=1e-2, seed=5), cfg, x0)
     assert t0.grad_norm == t1.grad_norm
     assert t0.to_csv() == t1.to_csv()
 
@@ -736,8 +721,11 @@ def test_comm_channel_noise():
     g = build_topology("ring", 4)
     ch = CommChannel(g, noise_sigma=0.5, seed=1)
     assert ch.noise_sigma == 0.5
-    with pytest.raises(InvalidArgument):
-        CommChannel(g, noise_sigma=-1.0)
+    for bad in ({"noise_sigma": -1.0}, {"noise_sigma": float("nan")},
+                {"noise_sigma": float("inf")}, {"noise_sigma": 0.5, "seed": -1},
+                {"noise_sigma": 0.0, "seed": -1}):
+        with pytest.raises(InvalidArgument):
+            CommChannel(g, **bad)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -765,15 +753,14 @@ def test_channel_rounds_match_two_draw_reference(d):
 def test_runs_sharing_a_channel_match_fresh_channels(family, delay):
     # a diverging run draws its rounds first; a shorter run replays part
     # of them, and a longer one replays them all and draws past the end
-    alg, beta, gamma = family
-    p, g, cfg, x0 = delay_case(delay, noise_sigma=1e-2)
-    cfg = replace(cfg, algorithm=alg, beta=beta, gamma=gamma)
-    channel = CommChannel(g, noise_sigma=cfg.noise_sigma, seed=cfg.seed)
+    alg, momentum = family
+    p, channel, cfg, x0 = delay_case(delay, noise_sigma=1e-2)
+    cfg = replace(cfg, algorithm=alg, momentum=momentum)
     oracle = solve(p)
 
     def shared(config):
-        outcome = assert_runs_equal((p, g, config, x0), {"oracle_solution": oracle},
-                                    channel=channel)
+        # the reference draws the channel's stream afresh on every run
+        outcome = assert_runs_equal((p, channel, config, x0), {"oracle_solution": oracle})
         return outcome, len(channel._rounds)
 
     tick, drawn = shared(replace(cfg, alpha=10.0, max_iter=10_000))
@@ -783,15 +770,6 @@ def test_runs_sharing_a_channel_match_fresh_channels(family, delay):
     # rounds arrive at ticks 1, delay + 2, ...: this budget is 40 rounds more
     trace, rounds = shared(replace(cfg, max_iter=(drawn + 40) * (delay + 1)))
     assert isinstance(trace, IterTrace) and rounds == drawn + 40
-
-
-def test_run_rejects_a_channel_of_another_sigma_or_seed():
-    p, g, cfg, x0 = delay_case(noise_sigma=1e-2)
-    for noise_sigma, seed in ((1e-3, cfg.seed), (cfg.noise_sigma, cfg.seed + 1), (0.0, cfg.seed)):
-        with pytest.raises(InvalidArgument):
-            run(p, CommChannel(g, noise_sigma=noise_sigma, seed=seed), cfg, x0)
-    with pytest.raises(InvalidArgument):
-        run(p, CommChannel(g, noise_sigma=1e-2, seed=cfg.seed), replace(cfg, noise_sigma=0.0), x0)
 
 
 def test_noise_only_on_received_entries():
@@ -806,15 +784,21 @@ def test_noise_only_on_received_entries():
     assert np.array_equal(ms, u)
 
 
+def test_state_requires_its_evaluations():
+    # every state carries phi(y) and grad2 f(y, u); none is built without them
+    required = [f.name for f in fields(SolverState) if f.default is MISSING]
+    assert required == ["x", "x_prev", "y", "u", "s", "phi_y", "g2_y"]
+
+
 def test_solver_config_validation():
     with pytest.raises(InvalidArgument):
-        SolverConfig(algorithm="dagt", alpha=0.1, beta=0.1)
+        SolverConfig(algorithm="dagt", alpha=0.1, momentum=0.1)
     with pytest.raises(InvalidArgument):
         SolverConfig(algorithm="dagt_hb", alpha=-0.1)
     with pytest.raises(InvalidArgument):
         SolverConfig(algorithm="momentum", alpha=0.1)
     for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"tol": float("nan")},
-                {"delay_steps": -1}, {"seed": -1}):
+                {"delay_steps": -1}, {"momentum": -0.1}, {"momentum": float("nan")}):
         with pytest.raises(InvalidArgument):
             SolverConfig(**{"algorithm": "dagt_hb", "alpha": 0.1, **bad})
 

@@ -958,7 +958,7 @@ def test_full_matrix_propagates_the_solver_error():
 
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
         mom = 0.0 if alg == "dagt" else 0.3
-        cfg = SolverConfig(alg, alpha=0.1, beta=mom, gamma=mom)
+        cfg = SolverConfig(alg, alpha=0.1, momentum=mom)
         full = quad_full_matrix(qp, g, 0.1, mom, alg)
         st = step(init_state(qp, g, rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)), qp, g, cfg)
         for _ in range(10):
