@@ -219,8 +219,10 @@ def cmd_robustness(cfg):
     delay = cfg.value("robustness.delay_steps", int, 2)
     sigma = cfg.value("robustness.noise_sigma", float, 0.001)
     noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
-    if sigma < 0:
-        raise ConfigError("noise_sigma must be nonnegative", key="robustness.noise_sigma")
+    for name, value in (("delay_steps", delay), ("noise_sigma", sigma),
+                        ("noise_max_iter", noise_iters)):
+        if value < 0:
+            raise ConfigError(f"{name} must be nonnegative", key=f"robustness.{name}")
     exp = Experiment(cfg)
     files, summary = {}, {"delay": {}, "noise": {}, "delay_steps": delay, "noise_sigma": sigma}
     code = 0

@@ -21,11 +21,14 @@ agents hold their state until its messages arrive, so the tracker means
 stay conserved.
 
 The state carries phi(y) and grad2 f(y, u), so each round evaluates both
-once, at the new point, as the methods do.
+once, at the new point, as the methods do. Per tick `run` only steps the
+round and queues its state; the stop test, the divergence check and every
+diagnostic run per block of queued states (see IterTrace), and the rounds
+stepped past the converged one are thrown away.
 """
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +41,8 @@ TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", 
 # recorded states per diagnostics block (see IterTrace). On cournot-paper
 # (N d = 50) a block of 128 or 256 rows stacks arrays past the allocator's
 # mmap threshold, mapped afresh on every block (about 0.5 minor page
-# faults per row), and costs more per row than a block of 64
+# faults per row), and costs more per row than a block of 64; the block's
+# gradients are one more (BLOCK, N d) array, a quarter of the finite check's
 BLOCK = 64
 
 # the config error of a negative solver.max_iter, delay_steps or
@@ -89,19 +93,21 @@ class SolverConfig:
         if self.max_iter < 0 or self.delay_steps < 0:
             raise InvalidArgument(NONNEGATIVE)
 
-    @property
+    @cached_property
     def family(self):
         return momentum_family(self.algorithm, self.momentum)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SolverState:
-    """Per-agent stacked iterates and trackers after k rounds.
+    """Per-agent stacked iterates and trackers at tick k.
 
     x, x_prev, y: (N, local_dim), y the point the next gradient is taken
     at (x itself when gamma = 0); u, s: (N, agg_dim) trackers. phi_y and
     g2_y are phi(y) and grad2 f(y, u), carried so that `step` and the
-    trace need not evaluate them again.
+    trace need not evaluate them again. `step` makes new arrays every
+    round and nothing writes into a state's arrays; `run` sets k to the
+    arrival tick, which under delay is past the round count.
     """
 
     x: np.ndarray
@@ -117,13 +123,6 @@ class SolverState:
         return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
 
 
-def _norm(v):
-    """Euclidean norm of all entries: np.linalg.norm's own computation,
-    bit for bit, without its dispatch."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
-
-
 def _stack(arrays):
     """np.stack of same-shape arrays, as one concatenate: np.stack makes a
     view of each array first, which costs more than the copy."""
@@ -131,8 +130,8 @@ def _stack(arrays):
 
 
 def _row_norms(v):
-    """_norm of each v[i], bit for bit: a stacked matmul of 1 x m by m x 1
-    runs the same BLAS dot per row that v[i].dot(v[i]) runs."""
+    """np.linalg.norm of each v[i], bit for bit: a stacked matmul of 1 x m
+    by m x 1 runs the same BLAS dot per row that v[i].dot(v[i]) runs."""
     v = v.reshape(len(v), -1)
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
@@ -246,12 +245,12 @@ def step(state, problem, channel, config):
 class IterTrace:
     """Per-tick diagnostics of one run (one row per tick, k = 0 first).
 
-    `record` keeps per tick only what the stop test reads, k and
-    grad_norm, and queues the state; `flush` computes every other column
-    for the queued states at once and checks that they are finite. It runs
-    when BLOCK states are queued and at the end of `run`. Each column holds
-    the same floats as a row-by-row computation: the stacked products run
-    one BLAS dot or GEMV per row, as one row's would.
+    `record` appends k and queues the state; `hold` repeats the last row
+    on hold ticks. `flush` computes every column for the queued states at
+    once, stop test included, and checks that they are finite. `run` calls
+    it when BLOCK states are queued and at its end. Each column holds the
+    same floats as a row-by-row computation: the stacked products run one
+    BLAS dot or GEMV per row, as one row's would.
     """
 
     k: list = field(default_factory=list)
@@ -265,37 +264,43 @@ class IterTrace:
     s_mean_err: list = field(default_factory=list)
     converged: bool = False
     final_state: SolverState = None
-    # queued states not yet flushed, and (queue index, hold ticks) pairs
+    # queued states not yet flushed, and the ticks of every row, flushed
+    # or queued, its holds included
     _queue: list = field(default_factory=list, repr=False)
-    _holds: list = field(default_factory=list, repr=False)
+    _ticks: list = field(default_factory=list, repr=False)
 
     def __len__(self):
         return len(self.k)
 
-    def record(self, problem, state, oracle_solution, grad_vec):
-        if len(self._queue) == BLOCK:
-            self.flush(problem, oracle_solution)
+    def record(self, state):
+        """Queue the state at its tick; True once BLOCK states are queued.
+        The queue keeps a reference, not a copy (see SolverState)."""
         self.k.append(state.k)
-        self.grad_norm.append(_norm(grad_vec))
-        # a reference, not a copy: `step` builds new arrays every round and
-        # nothing writes into a state's arrays
+        self._ticks.append(1)
         self._queue.append(state)
+        return len(self._queue) == BLOCK
 
     def hold(self, ticks):
         """Repeat the last row on `ticks` hold ticks, where the state rests."""
         self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
-        self.grad_norm.extend(self.grad_norm[-1:] * ticks)
-        self._holds.append((len(self._queue) - 1, ticks))
+        self._ticks[-1] += ticks
 
-    def flush(self, problem, oracle_solution):
-        """Compute the queued rows and their holds; raise DivergenceDetected
-        at the tick of the first queued state that is not finite (x_prev is
-        the x of the state before it, so x, u, s and y cover every new array)."""
-        states, holds = self._queue, self._holds
+    def flush(self, problem, oracle_solution, tol):
+        """Compute the queued rows and their holds; return the first queued
+        state whose gradient norm is below tol, or None.
+
+        The rows after that state, and its own holds, are dropped. Raises
+        DivergenceDetected at the tick of the first queued state that is
+        not finite, if it comes at or before the converged one (x_prev is
+        the x of the state before it, so x, u, s and y cover every new
+        array); a NaN or infinite norm is never below the finite tol.
+        """
+        states = self._queue
         if not states:
-            return
-        self._queue, self._holds = [], []
+            return None
+        self._queue = []
         size = len(states)
+        first = len(self._ticks) - size
         X = _stack([st.x for st in states]).reshape(size, -1)
         U = _stack([st.u for st in states])
         S = _stack([st.s for st in states])
@@ -303,7 +308,19 @@ class IterTrace:
         if any(st.y is not st.x for st in states):
             checked.append(_stack([st.y for st in states]).reshape(size, -1))
         finite = np.isfinite(np.concatenate(checked, axis=1)).all(axis=1)
-        if not finite.all():
+        # the stopping gradient H x + lin, a GEMV per row as in global_gradient
+        hess, lin, _ = problem.quadratic_model
+        grad_norm = _row_norms(np.matmul(hess, X[:, :, None])[:, :, 0] + lin)
+        met = np.flatnonzero(grad_norm < tol)
+        if met.size:
+            # the rounds past the converged one ran ahead of the stop test
+            size = int(met[0]) + 1
+            states, X, U, S = states[:size], X[:size], U[:size], S[:size]
+            grad_norm = grad_norm[:size]
+            del self.k[states[-1].k + 1:]
+            del self._ticks[first + size:]
+            self._ticks[-1] = 1
+        if not finite[:size].all():
             raise DivergenceDetected(states[int(finite.argmin())].k)
         phi = _stack([st.phi_y for st in states])
         g2 = _stack([st.g2_y for st in states])
@@ -314,7 +331,7 @@ class IterTrace:
             # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
             # cancel at the size of F and can come out negative. The 0.5
             # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
-            h_dx = np.matmul(problem.quadratic_model[0], dx[:, :, None])
+            h_dx = np.matmul(hess, dx[:, :, None])
             obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
         else:
             residual_msq = obj_gap = np.full(size, np.nan)
@@ -324,22 +341,31 @@ class IterTrace:
         columns = {
             "residual_msq": residual_msq,
             "obj_gap": obj_gap,
+            "grad_norm": grad_norm,
             "u_track_err": _row_norms(U - u_mean[:, None, :]),
             "s_track_err": _row_norms(S - s_mean[:, None, :]),
             "u_mean_err": np.abs(u_mean - phi.sum(axis=1) / n_agents).max(axis=1),
             "s_mean_err": np.abs(s_mean - g2.sum(axis=1) / n_agents).max(axis=1),
         }
-        if holds:
-            repeats = np.ones(size, dtype=np.intp)
-            for row, ticks in holds:
-                repeats[row] += ticks
-            columns = {name: np.repeat(values, repeats) for name, values in columns.items()}
+        ticks = self._ticks[first:]
+        if sum(ticks) > size:
+            columns = {name: np.repeat(values, ticks) for name, values in columns.items()}
         for name, values in columns.items():
             getattr(self, name).extend(values.tolist())
+        return states[-1] if met.size else None
 
     def to_csv(self):
-        return csv_text(TRACE_COLUMNS, zip(self.k, self.residual_msq, self.obj_gap,
-                                           self.grad_norm, self.u_track_err, self.s_track_err))
+        """csv_text of the trace columns; a held row is formatted once and
+        its text follows the k of each of its ticks."""
+        columns = (self.residual_msq, self.obj_gap, self.grad_norm, self.u_track_err,
+                   self.s_track_err)
+        lines = [",".join(TRACE_COLUMNS)]
+        tick = 0
+        for ticks in self._ticks:
+            text = ",".join([str(column[tick]) for column in columns])
+            lines.extend([f"{k},{text}" for k in self.k[tick:tick + ticks]])
+            tick += ticks
+        return "\n".join(lines) + "\n"
 
 
 def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
@@ -353,11 +379,14 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
     The first round fires at tick 0; each later state is recorded once, at
     its arrival tick, and its row repeats on the delay_steps hold ticks
     after it. The stopping gradient is computed centrally for monitoring
-    only; the agents never use it. Raises DivergenceDetected at the first
-    tick with a non-finite state: the initial state is checked whole, and
-    each later one only in the arrays its step made, per block of recorded
-    states (see IterTrace.flush). Rounds stepped after a divergence but
-    before its block is flushed are NaN work whose trace is thrown away.
+    only; the agents never use it. The stop test runs per block of
+    recorded states (see IterTrace.flush): the rounds stepped after the
+    converged state, at most BLOCK - 1 of them, are thrown away, and the
+    trace ends at that state's arrival tick. Raises DivergenceDetected at
+    the first tick with a non-finite state, at or before the converged
+    one: the initial state is checked whole, and each later one only in
+    the arrays its step made. Rounds stepped after a divergence but before
+    its block is flushed are NaN work whose trace is thrown away.
     """
     graph = channel
     if isinstance(channel, CommChannel):
@@ -365,23 +394,27 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
         graph = channel.graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     trace = IterTrace()
+    converged = None
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if not state.finite():
             raise DivergenceDetected(state.k)
         while True:
-            trace.record(problem, state, oracle_solution, problem.global_gradient(state.x))
-            # a NaN or infinite norm is never below the finite tol
-            if trace.grad_norm[-1] < config.tol:
-                trace.converged = True
-                break
+            full = trace.record(state)
             if state.k > 0 and config.delay_steps > 0:
                 trace.hold(min(config.delay_steps, config.max_iter - state.k))
-                state = replace(state, k=trace.k[-1])
-            if state.k >= config.max_iter:
-                break
+            tick = trace.k[-1]
+            spent = tick >= config.max_iter
+            if full or spent:
+                converged = trace.flush(problem, oracle_solution, config.tol)
+                if spent or converged is not None:
+                    break
             state = step(state, problem, channel, config)
-        # a state that meets tol with non-finite trackers still raises here
-        trace.flush(problem, oracle_solution)
-    trace.final_state = state
+            # the round arrives on the tick after the holds
+            state.k = tick + 1
+    trace.converged = converged is not None
+    if not trace.converged:
+        # the last state rests on its holds until the budget ends
+        state.k = tick
+    trace.final_state = converged if trace.converged else state
     return trace

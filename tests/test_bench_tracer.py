@@ -8,6 +8,7 @@ path and patch every target it names, without running a workload.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -64,3 +65,29 @@ def test_missing_target_raises_and_restores(tracer):
             pass
     after = snapshot(targets)
     assert all(after.get(key) is value for key, value in before.items())
+
+
+def test_ticks_are_the_iterations_the_commands_report(tracer, tmp_path):
+    # the benchmark's ticks_per_s counts k[-1] of each trace run returns, or
+    # the divergence tick; converged runs end their trace at the converged
+    # state though they step past it, so the count must still match
+    from aggsim.cli import main
+
+    commands = {
+        "robustness": ["--preset", "quadratic-demo", "--set", "robustness.noise_max_iter=50"],
+        # three converging values and a diverging one
+        "sweep": ["--preset", "quadratic-demo", "--set", "solver.algorithm=dagt_hb",
+                  "--set", "sweep.values=0.0,0.25,0.9,5.0"],
+    }
+    runs = []
+    with tracer.Tracer().patched(tracer.TICK_TARGETS) as traced:
+        for command, args in commands.items():
+            out = tmp_path / command
+            assert main([command, *args, "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            if command == "robustness":
+                runs += [*summary["delay"].values(), *summary["noise"].values()]
+            else:
+                runs += summary["rows"]
+    assert len(runs) == 10 and any(row.get("stop_reason") == "divergence" for row in runs)
+    assert traced.counts["solver.ticks"] == sum(row["iterations"] for row in runs)

@@ -227,6 +227,14 @@ OVERFLOW_CAUSES = {
     pytest.param("robustness", "quadratic-demo", ["robustness.noise_sigma=-1"],
                  "noise_sigma must be nonnegative (key 'robustness.noise_sigma')",
                  id="negative-robustness-sigma"),
+    # checked before the first run, so a bad noise budget is not found
+    # only after the delay runs
+    pytest.param("robustness", "quadratic-demo", ["robustness.delay_steps=-1"],
+                 "delay_steps must be nonnegative (key 'robustness.delay_steps')",
+                 id="negative-robustness-delay"),
+    pytest.param("robustness", "quadratic-demo", ["robustness.noise_max_iter=-1"],
+                 "noise_max_iter must be nonnegative (key 'robustness.noise_max_iter')",
+                 id="negative-robustness-noise-budget"),
 ])
 def test_run_parameter_errors_name_their_key(tmp_path, capsys, command, preset, overrides,
                                              message):

@@ -12,8 +12,8 @@ from aggsim.oracle import solve
 from aggsim.presets import get_preset
 from aggsim.problems import AggregativeProblem, make_quadratic
 from aggsim.solver import (
-    ALGORITHMS, CommChannel, IterTrace, SolverConfig, SolverState, csv_text, init_state, run,
-    step,
+    ALGORITHMS, TRACE_COLUMNS, CommChannel, IterTrace, SolverConfig, SolverState, csv_text,
+    init_state, run, step,
 )
 
 from test_problems import paper_placement, seeded_cournot
@@ -678,13 +678,95 @@ def test_budget_before_divergence_matches_reference():
     assert len(run(p, g, cfg, x0)) == BLOCK + 1
 
 
+def converging_case(row, delay=0, noise_sigma=0.0, family=FAMILIES[1]):
+    """delay_case with the tol that the run first meets on recorded row
+    `row`; the norms fall on every row, so none before it meets tol."""
+    p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter=10_000)
+    alg, momentum = family
+    cfg = replace(cfg, algorithm=alg, momentum=momentum)
+    norms = run(p, g, replace(cfg, delay_steps=0, max_iter=row), x0).grad_norm
+    tol = float(np.nextafter(norms[row], np.inf))
+    assert min(norms[:row]) >= tol
+    return p, g, replace(cfg, tol=tol), x0
+
+
+# the stop test runs per block: the rounds stepped past the converged row
+# are thrown away, and the trace ends where the row-by-row reference stops
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("family", FAMILIES, ids=[f[0] for f in FAMILIES])
+@pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_convergence_at_block_edges_matches_reference(row, family, noise_sigma):
+    p, g, cfg, x0 = converging_case(row, noise_sigma=noise_sigma, family=family)
+    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert ref.converged and len(ref) == row + 1
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("delay", [1, 2, 3])
+@pytest.mark.parametrize("row", [BLOCK // 2, BLOCK - 1, BLOCK])
+def test_delayed_convergence_drops_the_converged_holds(row, delay, noise_sigma):
+    # the converged state's holds were queued before the flush found it
+    p, g, cfg, x0 = converging_case(row, delay, noise_sigma)
+    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert ref.converged and ref.k[-1] == arrival_tick(row, delay)
+
+
+def tracker_overflow_case(converged_offset):
+    """Iterates that halve every round, x_r = 2^-r x0 exactly, while noise
+    of scale 5e307 random-walks the trackers past the float range on row
+    f, inside the first block; h = b = e = q = 0 keeps the iterates and
+    their gradient norms off the trackers. tol is first met on row
+    f + converged_offset. Returns the case and f."""
+    p = AggregativeProblem(name="halving", c=[0.5] * 3, h=[0.0] * 3, s=[0.0] * 3,
+                           p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
+    graph = build_topology("ring", 3)
+    channel = CommChannel(graph, noise_sigma=5e307, seed=2)
+    cfg = SolverConfig("dagt", alpha=1.0, max_iter=10 * BLOCK, tol=0.0)
+    x0 = np.ones(3)
+    with pytest.raises(DivergenceDetected) as exc:
+        reference_run(p, channel, cfg, x0)
+    diverge_row = exc.value.iteration
+    assert 1 < diverge_row < BLOCK - 1
+    norms = run(p, graph, replace(cfg, max_iter=BLOCK), x0).grad_norm
+    tol = float(np.nextafter(norms[diverge_row + converged_offset], np.inf))
+    return (p, channel, replace(cfg, tol=tol), x0), diverge_row
+
+
+def test_convergence_before_a_non_finite_row_returns_the_trace():
+    # the block holds the converged row and, later, the overflowed one
+    args, diverge_row = tracker_overflow_case(-1)
+    ref = assert_runs_equal(args, {"oracle_solution": solve(args[0])})
+    assert ref.converged and len(ref) == diverge_row
+
+
+@pytest.mark.parametrize("converged_offset", [0, 1], ids=["same-row", "next-row"])
+def test_non_finite_row_at_or_before_convergence_raises(converged_offset):
+    # a converged row with non-finite trackers raises, as does an earlier one
+    args, diverge_row = tracker_overflow_case(converged_offset)
+    assert assert_runs_equal(args, {}) == diverge_row
+
+
+def test_rounds_past_convergence_keep_the_noise_stream():
+    # the converging run draws its block's rounds ahead of need; a second
+    # run on the same channel still replays the stream a fresh channel draws
+    p, channel, cfg, x0 = converging_case(BLOCK // 2, noise_sigma=1e-2)
+    oracle = solve(p)
+    assert assert_runs_equal((p, channel, cfg, x0), {"oracle_solution": oracle}).converged
+    assert len(channel._rounds) == BLOCK - 1
+    longer = replace(cfg, tol=0.0, max_iter=2 * BLOCK)
+    assert len(assert_runs_equal((p, channel, longer, x0), {"oracle_solution": oracle})) == \
+        2 * BLOCK + 1
+
+
 def test_record_called_once_per_distinct_state(monkeypatch):
+    # record(state) queues each state once, at its arrival tick; the
+    # diagnostics and the stop test run per block, in flush
     recorded = []
     record = IterTrace.record
 
-    def counting(self, problem, state, *args):
+    def counting(self, state):
         recorded.append(state.k)
-        return record(self, problem, state, *args)
+        return record(self, state)
 
     monkeypatch.setattr(IterTrace, "record", counting)
     p, g, cfg, x0 = delay_case(delay_steps=2, max_iter=62)
@@ -811,6 +893,28 @@ def reference_csv_text(header, rows):
             ",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
         )
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_oracle", [True, False], ids=["oracle", "no-oracle"])
+@pytest.mark.parametrize("converged", [False, True], ids=["budget", "tolerance"])
+@pytest.mark.parametrize("delay", [0, 1, 2, 3])
+def test_trace_csv_matches_csv_text_of_its_columns(delay, converged, with_oracle):
+    # to_csv formats a held row once; its text must still be csv_text's.
+    # Rows 3 and 4 get every column zero, of opposite signs, so only the
+    # rows' own formatting tells them apart
+    if converged:
+        p, g, cfg, x0 = converging_case(BLOCK + 3, delay)
+    else:
+        p, g, cfg, x0 = delay_case(delay, max_iter=arrival_tick(BLOCK + 3, delay) + delay // 2)
+    trace = run(p, g, cfg, x0, oracle_solution=solve(p) if with_oracle else None)
+    assert trace.converged == converged
+    for row, zero in ((3, 0.0), (4, -0.0)):
+        start = arrival_tick(row, delay)
+        for name in TRACE_COLUMNS[1:]:
+            getattr(trace, name)[start:start + delay + 1] = [zero] * (delay + 1)
+    rows = zip(*(getattr(trace, name) for name in TRACE_FIELDS[:6]))
+    assert trace.to_csv() == csv_text(TRACE_COLUMNS, rows)
+    assert ",-0.0," in trace.to_csv()
 
 
 def test_csv_text_matches_per_cell_repr():
