@@ -308,7 +308,7 @@ def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
     radius = mat.spectral_radius()
     member = member_fn(c, A, M, matrix=mat)
     m_text = [f"{m}," for m in m_grid.tolist()]
-    prefixes = [f"{a},{m}" for a in a_grid.tolist() for m in m_text]
+    prefixes = [a + m for a in [f"{a}," for a in a_grid.tolist()] for m in m_text]
     flags = ("False,", "True,")
     lines = ["alpha,momentum,member,spectral_radius"]
     lines.extend(p + flags[f] + str(r) for p, f, r in

@@ -44,8 +44,9 @@ class CommGraph:
         object.__setattr__(self, "rho", contraction_factor_of(w))
 
     def mix(self, u, s):
-        """One noise-free mixing round of both trackers: (W u, W s)."""
-        return self.weights @ u, self.weights @ s
+        """One noise-free mixing round of both trackers: (W u, W s), by
+        `ndarray.dot`: the same BLAS gemv as `@`, without the gufunc's dispatch."""
+        return self.weights.dot(u), self.weights.dot(s)
 
     def weights_csv(self):
         """Row-major CSV dump of the mixing matrix at full precision."""
@@ -53,15 +54,12 @@ class CommGraph:
 
 
 def _metropolis(adjacency):
-    """Metropolis weights on a 0/1 adjacency pattern (no self-loops)."""
-    n = adjacency.shape[0]
+    """Metropolis weights on a 0/1 adjacency pattern (no self-loops): the
+    per-pair formula computed as arrays, bit for bit the per-pair loop."""
     deg = adjacency.sum(axis=1)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and adjacency[i, j]:
-                w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
-        w[i, i] = 1.0 - w[i].sum()
+    off = (adjacency != 0) & ~np.eye(len(deg), dtype=bool)
+    w = np.where(off, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 

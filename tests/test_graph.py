@@ -1,13 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aggsim.exceptions import ConstructionFailed, InvalidArgument
 from aggsim.graph import (
     CommGraph,
+    _metropolis,
+    _pattern,
     build_topology,
     contraction_factor_of,
     validate,
 )
+from aggsim.solver import CommChannel
+
+
+def reference_metropolis(adjacency):
+    """The per-pair loop that `_metropolis` computes as arrays."""
+    n = adjacency.shape[0]
+    deg = adjacency.sum(axis=1)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and adjacency[i, j]:
+                w[i, j] = 1.0 / (1.0 + max(deg[i], deg[j]))
+        w[i, i] = 1.0 - w[i].sum()
+    return w
+
+
+def assert_same_bytes(ours, theirs):
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
 
 
 def test_complete_three_agents_is_uniform():
@@ -145,3 +167,62 @@ def test_graph_is_immutable():
     g = build_topology("ring", 4)
     with pytest.raises(ValueError):
         g.weights[0, 0] = 2.0
+
+
+# the array rewrites against their per-call references, bit for bit
+
+
+@pytest.mark.parametrize("kind", ["ring", "star", "complete"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_metropolis_matches_loop_on_named_patterns(kind, n):
+    adj = _pattern(kind, n, None, None)
+    assert_same_bytes(_metropolis(adj), reference_metropolis(adj))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 80), edge_prob=st.floats(0.02, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_metropolis_matches_loop_on_random_patterns(n, edge_prob, seed):
+    adj = _pattern("random", n, edge_prob, np.random.default_rng(seed))
+    assert_same_bytes(_metropolis(adj), reference_metropolis(adj))
+
+
+def test_metropolis_counts_a_self_loop_as_the_loop_did():
+    # a True diagonal entry raises that agent's degree but gets no weight
+    clean = _pattern("random", 9, 0.4, np.random.default_rng(5))
+    adj = clean.copy()
+    adj[3, 3] = True
+    w = _metropolis(adj)
+    assert_same_bytes(w, reference_metropolis(adj))
+    assert not np.array_equal(w, _metropolis(clean))
+
+
+def _layouts(n, d, rng):
+    """An (n, d) tracker as C-ordered, Fortran-ordered and strided arrays."""
+    base = rng.standard_normal((n, d))
+    strided = np.zeros((2 * n, 3 * d))
+    strided[::2, ::3] = base
+    return base, np.asfortranarray(base), strided[::2, ::3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 7, 50])
+def test_graph_mix_equals_matmul(n, d):
+    g = build_topology("random", n, edge_prob=0.5, seed=n)
+    rng = np.random.default_rng(d)
+    for u in _layouts(n, d, rng):
+        for s in _layouts(n, d, rng):
+            mix_u, mix_s = g.mix(u, s)
+            assert_same_bytes(mix_u, g.weights @ u)
+            assert_same_bytes(mix_s, g.weights @ s)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_noisy_channel_mix_equals_matmul_plus_recorded_noise(d):
+    g = build_topology("random", 12, edge_prob=0.4, seed=d)
+    channel = CommChannel(g, noise_sigma=0.3, seed=d)
+    rng = np.random.default_rng(d)
+    for k, (u, s) in enumerate(zip(_layouts(12, d, rng), _layouts(12, d, rng))):
+        mix_u, mix_s = channel.mix(u, s)
+        noise = channel._rounds[k]
+        assert_same_bytes(mix_u, g.weights @ u + noise[0])
+        assert_same_bytes(mix_s, g.weights @ s + noise[1])

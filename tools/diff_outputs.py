@@ -1,0 +1,150 @@
+"""Diff the outputs of a fixed list of aggsim CLI invocations between two trees.
+
+    python tools/diff_outputs.py OLD_TREE NEW_TREE [--only NAME ...]
+
+Each invocation runs in a fresh interpreter per tree, in an empty working
+directory, with PYTHONPATH=<tree>/src and BLAS pinned to one thread. The
+exit code, stdout, stderr and every file written under --out are compared
+byte for byte. Every difference is printed, and the exit code is 1 if
+there is any, else 0. --only (repeatable) restricts the run to the named
+invocations.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+SHOW_CHARS = 160
+
+
+def _sets(*pairs):
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+def _region(algorithm, alpha_max, steps):
+    return ["region", "--preset", "cournot-paper", *_sets(
+        f"region.algorithm={algorithm}", "region.alpha_min=1e-10",
+        f"region.alpha_max={alpha_max}", f"region.alpha_steps={steps}",
+        "region.momentum_min=1e-6", "region.momentum_max=1e-3",
+        f"region.momentum_steps={steps}")]
+
+
+INVOCATIONS = {
+    **{f"run-compare-{p}": ["run", "--preset", p, *_sets("run.compare=true")]
+       for p in ("cournot-paper", "placement-paper", "quadratic-demo")},
+    "run-diverge": ["run", "--preset", "placement-paper", *_sets("solver.alpha=5")],
+    "run-diverge-delay-noise": ["run", "--preset", "placement-paper", *_sets(
+        "solver.alpha=5", "solver.delay_steps=2", "solver.noise_sigma=0.001")],
+    **{f"run-cournot-{n}": ["run", "--preset", "cournot-paper", *_sets(f"solver.max_iter={n}")]
+       for n in (0, 64, 65)},
+    "run-cournot-delay": ["run", "--preset", "cournot-paper", *_sets(
+        "solver.delay_steps=1", "solver.max_iter=257")],
+    "sweep-cournot": ["sweep", "--preset", "cournot-paper", *_sets(
+        "init.seed=3", "sweep.values=0.0,0.5,0.9,0.99")],
+    "sweep-quadratic-hb": ["sweep", "--preset", "quadratic-demo", *_sets(
+        "solver.algorithm=dagt_hb", "sweep.values=0.0,0.25,0.5")],
+    "sweep-placement-nes": ["sweep", "--preset", "placement-paper", *_sets(
+        "solver.algorithm=dagt_nes", "sweep.values=0.0,0.5,1.5")],
+    # the cournot-robustness benchmark command at init seed 1, noise seed 2
+    "robustness-cournot": ["robustness", "--preset", "cournot-paper", *_sets(
+        "init.seed=1", "solver.seed=2", "robustness.delay_steps=2",
+        "robustness.noise_sigma=0.001", "robustness.noise_max_iter=1000",
+        "solver.max_iter=3000")],
+    **{f"robustness-{p}": ["robustness", "--preset", p]
+       for p in ("placement-paper", "quadratic-demo")},
+    "topology": ["topology", "--preset", "placement-paper"],
+    "topology-noisy": ["topology", "--preset", "placement-paper",
+                       *_sets("solver.noise_sigma=1e-9")],
+    "rates": ["rates", "--preset", "quadratic-demo"],
+    "bounds-placement-paper": ["bounds", "--preset", "placement-paper"],
+    "region-cournot": ["region", "--preset", "cournot-paper"],
+    "robustness-negative-delay": ["robustness", "--preset", "quadratic-demo", *_sets(
+        "robustness.delay_steps=-1")],
+    "robustness-negative-noise-iters": ["robustness", "--preset", "quadratic-demo", *_sets(
+        "robustness.noise_max_iter=-1")],
+    "run-quadratic-delay": ["run", "--preset", "quadratic-demo", *_sets("solver.delay_steps=3")],
+    "run-placement-delay-compare": ["run", "--preset", "placement-paper", *_sets(
+        "solver.delay_steps=1", "run.compare=true")],
+    "run-quadratic-delay-noise": ["run", "--preset", "quadratic-demo", *_sets(
+        "solver.delay_steps=2", "solver.noise_sigma=1e-10", "solver.tol=1e-8",
+        "run.compare=true")],
+    "run-placement-nes-delay-noise": ["run", "--preset", "placement-paper", *_sets(
+        "solver.algorithm=dagt_nes", "solver.delay_steps=1", "solver.noise_sigma=1e-9",
+        "solver.tol=1e-6")],
+    # the benchmark's region grids, and their empty and one-point edges
+    **{f"region-{alg}-{steps}": _region(alg, alpha_max, steps)
+       for alg, alpha_max in (("dagt_hb", 4e-8), ("dagt_nes", 5e-6)) for steps in (0, 1, 100)},
+    **{f"run-{kind}": ["run", "--preset", "placement-paper", *_sets(f"topology.kind={kind}")]
+       for kind in ("ring", "star", "complete")},
+    "bounds-quadratic-demo": ["bounds", "--preset", "quadratic-demo"],
+}
+
+
+def outputs(tree, argv):
+    """Exit code, stdout, stderr and the written files of one invocation."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run([sys.executable, "-m", "aggsim.cli", *argv, "--out", "out"],
+                              cwd=work, env=env, capture_output=True)
+        out = Path(work, "out")
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def _first_difference(old, new):
+    """The first line at which two byte strings differ, shown shortened."""
+    a, b = old.splitlines(), new.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    shown = [repr(lines[i][:SHOW_CHARS]) if i < len(lines) else "end of output"
+             for lines in (a, b)]
+    return f"line {i + 1}: {shown[0]} != {shown[1]}"
+
+
+def differences(old, new):
+    """Every way two invocations' outputs differ, one line each."""
+    found = []
+    if old["exit code"] != new["exit code"]:
+        found.append(f"exit code: {old['exit code']} != {new['exit code']}")
+    for stream in ("stdout", "stderr"):
+        if old[stream] != new[stream]:
+            found.append(f"{stream}: {_first_difference(old[stream], new[stream])}")
+    for name in sorted(old["files"].keys() | new["files"].keys()):
+        a, b = old["files"].get(name), new["files"].get(name)
+        if a is None or b is None:
+            found.append(f"{name}: only in the {'new' if a is None else 'old'} tree")
+        elif a != b:
+            found.append(f"{name}: {_first_difference(a, b)}")
+    return found
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_tree")
+    parser.add_argument("new_tree")
+    parser.add_argument("--only", action="append", choices=sorted(INVOCATIONS), metavar="NAME",
+                        help="run only this invocation (repeatable)")
+    args = parser.parse_args(argv)
+    names = args.only or list(INVOCATIONS)
+    differing = 0
+    for name in names:
+        old = outputs(args.old_tree, INVOCATIONS[name])
+        found = differences(old, outputs(args.new_tree, INVOCATIONS[name]))
+        print(f"{'DIFFERENT' if found else 'same':9}  {name} (old exit {old['exit code']})",
+              flush=True)
+        for line in found:
+            print(f"           {line}")
+        differing += bool(found)
+    print(f"{len(names) - differing} of {len(names)} invocations identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
