@@ -107,8 +107,7 @@ class Experiment:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.problem = cfg.build_problem()
-        self.graph = cfg.build_graph()
+        self.problem, self.graph = cfg.build_problem_and_graph()
         self.x0, self.x_prev = cfg.build_x0(self.problem)
         self.oracle = solve(self.problem)
         self.noise_sigma = cfg.value("solver.noise_sigma", float, 0.0)
@@ -117,9 +116,9 @@ class Experiment:
             raise ConfigError(NONNEGATIVE, key="solver.*")
         self._channels = {}
 
-    def run(self, graph=None, noise_sigma=None, **overrides):
+    def run(self, graph=None, noise_sigma=None, diagnostics=True, **overrides):
         """One run at the config's solver settings, with overrides; graph
-        and noise_sigma default to the experiment's."""
+        and noise_sigma default to the experiment's, diagnostics to solver.run's."""
         solver_cfg = self.cfg.build_solver_config(**overrides)
         graph = self.graph if graph is None else graph
         noise_sigma = self.noise_sigma if noise_sigma is None else noise_sigma
@@ -131,7 +130,7 @@ class Experiment:
             graph = self._channels[key]
         trace = run_solver(
             self.problem, graph, solver_cfg, self.x0,
-            x_minus1=self.x_prev, oracle_solution=self.oracle,
+            x_minus1=self.x_prev, oracle_solution=self.oracle, diagnostics=diagnostics,
         )
         return solver_cfg, trace
 
@@ -189,7 +188,7 @@ def cmd_sweep(cfg):
     rows = []
     for v in (convert(float, v, "sweep.values") for v in values):
         try:
-            trace = exp.run(momentum=v)[1]
+            trace = exp.run(momentum=v, diagnostics=False)[1]
             rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
         except DivergenceDetected as exc:
             rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False,
@@ -254,7 +253,7 @@ def cmd_robustness(cfg):
 
 
 def _constants(cfg):
-    c = StabilityConstants.from_problem(cfg.build_problem(), cfg.build_graph())
+    c = StabilityConstants.from_problem(*cfg.build_problem_and_graph())
     names = ("mu", "L1", "L2", "L3", "rho")
     return StabilityConstants(**{k: cfg.value(f"bounds.{k}", float, getattr(c, k)) for k in names})
 

@@ -193,6 +193,14 @@ class ExperimentConfig:
         except (InvalidArgument, ConstructionFailed) as exc:
             raise ConfigError(str(exc), key="topology.*") from exc
 
+    def build_problem_and_graph(self):
+        """The problem and the graph, which must have the same agent count."""
+        problem, graph = self.build_problem(), self.build_graph()
+        if graph.n_agents != problem.n_agents:
+            raise ConfigError(f"graph has {graph.n_agents} agents, problem has "
+                              f"{problem.n_agents}", key="topology.n_agents")
+        return problem, graph
+
     # -- solver ------------------------------------------------------------
     def build_solver_config(self, algorithm=None, **overrides):
         """The SolverConfig of one run. Heavy ball takes its momentum from

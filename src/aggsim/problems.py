@@ -98,10 +98,13 @@ class AggregativeProblem:
         )
         object.__setattr__(self, "quadratic_model", (hess, lin.reshape(-1), const))
         object.__setattr__(self, "constants", constants)
-        # column views of c and h, and each all-zero offset as None: every
-        # family leaves some terms out, and the evaluators skip those
+        # column views of c and h, b and e as 0-d arrays (a float's bits, not
+        # converted per call), and each all-zero offset as None: every family
+        # leaves some terms out, and the evaluators skip those
         object.__setattr__(self, "_c", self.c[:, None])
         object.__setattr__(self, "_h", self.h[:, None])
+        for name in ("b", "e"):
+            object.__setattr__(self, f"_{name}", np.array(getattr(self, name), float))
         for name in ("p", "l", "q"):
             offset = getattr(self, name)
             object.__setattr__(self, f"_{name}", offset if offset.any() else None)
@@ -143,13 +146,13 @@ class AggregativeProblem:
     def grad1_all(self, x_agents, u_agents):
         g = self._c * x_agents
         if self.b:
-            g = g + self.b * u_agents
+            g = g + self._b * u_agents
         return g if self._p is None else g + self._p
 
     def grad2_all(self, x_agents, u_agents):
-        g = self.b * x_agents
+        g = self._b * x_agents
         if self.e:
-            g = g + self.e * u_agents
+            g = g + self._e * u_agents
         return g if self._q is None else g + self._q
 
     def dphi_all(self, x_agents, s_agents):

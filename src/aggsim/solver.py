@@ -24,7 +24,8 @@ The state carries phi(y) and grad2 f(y, u), so each round evaluates both
 once, at the new point, as the methods do. Per tick `run` only steps the
 round and queues its state; the stop test, the divergence check and every
 diagnostic run per block of queued states (see IterTrace), and the rounds
-stepped past the converged one are thrown away.
+stepped past the converged one are thrown away. diagnostics=False keeps only
+k and grad_norm, for callers that read the outcome; `to_csv` needs the rest.
 """
 
 from dataclasses import dataclass, field
@@ -96,6 +97,15 @@ class SolverConfig:
     @cached_property
     def family(self):
         return momentum_family(self.algorithm, self.momentum)
+
+    @cached_property
+    def coefficients(self):
+        """step's alpha, beta - gamma and gamma as 0-d arrays, None for a skipped
+        term: a 0-d array multiplies to a float's bits with no per-call conversion."""
+        beta, gamma = self.family
+        drift = beta - gamma
+        return (np.array(self.alpha, float), np.array(drift, float) if drift else None,
+                np.array(gamma, float) if gamma else None)
 
 
 @dataclass(slots=True)
@@ -225,20 +235,19 @@ def step(state, problem, channel, config):
     the extrapolation when gamma = 0, so zero momentum is the plain tracked
     method bit for bit. phi and grad2 f are evaluated once, at y+.
     """
-    beta, gamma = config.family
+    alpha, drift, gamma = config.coefficients
     x, y, u, s = state.x, state.y, state.u, state.s
     g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
-    x_new = y - config.alpha * g
-    if beta != gamma:
-        x_new = x_new + (beta - gamma) * (x - state.x_prev)
-    y_new = x_new + gamma * (x_new - x) if gamma != 0.0 else x_new
+    x_new = y - alpha * g
+    if drift is not None:
+        x_new = x_new + drift * (x - state.x_prev)
+    y_new = x_new if gamma is None else x_new + gamma * (x_new - x)
     mix_u, mix_s = channel.mix(u, s)
     phi_new = problem.phi_all(y_new)
     u_new = mix_u + phi_new - state.phi_y
     g2_new = problem.grad2_all(y_new, u_new)
     s_new = mix_s + g2_new - state.g2_y
-    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, k=state.k + 1,
-                       phi_y=phi_new, g2_y=g2_new)
+    return SolverState(x_new, x, y_new, u_new, s_new, phi_new, g2_new, state.k + 1)
 
 
 @dataclass
@@ -247,10 +256,11 @@ class IterTrace:
 
     `record` appends k and queues the state; `hold` repeats the last row
     on hold ticks. `flush` computes every column for the queued states at
-    once, stop test included, and checks that they are finite. `run` calls
-    it when BLOCK states are queued and at its end. Each column holds the
-    same floats as a row-by-row computation: the stacked products run one
-    BLAS dot or GEMV per row, as one row's would.
+    once, stop test included, and checks that they are finite; without
+    diagnostics it fills only k and grad_norm. `run` calls it when BLOCK
+    states are queued and at its end. Each column holds the same floats as
+    a row-by-row computation: the stacked products run one BLAS dot or GEMV
+    per row, as one row's would.
     """
 
     k: list = field(default_factory=list)
@@ -285,7 +295,7 @@ class IterTrace:
         self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
         self._ticks[-1] += ticks
 
-    def flush(self, problem, oracle_solution, tol):
+    def flush(self, problem, oracle_solution, tol, diagnostics=True):
         """Compute the queued rows and their holds; return the first queued
         state whose gradient norm is below tol, or None.
 
@@ -322,31 +332,32 @@ class IterTrace:
             self._ticks[-1] = 1
         if not finite[:size].all():
             raise DivergenceDetected(states[int(finite.argmin())].k)
-        phi = _stack([st.phi_y for st in states])
-        g2 = _stack([st.g2_y for st in states])
-        n_agents = problem.n_agents
-        if oracle_solution is not None:
-            dx = X - np.asarray(oracle_solution.x_star, dtype=float)
-            residual_msq = (dx**2).sum(axis=1) / n_agents
-            # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
-            # cancel at the size of F and can come out negative. The 0.5
-            # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
-            h_dx = np.matmul(hess, dx[:, :, None])
-            obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
-        else:
-            residual_msq = obj_gap = np.full(size, np.nan)
-        # every mean is sum / N, which is bit-identical to .mean(axis=0)
-        u_mean = U.sum(axis=1) / n_agents
-        s_mean = S.sum(axis=1) / n_agents
-        columns = {
-            "residual_msq": residual_msq,
-            "obj_gap": obj_gap,
-            "grad_norm": grad_norm,
-            "u_track_err": _row_norms(U - u_mean[:, None, :]),
-            "s_track_err": _row_norms(S - s_mean[:, None, :]),
-            "u_mean_err": np.abs(u_mean - phi.sum(axis=1) / n_agents).max(axis=1),
-            "s_mean_err": np.abs(s_mean - g2.sum(axis=1) / n_agents).max(axis=1),
-        }
+        columns = {"grad_norm": grad_norm}
+        if diagnostics:
+            phi = _stack([st.phi_y for st in states])
+            g2 = _stack([st.g2_y for st in states])
+            n_agents = problem.n_agents
+            if oracle_solution is not None:
+                dx = X - np.asarray(oracle_solution.x_star, dtype=float)
+                residual_msq = (dx**2).sum(axis=1) / n_agents
+                # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
+                # cancel at the size of F and can come out negative. The 0.5
+                # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
+                h_dx = np.matmul(hess, dx[:, :, None])
+                obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
+            else:
+                residual_msq = obj_gap = np.full(size, np.nan)
+            # every mean is sum / N, which is bit-identical to .mean(axis=0)
+            u_mean = U.sum(axis=1) / n_agents
+            s_mean = S.sum(axis=1) / n_agents
+            columns.update({
+                "residual_msq": residual_msq,
+                "obj_gap": obj_gap,
+                "u_track_err": _row_norms(U - u_mean[:, None, :]),
+                "s_track_err": _row_norms(S - s_mean[:, None, :]),
+                "u_mean_err": np.abs(u_mean - phi.sum(axis=1) / n_agents).max(axis=1),
+                "s_mean_err": np.abs(s_mean - g2.sum(axis=1) / n_agents).max(axis=1),
+            })
         ticks = self._ticks[first:]
         if sum(ticks) > size:
             columns = {name: np.repeat(values, ticks) for name, values in columns.items()}
@@ -368,9 +379,11 @@ class IterTrace:
         return "\n".join(lines) + "\n"
 
 
-def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
+def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagnostics=True):
     """Iterate until the central gradient-norm monitor passes tol or the
-    tick budget max_iter runs out; returns the full per-tick trace.
+    tick budget max_iter runs out; returns the per-tick trace. With
+    diagnostics False the run ends alike, but its trace holds k and
+    grad_norm alone, too few columns for `to_csv`.
 
     channel is a CommGraph, which mixes exactly, or a CommChannel, which
     adds its noise. A channel is rewound, so runs that share it replay one
@@ -394,19 +407,20 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None):
         graph = channel.graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
     trace = IterTrace()
+    record, delay_steps, max_iter = trace.record, config.delay_steps, config.max_iter
     converged = None
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if not state.finite():
             raise DivergenceDetected(state.k)
         while True:
-            full = trace.record(state)
-            if state.k > 0 and config.delay_steps > 0:
-                trace.hold(min(config.delay_steps, config.max_iter - state.k))
+            full = record(state)
+            if state.k > 0 and delay_steps > 0:
+                trace.hold(min(delay_steps, max_iter - state.k))
             tick = trace.k[-1]
-            spent = tick >= config.max_iter
+            spent = tick >= max_iter
             if full or spent:
-                converged = trace.flush(problem, oracle_solution, config.tol)
+                converged = trace.flush(problem, oracle_solution, config.tol, diagnostics)
                 if spent or converged is not None:
                     break
             state = step(state, problem, channel, config)

@@ -64,16 +64,19 @@ def jury_stable(coeffs):
         raise InvalidArgument("leading coefficient must be positive")
 
     names = ["H(1) > 0", "(-1)^n H(-1) > 0", "|a0| < an"]
-    slacks = [
-        a.sum(axis=-1),
-        (-1) ** n * (a * (-1.0) ** np.arange(n + 1)).sum(axis=-1),
-        a[..., -1] - np.abs(a[..., 0]),
-    ]
-    row = a
-    for i in range(n - 2):  # the derived rows of the table
-        row = row[..., :1] * row[..., :-1] - row[..., -1:] * row[..., :0:-1]
-        names.append(f"|row{i}[0]| > |row{i}[-1]|")
-        slacks.append(np.abs(row[..., 0]) - np.abs(row[..., -1]))
+    # a stable monic polynomial has |a_k| <= C(n, k), so only an unstable one
+    # overflows the table, and a NaN or inf slack reads as not stable anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        slacks = [
+            a.sum(axis=-1),
+            (-1) ** n * (a * (-1.0) ** np.arange(n + 1)).sum(axis=-1),
+            a[..., -1] - np.abs(a[..., 0]),
+        ]
+        row = a
+        for i in range(n - 2):  # the derived rows of the table
+            row = row[..., :1] * row[..., :-1] - row[..., -1:] * row[..., :0:-1]
+            names.append(f"|row{i}[0]| > |row{i}[-1]|")
+            slacks.append(np.abs(row[..., 0]) - np.abs(row[..., -1]))
     slack = np.stack(slacks, axis=-1)
     ok = slack > 0
     stable = ok.all(axis=-1)
@@ -252,8 +255,10 @@ def char_poly(matrix):
     n = roots.shape[-1]
     desc = np.zeros(roots.shape[:-1] + (n + 1,), dtype=roots.dtype)
     desc[..., 0] = 1.0
-    for k in range(n):
-        desc[..., 1 : k + 2] -= roots[..., k : k + 1] * desc[..., : k + 1]
+    # only roots off the unit disk overflow a coefficient (see jury_stable)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            desc[..., 1 : k + 2] -= roots[..., k : k + 1] * desc[..., : k + 1]
     return desc.real[..., ::-1]
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -144,6 +145,18 @@ def test_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("command,preset,overrides", [
     pytest.param("run", "placement-paper", ["solver.alpha=abc"], id="alpha-abc"),
     pytest.param("run", "placement-paper", ["topology.n_agents=7"], id="agent-count-mismatch"),
+    # a problem and a graph of different agent counts, in every command
+    pytest.param("rates", "quadratic-demo", ["topology.n_agents=3"], id="rates-fewer-agents"),
+    pytest.param("rates", "quadratic-demo", ["problem.c=1,2", "problem.h=1,1", "problem.l=0,0"],
+                 id="rates-two-entry-problem"),
+    pytest.param("bounds", "cournot-paper", ["topology.n_agents=3"], id="bounds-fewer-agents"),
+    pytest.param("region", "cournot-paper", ["topology.n_agents=5"], id="region-fewer-agents"),
+    pytest.param("sweep", "placement-paper", ["topology.n_agents=7", "sweep.values=0.1"],
+                 id="sweep-more-agents"),
+    pytest.param("topology", "placement-paper", ["topology.n_agents=4"],
+                 id="topology-fewer-agents"),
+    pytest.param("robustness", "quadratic-demo", ["topology.n_agents=9"],
+                 id="robustness-more-agents"),
     pytest.param("run", "placement-paper", ["solver.alpha=nan"], id="alpha-nan"),
     pytest.param("run", "placement-paper", ["solver.alpha=inf"], id="alpha-inf"),
     pytest.param("run", "quadratic-demo", ["solver.tol=nan"], id="tol-nan"),
@@ -224,6 +237,9 @@ OVERFLOW_CAUSES = {
     pytest.param("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=-0.5"],
                  "momentum parameters must be nonnegative (key 'solver.*')",
                  id="negative-sweep-value"),
+    pytest.param("bounds", "cournot-paper", ["topology.n_agents=3"],
+                 "graph has 3 agents, problem has 50 (key 'topology.n_agents')",
+                 id="agent-count-mismatch"),
     pytest.param("robustness", "quadratic-demo", ["robustness.noise_sigma=-1"],
                  "noise_sigma must be nonnegative (key 'robustness.noise_sigma')",
                  id="negative-robustness-sigma"),
@@ -524,6 +540,28 @@ def test_region_command_members_are_contractive(tmp_path):
     members = [r for r in rows if r[2] == "True"]
     assert members
     assert all(float(r[3]) < 1.0 for r in members)
+
+
+# momenta that overflow the Jury table (and, for Nesterov, the
+# characteristic polynomial) of their unstable polynomials, with finite
+# error matrices: no warning is printed, and membership still matches the
+# spectral radius
+@pytest.mark.parametrize("algorithm,momentum_max", [("dagt_hb", 1e300), ("dagt_nes", 1e150)])
+def test_region_with_overflowing_jury_tables_is_quiet(tmp_path, capsys, algorithm,
+                                                      momentum_max):
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("region", "--preset", "placement-paper", *[
+            arg for kv in (f"region.algorithm={algorithm}", f"region.momentum_max={momentum_max}",
+                           "region.momentum_steps=3", "region.alpha_steps=3")
+            for arg in ("--set", kv)], "--out", str(out)) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out / "region.csv")
+    assert len(rows) == 9
+    assert [r[2] == "True" for r in rows] == [float(r[3]) < 1.0 for r in rows]
+    assert any(r[2] == "True" for r in rows)
 
 
 # cournot-paper's default grid has no members, so its grids take the

@@ -39,6 +39,23 @@ def reference_global_gradient(problem, x):
     return (problem.grad1_all(xa, ub) + problem.dphi_all(xa, sb)).reshape(-1)
 
 
+def reference_grad1_all(problem, x, u):
+    """grad1_all as it was while b was multiplied as a Python float; the
+    problem keeps b and e as 0-d arrays, checked against this bit for bit."""
+    g = problem.c[:, None] * x
+    if problem.b:
+        g = g + problem.b * u
+    return g + problem.p if problem.p.any() else g
+
+
+def reference_grad2_all(problem, x, u):
+    """grad2_all with the Python floats b and e (see reference_grad1_all)."""
+    g = problem.b * x
+    if problem.e:
+        g = g + problem.e * u
+    return g + problem.q if problem.q.any() else g
+
+
 def paper_placement():
     return make_placement(PAPER_ANCHORS, 20.0)
 
@@ -351,6 +368,29 @@ def test_model_matches_evaluators_on_a_generic_instance():
         model_value = 0.5 * x @ hess @ x + lin @ x + const
         assert model_value == pytest.approx(problem.objective(x), rel=1e-12, abs=1e-12)
     assert (problem.constants.L2, problem.constants.L3) == (0.9, problem.h.max())
+
+
+def zero_coupling_problem():
+    """b = e = q = 0, so grad2_all is 0 * x: -0.0 wherever x < 0."""
+    return AggregativeProblem(name="uncoupled", c=[1.0, 2.0, 3.0], h=[0.5] * 3, s=[0.0] * 3,
+                              p=np.zeros((3, 1)), l=np.ones((3, 1)), b=0.0, e=0.0, q=[0.0])
+
+
+@pytest.mark.parametrize("problem", sample_problems() + [zero_coupling_problem()],
+                         ids=lambda p: p.name)
+def test_gradients_match_float_coefficient_references(problem):
+    # b and e are 0-d arrays in the evaluators; each product keeps the
+    # float's bits, the sign of a zero included
+    rng = np.random.default_rng(4)
+    shape = (problem.n_agents, problem.local_dim)
+    for _ in range(5):
+        x, u = rng.uniform(-3, 3, shape), rng.uniform(-3, 3, shape)
+        for ours, ref in ((problem.grad1_all, reference_grad1_all),
+                          (problem.grad2_all, reference_grad2_all)):
+            a, b = ours(x, u), ref(problem, x, u)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if not problem.b and not problem.q.any():
+        assert np.signbit(problem.grad2_all(-x, u)).any()
 
 
 def test_dimension_mismatch_rejected():

@@ -16,7 +16,9 @@ from aggsim.solver import (
     init_state, run, step,
 )
 
-from test_problems import paper_placement, seeded_cournot
+from test_problems import (
+    paper_placement, reference_grad1_all, reference_grad2_all, seeded_cournot,
+)
 
 PLACEMENT_X0 = np.array([2, 9, 8, 6, 7, 3, 4, 7, 8, 3], float)
 PLACEMENT_XM1 = np.array([0, 11, 9, 8, 9, 1, 1, 4, 3, 1], float)
@@ -36,7 +38,8 @@ def consensus_state(problem):
 
 # ---------------------------------------------------------------------------
 # reference steps: the separate heavy-ball and Nesterov updates that the
-# one momentum-family step replaced, kept to check it bit for bit
+# one momentum-family step replaced, kept to check it bit for bit. They
+# multiply by Python floats, where step and the evaluators use 0-d arrays
 # ---------------------------------------------------------------------------
 
 class ReferenceChannel:
@@ -70,7 +73,7 @@ def _reference_mix(graph, state, channel):
 def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
     """One heavy-ball round (beta = 0 is the plain tracked method)."""
     x, u, s = state.x, state.u, state.s
-    g = problem.grad1_all(x, u) + problem.dphi_all(x, s)
+    g = reference_grad1_all(problem, x, u) + problem.dphi_all(x, s)
     if beta != 0.0:
         x_new = x - alpha * g + beta * (x - state.x_prev)
     else:
@@ -78,8 +81,8 @@ def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
     mix_u, mix_s = _reference_mix(graph, state, channel)
     phi_new = problem.phi_all(x_new)
     u_new = mix_u + phi_new - problem.phi_all(x)
-    g2_new = problem.grad2_all(x_new, u_new)
-    s_new = mix_s + g2_new - problem.grad2_all(x, u)
+    g2_new = reference_grad2_all(problem, x_new, u_new)
+    s_new = mix_s + g2_new - reference_grad2_all(problem, x, u)
     return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
                        k=state.k + 1)
 
@@ -87,7 +90,7 @@ def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
 def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
     """One Nesterov round (gamma = 0 matches the plain method bit for bit)."""
     x, y, u, s = state.x, state.y, state.u, state.s
-    g = problem.grad1_all(y, u) + problem.dphi_all(y, s)
+    g = reference_grad1_all(problem, y, u) + problem.dphi_all(y, s)
     x_new = y - alpha * g
     if gamma != 0.0:
         y_new = x_new + gamma * (x_new - x)
@@ -96,8 +99,8 @@ def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
     mix_u, mix_s = _reference_mix(graph, state, channel)
     phi_new = problem.phi_all(y_new)
     u_new = mix_u + phi_new - problem.phi_all(y)
-    g2_new = problem.grad2_all(y_new, u_new)
-    s_new = mix_s + g2_new - problem.grad2_all(y, u)
+    g2_new = reference_grad2_all(problem, y_new, u_new)
+    s_new = mix_s + g2_new - reference_grad2_all(problem, y, u)
     return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
                        k=state.k + 1)
 
@@ -140,7 +143,7 @@ def reference_record(trace, problem, state, oracle_solution, grad_vec):
     trace.u_track_err.append(float(np.linalg.norm(state.u - u_mean)))
     trace.s_track_err.append(float(np.linalg.norm(state.s - s_mean)))
     phi_mean = problem.phi_all(z).sum(axis=0) / n
-    g2_mean = problem.grad2_all(z, state.u).sum(axis=0) / n
+    g2_mean = reference_grad2_all(problem, z, state.u).sum(axis=0) / n
     trace.u_mean_err.append(float(np.abs(u_mean - phi_mean).max()))
     trace.s_mean_err.append(float(np.abs(s_mean - g2_mean).max()))
 
@@ -186,26 +189,40 @@ TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_t
                 "u_mean_err", "s_mean_err")
 
 
+def run_outcome_only(*args, **kwargs):
+    return run(*args, **kwargs, diagnostics=False)
+
+
+def assert_columns_equal(ours, ref, names):
+    for name in names:
+        a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(ref, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def assert_runs_equal(run_args, run_kwargs):
     """run and reference_run end alike, bit for bit: the same trace and
-    final state, or a divergence at the same tick. Returns the reference's
-    trace or divergence tick."""
+    final state, or a divergence at the same tick. A run without
+    diagnostics ends alike too, with the same k and grad_norm and no other
+    column. Returns the reference's trace or divergence tick."""
     outcomes = []
-    for fn in (run, reference_run):
+    for fn in (run, reference_run, run_outcome_only):
         try:
             outcomes.append(fn(*run_args, **run_kwargs))
         except DivergenceDetected as exc:
             outcomes.append(exc.iteration)
-    ours, ref = outcomes
+    ours, ref, outcome_only = outcomes
     if not isinstance(ref, IterTrace):
-        assert ours == ref
+        assert ours == ref and outcome_only == ref
         return ref
-    assert isinstance(ours, IterTrace)
+    assert isinstance(ours, IterTrace) and isinstance(outcome_only, IterTrace)
+    assert_columns_equal(ours, ref, TRACE_FIELDS)
+    assert_columns_equal(outcome_only, ref, ("k", "grad_norm"))
     for name in TRACE_FIELDS:
-        a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(ref, name))
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert ours.converged == ref.converged
-    assert_states_equal(ours.final_state, ref.final_state)
+        if name not in ("k", "grad_norm"):
+            assert getattr(outcome_only, name) == [], name
+    for trace in (ours, outcome_only):
+        assert trace.converged == ref.converged
+        assert_states_equal(trace.final_state, ref.final_state)
     return ref
 
 
@@ -309,9 +326,13 @@ def test_zero_momentum_steps_identical():
         assert_states_equal(states[0], states[2])
 
 
+# the quadratic family has b = e = 0 and q != 0: its zero coefficients
+# must keep the reference's bits as 0-d arrays too
 @pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
-@pytest.mark.parametrize("problem", [paper_placement(), seeded_cournot(n=8, seed=4)],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("problem", [
+    paper_placement(), seeded_cournot(n=8, seed=4),
+    make_quadratic(np.linspace(1.0, 9.0, 8), np.full(8, 0.5), np.linspace(-1.0, 1.0, 8)),
+], ids=lambda p: p.name)
 def test_step_matches_reference_steps(problem, noise_sigma):
     g = build_topology("ring", problem.n_agents)
     x0 = np.linspace(1.0, 3.0, problem.dim)
@@ -663,11 +684,11 @@ def doubling_case(diverge_row, delay, noise_sigma):
 def test_divergence_at_block_edges_matches_reference(diverge_row, delay, noise_sigma):
     p, g, cfg, x0 = doubling_case(diverge_row, delay, noise_sigma)
     ticks = []
-    for fn in (run, reference_run):
+    for fn in (run, reference_run, run_outcome_only):
         with pytest.raises(DivergenceDetected) as exc:
             fn(p, g, cfg, x0, oracle_solution=solve(p))
         ticks.append(exc.value.iteration)
-    assert ticks == [arrival_tick(diverge_row, delay)] * 2
+    assert ticks == [arrival_tick(diverge_row, delay)] * 3
 
 
 def test_budget_before_divergence_matches_reference():
@@ -707,6 +728,19 @@ def test_convergence_at_block_edges_matches_reference(row, family, noise_sigma):
 def test_delayed_convergence_drops_the_converged_holds(row, delay, noise_sigma):
     # the converged state's holds were queued before the flush found it
     p, g, cfg, x0 = converging_case(row, delay, noise_sigma)
+    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert ref.converged and ref.k[-1] == arrival_tick(row, delay)
+
+
+# a run without diagnostics ends as the full run does (assert_runs_equal
+# checks both against the reference) for every family, delay and noise
+# level, converging on either side of a block edge
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-2])
+@pytest.mark.parametrize("delay", [0, 1, 2, 3])
+@pytest.mark.parametrize("family", FAMILIES, ids=[f[0] for f in FAMILIES])
+@pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_outcome_only_run_matches_the_full_run(row, family, delay, noise_sigma):
+    p, g, cfg, x0 = converging_case(row, delay, noise_sigma, family)
     ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
     assert ref.converged and ref.k[-1] == arrival_tick(row, delay)
 

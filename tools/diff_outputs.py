@@ -82,6 +82,25 @@ INVOCATIONS = {
     **{f"run-{kind}": ["run", "--preset", "placement-paper", *_sets(f"topology.kind={kind}")]
        for kind in ("ring", "star", "complete")},
     "bounds-quadratic-demo": ["bounds", "--preset", "quadratic-demo"],
+    # outcome-only sweep runs under holds and channel replay: one converges,
+    # one spends its budget and one diverges
+    "sweep-cournot-delay-noise": ["sweep", "--preset", "cournot-paper", *_sets(
+        "solver.delay_steps=2", "solver.noise_sigma=0.001", "solver.tol=1e-2",
+        "sweep.values=0.0,0.5,1.5")],
+    # a problem and a graph of different agent counts
+    "run-fewer-agents": ["run", "--preset", "cournot-paper", *_sets("topology.n_agents=5")],
+    "rates-fewer-agents": ["rates", "--preset", "quadratic-demo", *_sets("topology.n_agents=3")],
+    "rates-two-entry-problem": ["rates", "--preset", "quadratic-demo", *_sets(
+        "problem.c=1,2", "problem.h=1,1", "problem.l=0,0")],
+    "bounds-fewer-agents": ["bounds", "--preset", "cournot-paper", *_sets("topology.n_agents=3")],
+    "region-fewer-agents": ["region", "--preset", "cournot-paper", *_sets("topology.n_agents=5")],
+    "topology-fewer-agents": ["topology", "--preset", "placement-paper",
+                              *_sets("topology.n_agents=4")],
+    # momenta whose characteristic polynomials overflow the Jury table
+    **{f"region-overflow-{alg}": ["region", "--preset", "placement-paper", *_sets(
+        f"region.algorithm={alg}", f"region.momentum_max={momentum_max}",
+        "region.momentum_steps=3", "region.alpha_steps=3")]
+       for alg, momentum_max in (("dagt_hb", "1e300"), ("dagt_nes", "1e150"))},
 }
 
 
