@@ -44,7 +44,6 @@ from .stability import (
     jury_stable,
     optimal_params,
     optimal_rate_formula,
-    quad_full_matrix,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,

@@ -146,6 +146,8 @@ class ExperimentConfig:
         return arr
 
     # -- problem ---------------------------------------------------------
+    # an overflowing coefficient is reported by the Hessian check, not by numpy warnings
+    @np.errstate(over="ignore", invalid="ignore")
     def build_problem(self):
         kind = self.require("problem.kind")
         try:
@@ -158,6 +160,9 @@ class ExperimentConfig:
                 n = self.value("problem.n_agents", int)
                 if n < 1:
                     raise ConfigError("n_agents must be positive", key="problem.n_agents")
+                if n > np.iinfo(np.intp).max:  # more than numpy can index
+                    raise ConfigError(f"n_agents must be at most {np.iinfo(np.intp).max}",
+                                      key="problem.n_agents")
                 rng = np.random.default_rng(self.seed("problem.seed", 0))
                 kappa = rng.uniform(*self.array("problem.kappa_range", [0.5, 2.5], size=2), n)
                 theta = rng.uniform(*self.array("problem.theta_range", [10, 20], size=2), n)
@@ -194,12 +199,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc), key="topology.*") from exc
 
     def build_problem_and_graph(self):
-        """The problem and the graph, which must have the same agent count."""
-        problem, graph = self.build_problem(), self.build_graph()
-        if graph.n_agents != problem.n_agents:
-            raise ConfigError(f"graph has {graph.n_agents} agents, problem has "
-                              f"{problem.n_agents}", key="topology.n_agents")
-        return problem, graph
+        """The problem and the graph, whose agent counts are compared first."""
+        problem = self.build_problem()
+        n = self.value("topology.n_agents", int)
+        if n != problem.n_agents:
+            raise ConfigError(f"graph has {n} agents, problem has {problem.n_agents}",
+                              key="topology.n_agents")
+        return problem, self.build_graph()
 
     # -- solver ------------------------------------------------------------
     def build_solver_config(self, algorithm=None, **overrides):
@@ -207,6 +213,8 @@ class ExperimentConfig:
         solver.beta and Nesterov from solver.gamma; both keys are checked
         for every algorithm."""
         algorithm = algorithm or self.get("solver.algorithm", "dagt_hb")
+        if algorithm not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algorithm!r}", key="solver.algorithm")
         kw = dict(
             algorithm=algorithm,
             alpha=self.value("solver.alpha", float),
@@ -217,8 +225,6 @@ class ExperimentConfig:
             delay_steps=self.value("solver.delay_steps", int, 0),
         )
         kw.update(overrides)
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algorithm!r}", key="solver.algorithm")
         try:
             return SolverConfig(**kw)
         except InvalidArgument as exc:

@@ -87,6 +87,8 @@ class AggregativeProblem:
         coupling = (self.b * (np.outer(self.h, one) + np.outer(one, self.h))
                     + self.e * np.outer(self.h, self.h)) / n
         hess = np.kron(np.diag(self.c) + coupling, np.eye(d))
+        if not np.isfinite(hess).all():
+            raise InvalidArgument("Hessian has a non-finite entry: a coefficient is too large")
         # gradient and value of F at x = 0, where u = mean(l)
         l_bar = self.l.mean(axis=0)
         lin = self.p + self.b * l_bar + self.h[:, None] * (self.e * l_bar + self.q)

@@ -3,8 +3,8 @@
 Contents: the Jury criterion for discrete-time polynomial stability, the
 4x4 one-step error-bound matrices of the heavy-ball and Nesterov schemes,
 conservative step/momentum bounds from a positive-witness argument, exact
-stability-region membership via the Jury table, and the quadratic-case
-block matrices whose spectral radii give exact convergence rates.
+stability-region membership via the Jury table, and exact convergence
+rates on the quadratic family, read off the solver's own round.
 
 The error matrices, spectral radii, characteristic polynomials, Jury test
 and region membership work on arrays: a grid of (step size, momentum)
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
-from .solver import momentum_family
+from .solver import SolverConfig, SolverState, momentum_family, step
 
 _EPS = np.finfo(float).eps
 
@@ -439,50 +439,33 @@ def quad_reduced_radius(c, alpha, momentum, algorithm):
     ))
 
 
-def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
-    """Full coupling matrix of the quadratic-instance error recursion
-    (3N x 3N for dagt, 4N x 4N with momentum), assembled from its two
-    displayed block factors. Its aggregate row follows from
-    y_{k+1} - y_k = (1 + gamma) x_{k+1} - (1 + 2 gamma) x_k + gamma x_{k-1}.
-    """
-    beta, gamma = momentum_family(algorithm, momentum)
-    c = np.asarray(qp.c, dtype=float)
-    h = np.asarray(qp.h, dtype=float)
-    n = c.size
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    A = graph.weights
-    K = np.full((n, n), 1.0 / n)
-    aC = alpha * np.diag(c)
-    H = np.diag(h)
-    KHmH = K @ H - H
+def _round_matrix(qp, graph, config):
+    """Linear part of one `step` round on a quadratic instance (d = 1), in
+    the coordinates (s; x, x_prev; u), 4N square. dagt reads no x_prev, so
+    its column would be exactly zero: dagt's coordinates are (s; x; u).
 
-    left = [
-        [eye, zero, zero, zero],
-        [zero, eye, zero, zero],
-        [(1 + gamma) * KHmH, zero, eye, zero],
-        [zero, zero, zero, eye],
-    ]
-    right = [
-        [(1 + beta) * eye - (1 + gamma) * aC, gamma * aC - beta * eye, zero, -alpha * H],
-        [eye, zero, zero, zero],
-        [(1 + 2 * gamma) * KHmH, -gamma * KHmH, A - K, zero],
-        [zero, zero, zero, A - K],
-    ]
-    if algorithm == "dagt":
-        # without momentum the previous state feeds nothing: drop its block
-        left, right = ([r[:1] + r[2:] for i, r in enumerate(m) if i != 1] for m in (left, right))
-    # the left factor is I + N with N one block below the diagonal, so
-    # N @ N = 0 and its inverse is I - N exactly: the product keeps the
-    # zero blocks of the right factor exactly zero
-    full = np.block(right)
-    return full - (np.block(left) - np.eye(len(full))) @ full
+    One `step` call on a stack of states, the zero state and one unit state
+    per coordinate, gives column j as step(e_j) - step(0). Each state's y,
+    phi(y) and grad2 f(y, u) are built as `step` builds them.
+    """
+    n = qp.n_agents
+    names = ("s", "x", "u") if config.algorithm == "dagt" else ("s", "x", "x_prev", "u")
+    basis = np.eye(len(names) * n + 1, len(names) * n, k=-1).reshape(-1, len(names), n, 1)
+    z = dict(zip(names, np.moveaxis(basis, 1, 0)))
+    x, x_prev, u, gamma = z["x"], z.get("x_prev", z["x"]), z["u"], config.coefficients[2]
+    y = x if gamma is None else x + gamma * (x - x_prev)
+    state = SolverState(x, x_prev, y, u, z["s"], qp.phi_all(y), qp.grad2_all(y, u))
+    out = np.concatenate([getattr(step(state, qp, graph, config), k) for k in names], axis=1)
+    return (out[1:] - out[0])[..., 0].T
 
 
 @dataclass(frozen=True)
 class QuadraticRateReport:
+    """`matrix` is the round's linear part in (s; x, x_prev; u), x_prev
+    dropped for dagt, less the averaging matrix on its s and u blocks."""
+
     matrix: ErrorSystemMatrix
-    spectral_radius: float  # largest dense radius of the full matrix's diagonal blocks
+    spectral_radius: float  # largest dense radius of the matrix's diagonal blocks
     reduced_radius: float  # exact agentwise reduction
     rho_graph: float
     predicted_rate: float  # max(rho_graph, reduced_radius)
@@ -491,35 +474,39 @@ class QuadraticRateReport:
 def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     """Spectral convergence rate of one algorithm on a quadratic instance.
 
-    Builds the full block matrix, computes the reduced shortcut
-    max(rho_graph, reduced state radius), and checks the two for agreement.
-    In the state order (s; x, x_prev; u) the full matrix is block
-    lower-triangular, which is checked exactly, so its spectral radius is
-    the largest of its three diagonal blocks' dense radii. Taken whole, a
-    root shared by the blocks (rho_graph equal to the reduced radius) would
-    form a longer Jordan chain and cost the eigensolver most of its
-    precision. A repeated root within a block still costs about half, so
-    the agreement gate is the wider of 1e-9 and a defectiveness-aware
-    allowance, and a miss raises InconsistentResult; tests assert the
-    tight tolerance on simple-spectrum instances.
+    Reads the linear part of one round off `step` (see _round_matrix),
+    computes the reduced shortcut max(rho_graph, reduced state radius), and
+    checks the two for agreement. In the state order (s; x, x_prev; u) the
+    round is block lower-triangular, which is checked exactly. Less the
+    averaging matrix on the s and u blocks, whose means are conserved, the
+    spectral radius is the largest of the three diagonal blocks' dense
+    radii. Taken whole, a root shared by the blocks (rho_graph equal to the
+    reduced radius) would form a longer Jordan chain and cost the
+    eigensolver most of its precision. A repeated root within a block still
+    costs about half, so the agreement gate is the wider of 1e-9 and a
+    defectiveness-aware allowance, and a miss raises InconsistentResult;
+    tests assert the tight tolerance on simple-spectrum instances.
     """
-    full = quad_full_matrix(qp, graph, alpha, momentum, algorithm)
+    # beta is the heavy-ball and Nesterov momentum, and 0 for dagt, which ignores it
+    config = SolverConfig(algorithm, alpha, momentum_family(algorithm, momentum)[0])
+    full = _round_matrix(qp, graph, config)
     n = len(qp.c)
     m = len(full) - 2 * n  # x, and x_prev with momentum
-    if full[m + n :, : m + n].any() or full[:m, m : m + n].any():
-        raise InconsistentResult("full matrix is not block lower-triangular in (s; x, x_prev; u)")
+    if full[:n, n:].any() or full[n : n + m, n + m :].any():
+        raise InconsistentResult("round matrix is not block lower-triangular in (s; x, x_prev; u)")
+    averaging = np.full((n, n), 1.0 / n)
+    full[:n, :n] -= averaging
+    full[n + m :, n + m :] -= averaging
     spectral = max(
         float(np.abs(np.linalg.eigvals(full[b, b])).max())
-        for b in (slice(m + n, None), slice(0, m), slice(m, m + n))
+        for b in (slice(0, n), slice(n, n + m), slice(n + m, None))
     )
     reduced = quad_reduced_radius(qp.c, alpha, momentum, algorithm)
     rho_graph = graph.rho
     predicted = max(rho_graph, reduced)
     gate = max(1e-9, 5e-8 * (1.0 + predicted))
     if abs(spectral - predicted) > gate:
-        raise InconsistentResult(
-            f"full/reduced spectral radii disagree: {spectral} vs {predicted}"
-        )
+        raise InconsistentResult(f"full/reduced spectral radii disagree: {spectral} vs {predicted}")
     return QuadraticRateReport(
         matrix=ErrorSystemMatrix(full),
         spectral_radius=spectral,

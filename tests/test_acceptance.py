@@ -44,14 +44,13 @@ from aggsim.stability import (
     jury_stable,
     optimal_params,
     optimal_rate_formula,
-    quad_full_matrix,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,
     region_member_nes,
 )
 
-from test_stability import momentum_threshold_bound
+from test_stability import momentum_threshold_bound, quad_full_matrix
 
 PLACEMENT_POSITIONS = np.array(
     [

@@ -217,6 +217,9 @@ OVERFLOW_CAUSES = {
 }
 
 
+HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
+
+
 # the config boundary of the run parameters: each case is rejected with
 # exit 2 and this exact stderr line, and writes nothing
 @pytest.mark.parametrize("command,preset,overrides,message", [
@@ -243,6 +246,24 @@ OVERFLOW_CAUSES = {
     pytest.param("robustness", "quadratic-demo", ["robustness.noise_sigma=-1"],
                  "noise_sigma must be nonnegative (key 'robustness.noise_sigma')",
                  id="negative-robustness-sigma"),
+    # a coefficient whose Hessian entry overflows
+    *[pytest.param("run", preset, [kv], f"{HESSIAN_OVERFLOW} (key 'problem.*')", id=kv)
+      for preset, kv in (("placement-paper", "problem.omega=1e308"),
+                         ("cournot-paper", "problem.omega2=1e308"),
+                         ("cournot-paper", "problem.kappa_range=1e308,1e308"))],
+    *[pytest.param(command, preset, ["solver.algorithm=1,2"],
+                   "unknown algorithm [1, 2] (key 'solver.algorithm')", id=f"{command}-algorithm-list")
+      for command, preset in (("run", "cournot-paper"), ("topology", "placement-paper"))],
+    # agent counts numpy cannot allocate are rejected before anything is built
+    pytest.param("run", "cournot-paper", ["topology.n_agents=1e308"],
+                 f"graph has {int(1e308)} agents, problem has 50 (key 'topology.n_agents')",
+                 id="run-graph-count-1e308"),
+    pytest.param("rates", "quadratic-demo", ["topology.n_agents=1e308"],
+                 f"graph has {int(1e308)} agents, problem has 8 (key 'topology.n_agents')",
+                 id="rates-graph-count-1e308"),
+    pytest.param("run", "cournot-paper", ["problem.n_agents=1e308"],
+                 f"n_agents must be at most {np.iinfo(np.intp).max} (key 'problem.n_agents')",
+                 id="cournot-count-1e308"),
     # checked before the first run, so a bad noise budget is not found
     # only after the delay runs
     pytest.param("robustness", "quadratic-demo", ["robustness.delay_steps=-1"],
@@ -628,6 +649,16 @@ def test_rates_command_quadratic_only(tmp_path):
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
         assert summary["per_algorithm"][alg]["rel_error"] < 0.05
     assert run_cli("rates", "--preset", "placement-paper", "--out", str(out / "bad")) == 2
+
+
+def test_rates_with_an_unconverged_run_exits_3_and_writes_its_outputs(tmp_path):
+    out = tmp_path / "o"
+    sets = ["--set", "solver.max_iter=3"]
+    assert run_cli("rates", "--preset", "quadratic-demo", *sets, "--out", str(out)) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["rates.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["outputs"] == ["rates.csv"]
+    assert list(summary["per_algorithm"]) == ["dagt", "dagt_hb", "dagt_nes"]
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

@@ -165,6 +165,8 @@ def test_cournot_rejects_bad_inputs():
         make_cournot([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1.0)
     with pytest.raises(InvalidArgument):
         make_cournot([1.0], [0.0], [0.0], 1.0, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="Hessian"):
+        make_cournot([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1e308)
 
 
 # ---------------------------------------------------------------------------

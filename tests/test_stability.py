@@ -11,7 +11,8 @@ from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset
 from aggsim.problems import make_quadratic
-from aggsim.solver import SolverConfig, csv_text, init_state, step
+from aggsim.solver import SolverConfig, csv_text, init_state, momentum_family, step
+import aggsim.stability as stability
 from aggsim.stability import (
     StabilityConstants,
     _companion2_radius,
@@ -26,7 +27,6 @@ from aggsim.stability import (
     jury_stable,
     optimal_params,
     optimal_rate_formula,
-    quad_full_matrix,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,
@@ -927,6 +927,48 @@ def quad_instance(rng, n=None):
     return make_quadratic(c, h, rng.uniform(-1, 1, n))
 
 
+def quad_full_matrix(qp, graph, alpha, momentum, algorithm):
+    """Full coupling matrix of the quadratic-instance error recursion
+    (3N x 3N for dagt, 4N x 4N with momentum) on the error (x - x*,
+    x_prev - x*, (I - K) u, (I - K) s), assembled from its two displayed
+    block factors: the reference that `quadratic_rates`, which reads the
+    round off `step`, is held to. Its aggregate row follows from
+    y_{k+1} - y_k = (1 + gamma) x_{k+1} - (1 + 2 gamma) x_k + gamma x_{k-1}.
+    """
+    beta, gamma = momentum_family(algorithm, momentum)
+    c = np.asarray(qp.c, dtype=float)
+    h = np.asarray(qp.h, dtype=float)
+    n = c.size
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    A = graph.weights
+    K = np.full((n, n), 1.0 / n)
+    aC = alpha * np.diag(c)
+    H = np.diag(h)
+    KHmH = K @ H - H
+
+    left = [
+        [eye, zero, zero, zero],
+        [zero, eye, zero, zero],
+        [(1 + gamma) * KHmH, zero, eye, zero],
+        [zero, zero, zero, eye],
+    ]
+    right = [
+        [(1 + beta) * eye - (1 + gamma) * aC, gamma * aC - beta * eye, zero, -alpha * H],
+        [eye, zero, zero, zero],
+        [(1 + 2 * gamma) * KHmH, -gamma * KHmH, A - K, zero],
+        [zero, zero, zero, A - K],
+    ]
+    if algorithm == "dagt":
+        # without momentum the previous state feeds nothing: drop its block
+        left, right = ([r[:1] + r[2:] for i, r in enumerate(m) if i != 1] for m in (left, right))
+    # the left factor is I + N with N one block below the diagonal, so
+    # N @ N = 0 and its inverse is I - N exactly: the product keeps the
+    # zero blocks of the right factor exactly zero
+    full = np.block(right)
+    return full - (np.block(left) - np.eye(len(full))) @ full
+
+
 def test_reduced_identity_random_instances():
     rng = np.random.default_rng(13)
     for _ in range(20):
@@ -966,6 +1008,48 @@ def test_full_matrix_propagates_the_solver_error():
             st = step(st, qp, g, cfg)
             after = error(st, alg != "dagt")
             assert np.abs(after - full @ before).max() <= 1e-12 * np.abs(before).max(), alg
+
+
+def diagonal_blocks(full, order):
+    """The s, x (with x_prev) and u diagonal blocks of a matrix whose
+    coordinates come in `order`, a string of s, x, p (x_prev) and u."""
+    n = len(full) // len(order)
+    at = {name: np.arange(i * n, (i + 1) * n) for i, name in enumerate(order)}
+    x = np.concatenate([at[name] for name in "xp" if name in at])
+    return [full[np.ix_(b, b)] for b in (at["s"], x, at["u"])]
+
+
+def test_rates_read_off_step_match_the_full_matrix_reference():
+    # 100 random instances and the shared-root 4-ring, where rho_graph and
+    # the tuned heavy-ball radius are both 1/3 and each x block has a
+    # defective double root
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(100):
+        qp = quad_instance(rng)
+        g = build_topology("random", qp.n_agents, edge_prob=0.6, seed=int(rng.integers(1000)))
+        for alg in ("dagt", "dagt_hb", "dagt_nes"):
+            a = rng.uniform(0.01, 1.0 / qp.constants.L1)
+            cases.append((qp, g, a, 0.0 if alg == "dagt" else rng.uniform(0.01, 0.9), alg))
+    ring = make_quadratic(np.array([4.0, 1.0, 1.0, 1.0]), np.full(4, 0.5), np.zeros(4))
+    cases.append((ring, build_topology("ring", 4), *optimal_params("dagt_hb", 1.0, 4.0), "dagt_hb"))
+    for qp, g, a, mom, alg in cases:
+        rep = quadratic_rates(qp, g, a, mom, alg)
+        orders = ("sxu", "xus") if alg == "dagt" else ("sxpu", "xpus")
+        ref = diagonal_blocks(quad_full_matrix(qp, g, a, mom, alg), orders[1])
+        assert abs(rep.spectral_radius - max(map(spectral_radius, ref))) <= 1e-12
+        for ours, theirs in zip(diagonal_blocks(rep.matrix.entries, orders[0]), ref):
+            # each entry sums a few rounded terms of size at most 2
+            assert np.abs(ours - theirs).max() <= 8 * np.finfo(float).eps
+
+
+def test_rates_map_dagt_momentum_through_the_family():
+    qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
+    g = build_topology("ring", 5)
+    # SolverConfig rejects a dagt momentum; the rates ignore it
+    ours, plain = quadratic_rates(qp, g, 0.1, 0.3, "dagt"), quadratic_rates(qp, g, 0.1, 0.0, "dagt")
+    assert ours.predicted_rate == plain.predicted_rate
+    assert np.array_equal(ours.matrix.entries, plain.matrix.entries)
 
 
 def reference_quad_reduced_radius(c, alpha, momentum, algorithm):
@@ -1068,16 +1152,14 @@ def test_quadratic_rates_where_the_graph_shares_the_reduced_root():
 
 
 def test_quadratic_rates_checks_the_block_structure(monkeypatch):
-    import aggsim.stability as stability
-
     qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
     g = build_topology("ring", 5)
-    full = quad_full_matrix(qp, g, 0.1, 0.2, "dagt_hb")
+    full = stability._round_matrix(qp, g, SolverConfig("dagt_hb", alpha=0.1, momentum=0.2))
     # in the state order (s; x, x_prev; u) every block above the diagonal is
     # exactly zero
-    assert not full[15:, :15].any() and not full[:10, 10:15].any()
-    full[0, 12] = 1e-300
-    monkeypatch.setattr(stability, "quad_full_matrix", lambda *args: full)
+    assert not full[:5, 5:].any() and not full[5:15, 15:].any()
+    full[5, 15] = 1e-300
+    monkeypatch.setattr(stability, "_round_matrix", lambda *args: full)
     with pytest.raises(InconsistentResult, match="block lower-triangular"):
         quadratic_rates(qp, g, 0.1, 0.2, "dagt_hb")
 

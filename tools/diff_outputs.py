@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 SHOW_CHARS = 160
@@ -96,6 +98,29 @@ INVOCATIONS = {
     "region-fewer-agents": ["region", "--preset", "cournot-paper", *_sets("topology.n_agents=5")],
     "topology-fewer-agents": ["topology", "--preset", "placement-paper",
                               *_sets("topology.n_agents=4")],
+    # coefficients whose Hessian entries overflow
+    "run-placement-omega-overflow": ["run", "--preset", "placement-paper",
+                                     *_sets("problem.omega=1e308")],
+    "run-cournot-omega2-overflow": ["run", "--preset", "cournot-paper",
+                                    *_sets("problem.omega2=1e308")],
+    "run-cournot-kappa-overflow": ["run", "--preset", "cournot-paper",
+                                   *_sets("problem.kappa_range=1e308,1e308")],
+    # an algorithm given as a list
+    "run-algorithm-list": ["run", "--preset", "cournot-paper", *_sets("solver.algorithm=1,2")],
+    "topology-algorithm-list": ["topology", "--preset", "placement-paper",
+                                *_sets("solver.algorithm=1,2")],
+    # agent counts numpy cannot allocate
+    "run-graph-count-overflow": ["run", "--preset", "cournot-paper",
+                                 *_sets("topology.n_agents=1e308")],
+    "rates-graph-count-overflow": ["rates", "--preset", "quadratic-demo",
+                                   *_sets("topology.n_agents=1e308")],
+    "run-cournot-count-overflow": ["run", "--preset", "cournot-paper",
+                                   *_sets("problem.n_agents=1e308")],
+    # the benchmark's rates shape: 64 agents, 256 x 256 round matrices
+    "rates-64-agents": ["rates", "--preset", "quadratic-demo", *_sets(
+        f"problem.c={','.join(map(repr, np.linspace(1.0, 9.0, 64).tolist()))}",
+        f"problem.h={','.join(['0.5'] * 64)}", f"problem.l={','.join(['0.25'] * 64)}",
+        "topology.n_agents=64")],
     # momenta whose characteristic polynomials overflow the Jury table
     **{f"region-overflow-{alg}": ["region", "--preset", "placement-paper", *_sets(
         f"region.algorithm={alg}", f"region.momentum_max={momentum_max}",
