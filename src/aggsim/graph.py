@@ -45,11 +45,8 @@ class CommGraph:
 
     def mix(self, u, s):
         """One noise-free mixing round of both trackers: (W u, W s), by
-        `ndarray.dot`: the same BLAS gemv as `@`, without the gufunc's
-        dispatch. `dot` does not broadcast, so a (B, N, d) stack takes `np.matmul`."""
-        if u.ndim == 2:
-            return self.weights.dot(u), self.weights.dot(s)
-        return np.matmul(self.weights, u), np.matmul(self.weights, s)
+        `ndarray.dot`: the same BLAS gemv as `@`, without the gufunc's dispatch."""
+        return self.weights.dot(u), self.weights.dot(s)
 
     def weights_csv(self):
         """Row-major CSV dump of the mixing matrix at full precision."""

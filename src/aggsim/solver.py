@@ -233,8 +233,7 @@ def step(state, problem, channel, config):
     which equals x + beta (x - x_prev) - alpha g; the next gradient point is
     y+ = x+ + gamma (x+ - x). The x_prev term is skipped when beta = gamma and
     the extrapolation when gamma = 0, so zero momentum is the plain tracked
-    method bit for bit. phi and grad2 f are evaluated once, at y+. On a
-    CommGraph, (B, N, d) arrays step B members, each bit for bit alone.
+    method bit for bit. phi and grad2 f are evaluated once, at y+.
     """
     alpha, drift, gamma = config.coefficients
     x, y, u, s = state.x, state.y, state.u, state.s

@@ -18,7 +18,7 @@ authoritative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -441,22 +441,22 @@ def quad_reduced_radius(c, alpha, momentum, algorithm):
 
 def _round_matrix(qp, graph, config):
     """Linear part of one `step` round on a quadratic instance (d = 1), in
-    the coordinates (s; x, x_prev; u), 4N square. dagt reads no x_prev, so
-    its column would be exactly zero: dagt's coordinates are (s; x; u).
-
-    One `step` call on a stack of states, the zero state and one unit state
-    per coordinate, gives column j as step(e_j) - step(0). Each state's y,
-    phi(y) and grad2 f(y, u) are built as `step` builds them.
+    the coordinates (s; x, x_prev; u), 4N square; dagt reads no x_prev, so
+    its coordinates are (s; x; u). Without the offsets p, l and q the round
+    is linear, so column j is step(e_j), unrounded by any offset. The unit
+    states sit side by side on the local axis, one (N, 4N) array per
+    coordinate: every coefficient is a scalar or an (N, 1) column and W
+    mixes from the left, so one `step` steps each column alone.
     """
-    n = qp.n_agents
+    qp = replace(qp, **{k: np.zeros_like(getattr(qp, k)) for k in ("p", "l", "q")})
     names = ("s", "x", "u") if config.algorithm == "dagt" else ("s", "x", "x_prev", "u")
-    basis = np.eye(len(names) * n + 1, len(names) * n, k=-1).reshape(-1, len(names), n, 1)
-    z = dict(zip(names, np.moveaxis(basis, 1, 0)))
+    m = len(names) * qp.n_agents
+    z = dict(zip(names, np.eye(m).reshape(len(names), qp.n_agents, m)))
     x, x_prev, u, gamma = z["x"], z.get("x_prev", z["x"]), z["u"], config.coefficients[2]
     y = x if gamma is None else x + gamma * (x - x_prev)
     state = SolverState(x, x_prev, y, u, z["s"], qp.phi_all(y), qp.grad2_all(y, u))
-    out = np.concatenate([getattr(step(state, qp, graph, config), k) for k in names], axis=1)
-    return (out[1:] - out[0])[..., 0].T
+    new = step(state, qp, graph, config)
+    return np.concatenate([getattr(new, k) for k in names])
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,8 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     eigensolver most of its precision. A repeated root within a block still
     costs about half, so the agreement gate is the wider of 1e-9 and a
     defectiveness-aware allowance, and a miss raises InconsistentResult;
-    tests assert the tight tolerance on simple-spectrum instances.
+    tests assert the tight tolerance on simple-spectrum instances. An alpha
+    or momentum that SolverConfig rejects raises its InvalidArgument.
     """
     # beta is the heavy-ball and Nesterov momentum, and 0 for dagt, which ignores it
     config = SolverConfig(algorithm, alpha, momentum_family(algorithm, momentum)[0])

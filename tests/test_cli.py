@@ -651,6 +651,20 @@ def test_rates_command_quadratic_only(tmp_path):
     assert run_cli("rates", "--preset", "placement-paper", "--out", str(out / "bad")) == 2
 
 
+@pytest.mark.parametrize("offset", ["1e12", "1e17"])
+def test_rates_and_run_hold_their_cross_check_at_large_offsets(tmp_path, offset):
+    # the round matrix is the same at any aggregation offset l
+    sets = ["--set", "problem.l=" + ",".join([offset] * 8)]
+    assert run_cli("rates", "--preset", "quadratic-demo", "--out", str(tmp_path / "base")) == 0
+    assert run_cli("rates", "--preset", "quadratic-demo", *sets, "--out", str(tmp_path / "r")) == 0
+    base, large = (read_csv(tmp_path / name / "rates.csv") for name in ("base", "r"))
+    at = base[0].index("predicted_rate")
+    assert [row[at] for row in large[1]] == [row[at] for row in base[1]]
+    assert run_cli("run", "--preset", "quadratic-demo", *sets, "--out", str(tmp_path / "o")) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["converged"] and summary["predicted_rate"] == 0.8
+
+
 def test_rates_with_an_unconverged_run_exits_3_and_writes_its_outputs(tmp_path):
     out = tmp_path / "o"
     sets = ["--set", "solver.max_iter=3"]

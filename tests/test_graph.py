@@ -217,19 +217,6 @@ def test_graph_mix_equals_matmul(n, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [2, 7, 50])
-def test_graph_mix_of_a_member_stack_mixes_each_member(n, d):
-    g = build_topology("random", n, edge_prob=0.5, seed=n)
-    rng = np.random.default_rng(d)
-    u, s = rng.standard_normal((2, 4, n, d))
-    mix_u, mix_s = g.mix(u, s)
-    for b in range(4):
-        solo_u, solo_s = g.mix(u[b], s[b])
-        assert_same_bytes(mix_u[b], solo_u)
-        assert_same_bytes(mix_s[b], solo_s)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
 def test_noisy_channel_mix_equals_matmul_plus_recorded_noise(d):
     g = build_topology("random", 12, edge_prob=0.4, seed=d)
     channel = CommChannel(g, noise_sigma=0.3, seed=d)

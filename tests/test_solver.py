@@ -9,7 +9,7 @@ from aggsim.config import ExperimentConfig
 from aggsim.exceptions import DivergenceDetected, InvalidArgument
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
-from aggsim.presets import get_preset, preset_names
+from aggsim.presets import get_preset
 from aggsim.problems import AggregativeProblem, make_quadratic
 from aggsim.solver import (
     ALGORITHMS, TRACE_COLUMNS, CommChannel, IterTrace, SolverConfig, SolverState, csv_text,
@@ -345,25 +345,6 @@ def test_step_matches_reference_steps(problem, noise_sigma):
             st = step(st, problem, channel, cfg)
             ref = reference_step(ref, problem, g, cfg, ref_channel)
             assert_states_equal(st, ref)
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("preset", preset_names())
-def test_step_on_a_member_stack_equals_solo_steps(preset, algorithm):
-    cfg = ExperimentConfig(get_preset(preset))
-    problem, graph = cfg.build_problem_and_graph()
-    config = cfg.build_solver_config(algorithm)
-    rng = np.random.default_rng(6)
-    solo = [init_state(problem, graph, *rng.uniform(-2.0, 2.0, (2, problem.dim)))
-            for _ in range(5)]
-    names = [f.name for f in fields(SolverState) if f.name != "k"]
-    stack = SolverState(*(np.stack([getattr(st, name) for st in solo]) for name in names))
-    for _ in range(5):
-        solo = [step(st, problem, graph, config) for st in solo]
-        stack = step(stack, problem, graph, config)
-        for name in names:
-            for member, st in zip(getattr(stack, name), solo):
-                assert member.tobytes() == getattr(st, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------

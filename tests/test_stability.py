@@ -1020,13 +1020,16 @@ def diagonal_blocks(full, order):
 
 
 def test_rates_read_off_step_match_the_full_matrix_reference():
-    # 100 random instances and the shared-root 4-ring, where rho_graph and
-    # the tuned heavy-ball radius are both 1/3 and each x block has a
-    # defective double root
+    # 100 random instances, every tenth with offsets l of size 1e12 or 1e17
+    # (the round's linear part does not depend on l), and the shared-root
+    # 4-ring, where rho_graph and the tuned heavy-ball radius are both 1/3
+    # and each x block has a defective double root
     rng = np.random.default_rng(31)
     cases = []
-    for _ in range(100):
+    for i in range(100):
         qp = quad_instance(rng)
+        if i % 10 == 0:
+            qp = make_quadratic(qp.c, qp.h, qp.l[:, 0] * (1e12 if i % 20 else 1e17))
         g = build_topology("random", qp.n_agents, edge_prob=0.6, seed=int(rng.integers(1000)))
         for alg in ("dagt", "dagt_hb", "dagt_nes"):
             a = rng.uniform(0.01, 1.0 / qp.constants.L1)
@@ -1050,6 +1053,16 @@ def test_rates_map_dagt_momentum_through_the_family():
     ours, plain = quadratic_rates(qp, g, 0.1, 0.3, "dagt"), quadratic_rates(qp, g, 0.1, 0.0, "dagt")
     assert ours.predicted_rate == plain.predicted_rate
     assert np.array_equal(ours.matrix.entries, plain.matrix.entries)
+
+
+@pytest.mark.parametrize("alpha,momentum,algorithm", [
+    (0.0, 0.2, "dagt_hb"), (-0.1, 0.2, "dagt_nes"), (math.inf, 0.0, "dagt"),
+    (math.nan, 0.2, "dagt_hb"), (0.1, -0.2, "dagt_hb"), (0.1, math.nan, "dagt_nes"),
+])
+def test_rates_reject_what_the_solver_config_rejects(alpha, momentum, algorithm):
+    qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
+    with pytest.raises(InvalidArgument):
+        quadratic_rates(qp, build_topology("ring", 5), alpha, momentum, algorithm)
 
 
 def reference_quad_reduced_radius(c, alpha, momentum, algorithm):

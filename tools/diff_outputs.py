@@ -116,6 +116,9 @@ INVOCATIONS = {
                                    *_sets("topology.n_agents=1e308")],
     "run-cournot-count-overflow": ["run", "--preset", "cournot-paper",
                                    *_sets("problem.n_agents=1e308")],
+    # aggregation offsets far larger than the round's coefficients
+    "rates-large-offsets": ["rates", "--preset", "quadratic-demo",
+                            *_sets(f"problem.l={','.join(['1e17'] * 8)}")],
     # the benchmark's rates shape: 64 agents, 256 x 256 round matrices
     "rates-64-agents": ["rates", "--preset", "quadratic-demo", *_sets(
         f"problem.c={','.join(map(repr, np.linspace(1.0, 9.0, 64).tolist()))}",
