@@ -36,7 +36,6 @@ print(f"{'variant':<10} {'alpha':>8} {'momentum':>9} {'radius':>8} {'target':>8}
       f"{'predicted':>10} {'measured':>9}")
 for alg in ("dagt", "dagt_hb", "dagt_nes"):
     alpha, momentum = optimal_params(alg, MU, L1)
-    momentum = momentum or 0.0  # dagt has none
     report = quadratic_rates(problem, graph, alpha, momentum, alg)
     cfg = SolverConfig(alg, alpha=alpha, momentum=momentum, max_iter=3000, tol=1e-12)
     trace = run(problem, graph, cfg, np.linspace(1, 2, N), oracle_solution=oracle)

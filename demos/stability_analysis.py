@@ -14,6 +14,7 @@ import numpy as np
 from aggsim import (
     StabilityConstants,
     build_topology,
+    char_poly,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,
@@ -22,7 +23,6 @@ from aggsim import (
     region_member_hb,
     region_member_nes,
 )
-from aggsim.stability import char_poly_4x4
 
 problem = make_placement([[10, 4], [1, 3], [2, 7], [8, 10], [3, 9]], 20.0)
 graph = build_topology("random", 5, edge_prob=0.7, seed=2)
@@ -33,7 +33,7 @@ print()
 # --- Jury criterion on a candidate pair -----------------------------------
 alpha, beta = 0.002, 0.02
 m = error_matrix_hb(consts.mu, consts.L1, consts.L2, consts.L3, consts.rho, alpha, beta)
-coeffs = np.concatenate([char_poly_4x4(m), [1.0]])
+coeffs = char_poly(m)
 verdict = jury_stable(coeffs)
 print(f"candidate (alpha={alpha}, beta={beta}):")
 print("  characteristic coefficients:", np.round(coeffs, 6))

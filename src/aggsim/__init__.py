@@ -35,7 +35,7 @@ from .stability import (
     JuryVerdict,
     StabilityConstants,
     attained_optimal_radius,
-    char_poly_4x4,
+    char_poly,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,

@@ -164,13 +164,14 @@ def _run_summary(exp, solver_cfg, trace):
 
 
 def cmd_run(cfg):
+    export_graph, compare = cfg.flag("output.export_graph"), cfg.flag("run.compare")
     exp = Experiment(cfg)
     solver_cfg, trace = exp.run()
     files = {"trace.csv": trace.to_csv()}
     summary = _run_summary(exp, solver_cfg, trace)
-    if cfg.get("output.export_graph", False):
+    if export_graph:
         files["weights.csv"] = exp.graph.weights_csv()
-    if cfg.get("run.compare", False):
+    if compare:
         rows = []
         for alg in ALGORITHMS:
             atrace = trace if alg == solver_cfg.algorithm else exp.run(algorithm=alg)[1]
@@ -285,16 +286,6 @@ def cmd_bounds(cfg):
     return summary, {"bounds.json": _json_dump(summary)}, 0
 
 
-def _grid(cfg, axis, default_max):
-    """The region grid along one axis, from region.<axis>_min/_max/_steps."""
-    lo = cfg.value(f"region.{axis}_min", float, 1e-4)
-    hi = cfg.value(f"region.{axis}_max", float, default_max)
-    steps = cfg.value(f"region.{axis}_steps", int, 20)
-    if steps < 0:
-        raise ConfigError("grid size must be nonnegative", key=f"region.{axis}_steps")
-    return np.linspace(lo, hi, steps)
-
-
 def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
     """region.csv of the grid, alpha-major, and its member count: one
     matrix stack, whose one eigensolve serves both the radius column and
@@ -322,7 +313,7 @@ def cmd_region(cfg):
         raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
     fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
            else (region_member_nes, error_matrix_nes))
-    a_grid, m_grid = _grid(cfg, "alpha", 1.0 / constants.L1), _grid(cfg, "momentum", 0.5)
+    a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum", 0.5)
     text, members = _region_csv(constants, *fns, a_grid, m_grid)
     summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}
     return summary, {"region.csv": text}, 0
@@ -337,13 +328,12 @@ def cmd_rates(cfg):
     code = 0
     for alg in ALGORITHMS:
         alpha, momentum = optimal_params(alg, mu, L1)
-        m = 0.0 if momentum is None else momentum
-        report = quadratic_rates(exp.problem, exp.graph, alpha, m, alg)
-        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=m)
+        report = quadratic_rates(exp.problem, exp.graph, alpha, momentum, alg)
+        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=momentum)
         predicted = _per_tick(report.predicted_rate, solver_cfg)
         measured = measured_tail_rate(trace)
         rel = abs(measured - predicted) / predicted
-        rows.append((alg, *map(float, (alpha, m, report.reduced_radius, report.rho_graph,
+        rows.append((alg, *map(float, (alpha, momentum, report.reduced_radius, report.rho_graph,
                                         predicted, measured, rel))))
         details[alg] = {"predicted": predicted, "measured": measured, "rel_error": rel}
         if not trace.converged:
@@ -404,9 +394,9 @@ def main(argv=None):
             sys.stdout.write(serialize_config(cfg.raw))
             return 0
         summary, files, code = COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidArgument) as exc:
-        # every object a command builds comes from the config, so a
-        # violated precondition is a rejected configuration
+    except (ConfigError, InvalidArgument, MemoryError) as exc:
+        # every object a command builds comes from the config, so a violated
+        # precondition or a size numpy cannot allocate is a rejected configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceDetected, InconsistentResult) as exc:

@@ -96,6 +96,14 @@ def convert(kind, value, key):
     return out
 
 
+def _finite_span(lo, hi, key):
+    """(lo, hi) as floats; a width hi - lo that overflows is a ConfigError."""
+    lo, hi = float(lo), float(hi)
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"range {lo!r} to {hi!r} is too wide: its width overflows", key=key)
+    return lo, hi
+
+
 _REQUIRED = object()
 
 
@@ -125,6 +133,13 @@ class ExperimentConfig:
         value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
         return None if value is None else convert(kind, value, key)
 
+    def flag(self, key):
+        """The key's true or false, default false; any other value is a ConfigError."""
+        value = self.raw.get(key, False)
+        if not isinstance(value, bool):
+            raise ConfigError(f"expected true or false, got {value!r}", key=key)
+        return value
+
     def seed(self, key, default):
         """The key's int seed, or default; numpy rejects a negative one."""
         seed = self.value(key, int, default)
@@ -145,6 +160,23 @@ class ExperimentConfig:
             raise ConfigError(f"expected {size} entries, got {arr.size}", key=key)
         return arr
 
+    def range(self, key, default):
+        """The key's two-entry range as floats (lo, hi); see array and _finite_span."""
+        return _finite_span(*self.array(key, default, size=2), key)
+
+    def grid(self, axis, default_max):
+        """The region grid along one axis, from region.<axis>_min/_max/_steps."""
+        lo, hi = _finite_span(self.value(f"region.{axis}_min", float, 1e-4),
+                              self.value(f"region.{axis}_max", float, default_max),
+                              f"region.{axis}_*")
+        steps = self.value(f"region.{axis}_steps", int, 20)
+        if steps < 0:
+            raise ConfigError("grid size must be nonnegative", key=f"region.{axis}_steps")
+        if steps > np.iinfo(np.intp).max:  # more than numpy can index
+            raise ConfigError(f"grid size must be at most {np.iinfo(np.intp).max}",
+                              key=f"region.{axis}_steps")
+        return np.linspace(lo, hi, steps)
+
     # -- problem ---------------------------------------------------------
     # an overflowing coefficient is reported by the Hessian check, not by numpy warnings
     @np.errstate(over="ignore", invalid="ignore")
@@ -164,9 +196,9 @@ class ExperimentConfig:
                     raise ConfigError(f"n_agents must be at most {np.iinfo(np.intp).max}",
                                       key="problem.n_agents")
                 rng = np.random.default_rng(self.seed("problem.seed", 0))
-                kappa = rng.uniform(*self.array("problem.kappa_range", [0.5, 2.5], size=2), n)
-                theta = rng.uniform(*self.array("problem.theta_range", [10, 20], size=2), n)
-                sigma = rng.uniform(*self.array("problem.sigma_range", [5, 20], size=2), n)
+                kappa = rng.uniform(*self.range("problem.kappa_range", [0.5, 2.5]), n)
+                theta = rng.uniform(*self.range("problem.theta_range", [10, 20]), n)
+                sigma = rng.uniform(*self.range("problem.sigma_range", [5, 20]), n)
                 return make_cournot(
                     kappa, theta, sigma,
                     self.value("problem.omega1", float),
@@ -235,7 +267,7 @@ class ExperimentConfig:
         if "init.x0" in self.raw:
             x0 = self.array("init.x0", size=problem.dim)
         else:
-            lo, hi = self.array("init.x0_range", [0.0, 1.0], size=2)
+            lo, hi = self.range("init.x0_range", [0.0, 1.0])
             rng = np.random.default_rng(self.seed("init.seed", 0))
             x0 = rng.uniform(lo, hi, problem.dim)
         x_prev = None

@@ -47,10 +47,6 @@ class RegularityConstants:
         if self.L2 < 0 or self.L3 < 0:
             raise InvalidArgument("L2 and L3 must be nonnegative")
 
-    @property
-    def kappa(self):
-        return self.L1 / self.mu
-
 
 @dataclass(frozen=True)
 class AggregativeProblem:
@@ -93,6 +89,8 @@ class AggregativeProblem:
         l_bar = self.l.mean(axis=0)
         lin = self.p + self.b * l_bar + self.h[:, None] * (self.e * l_bar + self.q)
         const = float(self.s.sum() + n * (self.e / 2.0 * l_bar @ l_bar + self.q @ l_bar))
+        if not (np.isfinite(lin).all() and np.isfinite(const)):
+            raise InvalidArgument("non-finite linear or constant term: a coefficient is too large")
         ev = np.linalg.eigvalsh(hess)
         constants = RegularityConstants(
             mu=float(ev[0]), L1=float(ev[-1]),

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
+from .problems import RegularityConstants
 from .solver import SolverConfig, SolverState, momentum_family, step
 
 _EPS = np.finfo(float).eps
@@ -93,20 +94,13 @@ def jury_stable(coeffs):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StabilityConstants:
+class StabilityConstants(RegularityConstants):
     """Problem regularity constants plus the graph contraction factor."""
 
-    mu: float
-    L1: float
-    L2: float
-    L3: float
     rho: float
 
     def __post_init__(self):
-        if not (0 < self.mu <= self.L1):
-            raise InvalidArgument("need 0 < mu <= L1")
-        if self.L2 < 0 or self.L3 < 0:
-            raise InvalidArgument("L2, L3 must be nonnegative")
+        super().__post_init__()
         if not (0 <= self.rho < 1):
             raise InvalidArgument("rho must lie in [0, 1)")
         with np.errstate(over="ignore"):
@@ -116,8 +110,7 @@ class StabilityConstants:
 
     @classmethod
     def from_problem(cls, problem, graph):
-        c = problem.constants
-        return cls(mu=c.mu, L1=c.L1, L2=c.L2, L3=c.L3, rho=graph.rho)
+        return cls(**vars(problem.constants), rho=graph.rho)
 
 
 @dataclass(frozen=True)
@@ -260,15 +253,6 @@ def char_poly(matrix):
         for k in range(n):
             desc[..., 1 : k + 2] -= roots[..., k : k + 1] * desc[..., : k + 1]
     return desc.real[..., ::-1]
-
-
-def char_poly_4x4(matrix):
-    """Non-leading ascending coefficients (a0, a1, a2, a3) of a 4x4 matrix,
-    or of each matrix of a (..., 4, 4) stack."""
-    m = _as_matrix(matrix)
-    if m.entries.shape[-2:] != (4, 4):
-        raise InvalidArgument("expected a 4x4 matrix")
-    return char_poly(m)[..., :4]
 
 
 # ---------------------------------------------------------------------------
@@ -521,53 +505,44 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
 # Tuned parameters and closed-form rate targets
 # ---------------------------------------------------------------------------
 
-def optimal_params(algorithm, mu, L1):
-    """Closed-form tuned (alpha, momentum) for a quadratic instance.
-
-    dagt: alpha = 2/(mu+L1). dagt_hb: alpha = 4/(sqrt(L1)+sqrt(mu))^2 with
-    momentum ((sqrt(L1)-sqrt(mu))/(sqrt(L1)+sqrt(mu)))^2, the coefficient
-    at which the reduced radius attains (sqrt(L1)-sqrt(mu))/(sqrt(L1)+sqrt(mu)).
-    dagt_nes: alpha = 4/(3 L1 + mu) with momentum
-    (sqrt(3k+1)-2)/(sqrt(3k+1)+2), k = L1/mu.
-    """
-    if not (0 < mu <= L1):
-        raise InvalidArgument("need 0 < mu <= L1")
-    if algorithm == "dagt":
-        return 2.0 / (mu + L1), None
-    if algorithm == "dagt_hb":
-        ratio = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
-        return 4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2, ratio**2
-    if algorithm == "dagt_nes":
-        q = math.sqrt(3.0 * L1 / mu + 1.0)
-        return 4.0 / (3.0 * L1 + mu), (q - 2.0) / (q + 2.0)
-    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
-
-
-def optimal_rate_formula(algorithm, mu, L1):
-    """Closed-form rate target quoted for the tuned parameters.
-
-    For dagt and dagt_hb this equals the attained reduced-matrix radius.
-    For dagt_nes the quoted target (sqrt(3k+1)-2)/(sqrt(3k+1)+2) is the
-    tuned momentum value; the radius this family actually attains at the
-    tuned parameters is 1 - 2/sqrt(3k+1) (see attained_optimal_radius).
+def _tuned(algorithm, mu, L1):
+    """(alpha, momentum, quoted rate, attained radius) at the closed-form
+    tuned point, k = L1/mu. dagt: alpha = 2/(mu+L1), no momentum (0.0).
+    dagt_hb: alpha = 4/(sqrt(L1)+sqrt(mu))^2, momentum the squared ratio
+    (sqrt(L1)-sqrt(mu))/(sqrt(L1)+sqrt(mu)). For both the quoted rate,
+    (k-1)/(k+1) or (sqrt(k)-1)/(sqrt(k)+1), is the attained radius.
+    dagt_nes: alpha = 4/(3 L1 + mu), momentum and quoted rate (q-2)/(q+2),
+    q = sqrt(3k+1), but the family attains 1 - 2/q. Its momentum and radius
+    take 3 L1/mu and its quoted rate 3 k, which can round apart.
     """
     if not (0 < mu <= L1):
         raise InvalidArgument("need 0 < mu <= L1")
     kappa = L1 / mu
     if algorithm == "dagt":
-        return (kappa - 1.0) / (kappa + 1.0)
+        rate = (kappa - 1.0) / (kappa + 1.0)
+        return 2.0 / (mu + L1), 0.0, rate, rate
     if algorithm == "dagt_hb":
-        return (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+        ratio = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
+        rate = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+        return 4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2, ratio**2, rate, rate
     if algorithm == "dagt_nes":
-        q = math.sqrt(3.0 * kappa + 1.0)
-        return (q - 2.0) / (q + 2.0)
+        q = math.sqrt(3.0 * L1 / mu + 1.0)
+        quoted = math.sqrt(3.0 * kappa + 1.0)
+        return (4.0 / (3.0 * L1 + mu), (q - 2.0) / (q + 2.0),
+                (quoted - 2.0) / (quoted + 2.0), 1.0 - 2.0 / q)
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+
+
+def optimal_params(algorithm, mu, L1):
+    """Closed-form tuned (alpha, momentum) for a quadratic instance (see _tuned)."""
+    return _tuned(algorithm, mu, L1)[:2]
+
+
+def optimal_rate_formula(algorithm, mu, L1):
+    """Closed-form rate target quoted for the tuned parameters (see _tuned)."""
+    return _tuned(algorithm, mu, L1)[2]
 
 
 def attained_optimal_radius(algorithm, mu, L1):
     """Reduced-matrix spectral radius actually attained at optimal_params."""
-    if algorithm in ("dagt", "dagt_hb"):
-        return optimal_rate_formula(algorithm, mu, L1)
-    if algorithm == "dagt_nes":
-        return 1.0 - 2.0 / math.sqrt(3.0 * L1 / mu + 1.0)
-    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    return _tuned(algorithm, mu, L1)[3]

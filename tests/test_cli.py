@@ -196,6 +196,24 @@ def test_config_error_exit_code(tmp_path):
     # an integer key is not truncated
     pytest.param("run", "quadratic-demo", ["solver.max_iter=2.7"], id="fractional-max-iter"),
     pytest.param("run", "cournot-paper", ["problem.n_agents=0.5"], id="fractional-n-agents"),
+    # a boolean key takes only true or false
+    pytest.param("run", "quadratic-demo", ["run.compare=no"], id="compare-not-boolean"),
+    pytest.param("run", "quadratic-demo", ["output.export_graph=nope"],
+                 id="export-graph-not-boolean"),
+    # a range whose width overflows
+    *[pytest.param("run", "cournot-paper", [f"problem.{name}=-1e308,1e308"], id=f"{name}-width")
+      for name in ("kappa_range", "theta_range", "sigma_range")],
+    pytest.param("run", "quadratic-demo", ["init.x0_range=-1e308,1e308"], id="x0_range-width"),
+    # grid sizes numpy cannot index or allocate; 1e18 floats are refused
+    # before anything is allocated
+    pytest.param("region", "placement-paper", ["region.alpha_steps=1e308"],
+                 id="grid-size-past-index"),
+    pytest.param("region", "placement-paper", ["region.alpha_steps=1e18"],
+                 id="grid-size-past-memory"),
+    pytest.param("run", "cournot-paper", ["problem.n_agents=1e18", "topology.n_agents=1e18"],
+                 id="cournot-count-past-memory"),
+    # a linear coefficient that overflows though the Hessian does not
+    pytest.param("run", "placement-paper", ["problem.omega=1e307"], id="linear-term-overflow"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -221,7 +239,7 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
 
 
 # the config boundary of the run parameters: each case is rejected with
-# exit 2 and this exact stderr line, and writes nothing
+# exit 2 and this exact stderr line, no numpy warning, and writes nothing
 @pytest.mark.parametrize("command,preset,overrides,message", [
     pytest.param("run", "quadratic-demo", ["solver.seed=-1"],
                  "seed must be nonnegative (key 'solver.seed')", id="seed-at-sigma-0"),
@@ -264,6 +282,32 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
     pytest.param("run", "cournot-paper", ["problem.n_agents=1e308"],
                  f"n_agents must be at most {np.iinfo(np.intp).max} (key 'problem.n_agents')",
                  id="cournot-count-1e308"),
+    # the problem's linear term overflows, its Hessian does not
+    pytest.param("run", "placement-paper", ["problem.omega=1e307"],
+                 "non-finite linear or constant term: a coefficient is too large (key 'problem.*')",
+                 id="linear-term-overflow"),
+    *[pytest.param(command, preset, [f"{key}=-1e308,1e308"],
+                   f"range -1e+308 to 1e+308 is too wide: its width overflows (key '{key}')",
+                   id=f"{key}-width")
+      for command, preset, key in (("run", "cournot-paper", "problem.kappa_range"),
+                                   ("run", "cournot-paper", "problem.theta_range"),
+                                   ("run", "cournot-paper", "problem.sigma_range"),
+                                   ("run", "quadratic-demo", "init.x0_range"))],
+    *[pytest.param("region", "placement-paper", [f"region.{axis}_min=-1e308",
+                                                  f"region.{axis}_max=1e308"],
+                   f"range -1e+308 to 1e+308 is too wide: its width overflows "
+                   f"(key 'region.{axis}_*')", id=f"grid-{axis}-span-width")
+      for axis in ("alpha", "momentum")],
+    pytest.param("region", "placement-paper", ["region.alpha_steps=1e308"],
+                 f"grid size must be at most {np.iinfo(np.intp).max} (key 'region.alpha_steps')",
+                 id="grid-size-past-index"),
+    *[pytest.param("run", "quadratic-demo", [f"{key}={value}"],
+                   f"expected true or false, got {value!r} (key '{key}')", id=f"{key}-{value}")
+      for key, value in (("run.compare", "no"), ("output.export_graph", "nope"),
+                         ("run.compare", 1))],
+    # a bounds.* constant is checked as a problem's constants are
+    pytest.param("bounds", "placement-paper", ["bounds.mu=100"],
+                 "need 0 < mu <= L1, got mu=100.0, L1=42.00000000000003", id="bounds-mu-above-L1"),
     # checked before the first run, so a bad noise budget is not found
     # only after the delay runs
     pytest.param("robustness", "quadratic-demo", ["robustness.delay_steps=-1"],
@@ -277,7 +321,10 @@ def test_run_parameter_errors_name_their_key(tmp_path, capsys, command, preset, 
                                              message):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
     out = tmp_path / "o"
-    assert run_cli(command, "--preset", preset, *sets, "--out", str(out)) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--preset", preset, *sets, "--out", str(out)) == 2
+    assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 

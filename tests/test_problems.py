@@ -169,6 +169,17 @@ def test_cournot_rejects_bad_inputs():
         make_cournot([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1e308)
 
 
+def test_non_finite_linear_term_or_constant_is_rejected():
+    # the Hessian 2 w + 2 stays finite while p = -2 w r and s = w |r|^2 overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidArgument, match="non-finite linear or constant term"):
+        make_placement([[10.0, 4.0], [1.0, 3.0]], 1e307)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="linear or constant term"):
+        make_cournot([1.0, 1.0], [1e308, 0.0], [0.0, 0.0], -1e308, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="linear or constant term"):
+        make_cournot([1.0, 1.0], [0.0, 0.0], [1e308, 1e308], 1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # quadratic
 # ---------------------------------------------------------------------------

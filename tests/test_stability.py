@@ -18,7 +18,6 @@ from aggsim.stability import (
     _companion2_radius,
     attained_optimal_radius,
     char_poly,
-    char_poly_4x4,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,
@@ -276,11 +275,11 @@ def test_relaxed_majorization_fails_outside_chain_region():
 # ---------------------------------------------------------------------------
 
 def test_char_poly_identity():
-    assert char_poly_4x4(np.eye(4)) == pytest.approx([1.0, -4.0, 6.0, -4.0], abs=1e-12)
+    assert char_poly(np.eye(4))[:4] == pytest.approx([1.0, -4.0, 6.0, -4.0], abs=1e-12)
 
 
 def test_char_poly_diagonal_symmetric_functions():
-    coeffs = char_poly_4x4(np.diag([0.1, 0.2, 0.3, 0.4]))
+    coeffs = char_poly(np.diag([0.1, 0.2, 0.3, 0.4]))[:4]
     assert coeffs == pytest.approx([0.0024, -0.05, 0.35, -1.0], abs=1e-12)
 
 
@@ -288,7 +287,7 @@ def test_char_poly_roots_match_eigenvalues():
     rng = np.random.default_rng(6)
     for _ in range(50):
         m = rng.normal(size=(4, 4))
-        coeffs = np.concatenate([char_poly_4x4(m), [1.0]])
+        coeffs = char_poly(m)
         roots = np.roots(coeffs[::-1])
         eigs = np.linalg.eigvals(m)
         assert np.allclose(np.sort_complex(roots), np.sort_complex(eigs), atol=1e-9)
@@ -366,10 +365,10 @@ def compare_char_coeffs(algorithm, mu, L1, L2, L3, rho, alpha, momentum):
     """Numeric vs transcribed characteristic coefficients; the numeric side
     is authoritative, deviations are reported rather than resolved."""
     if algorithm in ("dagt", "dagt_hb"):
-        numeric = char_poly_4x4(error_matrix_hb(mu, L1, L2, L3, rho, alpha, momentum))
+        numeric = char_poly(error_matrix_hb(mu, L1, L2, L3, rho, alpha, momentum))[:4]
         closed = char_coeffs_hb_closed_form(mu, L1, L2, L3, rho, alpha, momentum)
     elif algorithm == "dagt_nes":
-        numeric = char_poly_4x4(error_matrix_nes(mu, L1, L2, L3, rho, alpha, momentum))
+        numeric = char_poly(error_matrix_nes(mu, L1, L2, L3, rho, alpha, momentum))[:4]
         closed = char_coeffs_nes_closed_form(mu, L1, L2, L3, rho, alpha, momentum)
     else:
         raise InvalidArgument(f"unknown algorithm {algorithm!r}")
@@ -1182,6 +1181,44 @@ def test_optimal_params_validation():
         optimal_params("dagt_hb", 2.0, 1.0)
     with pytest.raises(InvalidArgument):
         optimal_params("sgd", 1.0, 2.0)
+
+
+def reference_tuned(algorithm, mu, L1):
+    """The tuned point, quoted rate and attained radius, each expression
+    as the three functions first wrote it, one chain per function."""
+    kappa = L1 / mu
+    if algorithm == "dagt":
+        rate = (kappa - 1.0) / (kappa + 1.0)
+        return (2.0 / (mu + L1), 0.0), rate, rate
+    if algorithm == "dagt_hb":
+        ratio = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
+        rate = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+        return (4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2, ratio**2), rate, rate
+    q = math.sqrt(3.0 * L1 / mu + 1.0)
+    quoted = math.sqrt(3.0 * kappa + 1.0)
+    return ((4.0 / (3.0 * L1 + mu), (q - 2.0) / (q + 2.0)), (quoted - 2.0) / (quoted + 2.0),
+            1.0 - 2.0 / math.sqrt(3.0 * L1 / mu + 1.0))
+
+
+@pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
+def test_tuned_point_is_bit_identical_to_the_reference(algorithm):
+    # log-uniform mu and condition numbers over many decades, plus mu = L1
+    rng = np.random.default_rng(19)
+    mu = 10.0 ** rng.uniform(-8, 8, 10_000)
+    L1 = mu * 10.0 ** rng.uniform(0, 8, 10_000)
+    points = list(zip(mu.tolist(), L1.tolist())) + [(m, m) for m in mu[:100].tolist()]
+    for m, l in points:
+        (alpha, momentum), quoted, attained = reference_tuned(algorithm, m, l)
+        got = (*optimal_params(algorithm, m, l), optimal_rate_formula(algorithm, m, l),
+               attained_optimal_radius(algorithm, m, l))
+        assert [v.hex() for v in got] == [v.hex() for v in (alpha, momentum, quoted, attained)]
+
+
+@pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
+@pytest.mark.parametrize("mu,L1", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0)])
+def test_attained_optimal_radius_rejects_what_optimal_params_rejects(algorithm, mu, L1):
+    with pytest.raises(InvalidArgument, match="need 0 < mu <= L1"):
+        attained_optimal_radius(algorithm, mu, L1)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,28 @@ INVOCATIONS = {
         f"region.algorithm={alg}", f"region.momentum_max={momentum_max}",
         "region.momentum_steps=3", "region.alpha_steps=3")]
        for alg, momentum_max in (("dagt_hb", "1e300"), ("dagt_nes", "1e150"))},
+    # boolean keys given a value other than true or false
+    "run-compare-not-boolean": ["run", "--preset", "quadratic-demo", *_sets("run.compare=no")],
+    "run-export-graph-not-boolean": ["run", "--preset", "quadratic-demo",
+                                     *_sets("output.export_graph=nope")],
+    # ranges and grid spans whose width overflows
+    **{f"run-cournot-{name}-width": ["run", "--preset", "cournot-paper",
+                                     *_sets(f"problem.{name}_range=-1e308,1e308")]
+       for name in ("kappa", "theta", "sigma")},
+    "run-x0-range-width": ["run", "--preset", "quadratic-demo",
+                           *_sets("init.x0_range=-1e308,1e308")],
+    "region-span-width": ["region", "--preset", "placement-paper", *_sets(
+        "region.alpha_min=-1e308", "region.alpha_max=1e308")],
+    # sizes numpy cannot index, and sizes it refuses to allocate
+    "region-steps-past-index": ["region", "--preset", "placement-paper",
+                                *_sets("region.alpha_steps=1e308")],
+    "region-steps-past-memory": ["region", "--preset", "placement-paper",
+                                 *_sets("region.alpha_steps=1e18")],
+    "run-cournot-count-past-memory": ["run", "--preset", "cournot-paper", *_sets(
+        "problem.n_agents=1e18", "topology.n_agents=1e18")],
+    # a linear coefficient that overflows though the Hessian does not
+    "run-placement-linear-overflow": ["run", "--preset", "placement-paper",
+                                      *_sets("problem.omega=1e307")],
 }
 
 
