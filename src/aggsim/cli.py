@@ -42,12 +42,12 @@ TAIL_FRACTION = 0.2
 TAIL_MIN_POINTS = 30
 
 
-def measured_tail_rate(trace, fraction=TAIL_FRACTION, min_points=TAIL_MIN_POINTS):
+def measured_tail_rate(trace):
     """Per-iteration contraction factor fitted on the trace tail.
 
     Least-squares slope of log10 RMS state residual over the final
-    `fraction` of pre-threshold iterations (at least `min_points` when
-    available); returns 10**slope, or nan if too few usable points.
+    TAIL_FRACTION of pre-threshold iterations (at least TAIL_MIN_POINTS
+    when available); returns 10**slope, or nan if too few usable points.
     """
     r = np.asarray(trace.residual_msq, dtype=float)
     k = np.asarray(trace.k, dtype=float)
@@ -55,7 +55,7 @@ def measured_tail_rate(trace, fraction=TAIL_FRACTION, min_points=TAIL_MIN_POINTS
     idx = np.nonzero(ok)[0]
     if idx.size < 3:
         return float("nan")
-    n_tail = max(min_points, math.ceil(fraction * idx.size))
+    n_tail = max(TAIL_MIN_POINTS, math.ceil(TAIL_FRACTION * idx.size))
     sel = idx[-min(n_tail, idx.size):]
     slope = np.polyfit(k[sel], 0.5 * np.log10(r[sel]), 1)[0]
     return float(10.0**slope)
@@ -255,20 +255,16 @@ def cmd_robustness(cfg):
 
 def _constants(cfg):
     c = StabilityConstants.from_problem(*cfg.build_problem_and_graph())
-    names = ("mu", "L1", "L2", "L3", "rho")
-    return StabilityConstants(**{k: cfg.value(f"bounds.{k}", float, getattr(c, k)) for k in names})
+    values = {k: cfg.value(f"bounds.{k}", float, v) for k, v in vars(c).items()}
+    try:  # the problem's own constants pass, so only an override can fail
+        return StabilityConstants(**values)
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc), key="bounds.*") from None
 
 
 def _bounds_entry(bounds, member):
-    return {
-        "alpha_bar": bounds.alpha_bar,
-        "momentum_bar": bounds.momentum_bar,
-        "alpha_eval": bounds.alpha_eval,
-        "witness": [float(v) for v in bounds.witness],
-        "step_terms": bounds.step_terms,
-        "momentum_terms": bounds.momentum_terms,
-        "configured_member": member,
-    }
+    """The box's fields, its witness as a list, and the configured pair's membership."""
+    return {**vars(bounds), "witness": bounds.witness.tolist(), "configured_member": member}
 
 
 def cmd_bounds(cfg):
@@ -279,7 +275,7 @@ def cmd_bounds(cfg):
     beta = cfg.value("solver.beta", float, 0.0)
     gamma = cfg.value("solver.gamma", float, 0.0)
     summary = {
-        "constants": {k: getattr(constants, k) for k in ("mu", "L1", "L2", "L3", "rho")},
+        "constants": vars(constants),
         "hb": _bounds_entry(hb, region_member_hb(constants, alpha, beta)),
         "nes": _bounds_entry(nes, region_member_nes(constants, alpha, gamma)),
     }
@@ -328,6 +324,9 @@ def cmd_rates(cfg):
     code = 0
     for alg in ALGORITHMS:
         alpha, momentum = optimal_params(alg, mu, L1)
+        if alpha == 0:
+            raise ConfigError(f"tuned {alg} step size underflows to 0: L1 = {L1} too large",
+                              key="problem.c")
         report = quadratic_rates(exp.problem, exp.graph, alpha, momentum, alg)
         solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=momentum)
         predicted = _per_tick(report.predicted_rate, solver_cfg)

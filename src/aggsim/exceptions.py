@@ -12,9 +12,9 @@ class ConstructionFailed(RuntimeError):
 class DivergenceDetected(RuntimeError):
     """NaN/Inf appeared in the solver state."""
 
-    def __init__(self, iteration, message=None):
+    def __init__(self, iteration):
         self.iteration = iteration
-        super().__init__(message or f"non-finite state at iteration {iteration}")
+        super().__init__(f"non-finite state at iteration {iteration}")
 
 
 class InconsistentResult(RuntimeError):

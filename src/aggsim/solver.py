@@ -295,7 +295,7 @@ class IterTrace:
         self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
         self._ticks[-1] += ticks
 
-    def flush(self, problem, oracle_solution, tol, diagnostics=True):
+    def flush(self, problem, oracle_solution, tol, diagnostics):
         """Compute the queued rows and their holds; return the first queued
         state whose gradient norm is below tol, or None.
 

@@ -311,27 +311,25 @@ def _over(num, den):
 
 
 @np.errstate(divide="ignore", **_QUIET_OVERFLOW)
-def _certificate(matrix_at, letters, constants, w2, w3, alpha, momentum_caps=()):
+def _certificate(matrix_at, letters, constants, alpha, momentum_caps=()):
     """Sufficient (alpha, momentum) box from the witness inequality
     M(a, m) w < w, read row by row off the 4x4 bound matrix `matrix_at`
     (called like error_matrix_hb).
 
-    Completes the witness as w4 = 3 L2 w3 / (1 - rho) and
-    w1 = (2 L1 w3 + L3 w4) / mu. At m = 0 every entry is affine in a, so
+    The witness is the paper's: w = (w1, 1, 1, w4), w4 = 3 L2 / (1 - rho),
+    w1 = (2 L1 + L3 w4) / mu. At m = 0 every entry is affine in a, so
     M(0, 0) and M(1/L1, 0) give the step slope S: each row bounds a by its
     free slack (w - M(0, 0) w)_i over (S w)_i, and each diagonal entry by
     (1 - M_ii(0, 0)) / S_ii. The step terms are, in order, row 2,
-    diagonal 3, row 3, diagonal 4 and row 4; row 1 sets no bound on the
-    completed witness. At `alpha` (default: half of alpha_bar) each row
+    diagonal 3, row 3, diagonal 4 and row 4; row 1 sets no bound on this
+    witness. At `alpha` (default: half of alpha_bar) each row
     bounds the momentum by its remaining slack (w - M(0, 0) w - a S w)_i
     over its momentum slope, taken at a unit inside the caps. A slope that
     is not positive sets no bound. `momentum_caps` also cap momentum_bar.
     """
-    if w2 <= 0 or w3 <= 0:
-        raise InvalidArgument(f"witness parameters must be positive; got {w2}, {w3}")
     c = constants
-    w4 = 3 * c.L2 * w3 / (1 - c.rho)
-    w = np.array([(2 * c.L1 * w3 + c.L3 * w4) / c.mu, w2, w3, w4])
+    w4 = 3 * c.L2 / (1 - c.rho)
+    w = np.array([(2 * c.L1 + c.L3 * w4) / c.mu, 1.0, 1.0, w4])
 
     def at(a, m):
         return _as_matrix(matrix_at(c.mu, c.L1, c.L2, c.L3, c.rho, a, m)).entries
@@ -375,19 +373,19 @@ def _hb_certified(mu, L1, L2, L3, rho, alpha, beta):
     return ErrorSystemMatrix(m)
 
 
-def conservative_bounds_hb(constants, z2=1.0, z3=1.0, alpha=None):
+def conservative_bounds_hb(constants, alpha=None):
     """Sufficient (alpha, beta) box for heavy-ball stability: every point
     of {0 < a < alpha_bar, 0 < b < momentum_bar(a)} keeps the certified
-    heavy-ball matrix contractive on the witness z (see _certificate)."""
-    return _certificate(_hb_certified, "JM", constants, z2, z3, alpha)
+    heavy-ball matrix contractive on the paper's witness (see _certificate)."""
+    return _certificate(_hb_certified, "JM", constants, alpha)
 
 
-def conservative_bounds_nes(constants, t2=1.0, t3=1.0, alpha=None):
+def conservative_bounds_nes(constants, alpha=None):
     """Sufficient (alpha, gamma) box for Nesterov stability, from
     error_matrix_nes_relaxed; the gamma bound also enforces that matrix's
     own validity cap min(1/L2, 1/L3)."""
     caps = [1.0 / L if L > 0 else math.inf for L in (constants.L2, constants.L3)]
-    return _certificate(error_matrix_nes_relaxed, "TG", constants, t2, t3, alpha, caps)
+    return _certificate(error_matrix_nes_relaxed, "TG", constants, alpha, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +511,8 @@ def _tuned(algorithm, mu, L1):
     (k-1)/(k+1) or (sqrt(k)-1)/(sqrt(k)+1), is the attained radius.
     dagt_nes: alpha = 4/(3 L1 + mu), momentum and quoted rate (q-2)/(q+2),
     q = sqrt(3k+1), but the family attains 1 - 2/q. Its momentum and radius
-    take 3 L1/mu and its quoted rate 3 k, which can round apart.
+    take 3 L1/mu and its quoted rate 3 k, which can round apart (at mu = L1,
+    3 L1/mu can round below 3: the momentum and radius are clamped at 0).
     """
     if not (0 < mu <= L1):
         raise InvalidArgument("need 0 < mu <= L1")
@@ -528,8 +527,8 @@ def _tuned(algorithm, mu, L1):
     if algorithm == "dagt_nes":
         q = math.sqrt(3.0 * L1 / mu + 1.0)
         quoted = math.sqrt(3.0 * kappa + 1.0)
-        return (4.0 / (3.0 * L1 + mu), (q - 2.0) / (q + 2.0),
-                (quoted - 2.0) / (quoted + 2.0), 1.0 - 2.0 / q)
+        return (4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0),
+                (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / q, 0.0))
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 

@@ -214,24 +214,38 @@ def test_config_error_exit_code(tmp_path):
                  id="cournot-count-past-memory"),
     # a linear coefficient that overflows though the Hessian does not
     pytest.param("run", "placement-paper", ["problem.omega=1e307"], id="linear-term-overflow"),
+    # no agents, no preset or config, a negative bounds.* constant, and a
+    # tuned step size that underflows
+    pytest.param("run", "cournot-paper", ["problem.n_agents=0"], id="cournot-zero-agents"),
+    pytest.param("run", None, [], id="no-preset-or-config"),
+    pytest.param("bounds", "placement-paper", ["bounds.L2=-1"], id="bounds-negative-L2"),
+    pytest.param("region", "placement-paper", ["bounds.L2=-1"], id="region-negative-L2"),
+    pytest.param("rates", "quadratic-demo", [f"problem.c={','.join(['1e308'] * 8)}"],
+                 id="rates-tuned-step-underflow"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
-    code = run_cli(command, "--preset", preset, *sets, "--out", str(tmp_path / "o"))
+    source = ["--preset", preset] if preset else []
+    code = run_cli(command, *source, *sets, "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
     for kv in overrides:
-        assert OVERFLOW_CAUSES.get(kv, "") in err
+        assert CAUSES.get(kv, "") in err
 
 
-# an overflow names its cause: the constant, or the step size or momentum
-OVERFLOW_CAUSES = {
-    "bounds.L3=1e200": "L3 = 1e+200 too large",
-    "bounds.L3=1e120": "L3 = 1e+120 too large",
+# an overflow or underflow names its cause: the constant, the step size or
+# momentum, or L1; a bad bounds.* constant or agent count names its key
+CAUSES = {
+    "bounds.L3=1e200": "L3 = 1e+200 too large: L3 (1 + L3)^2 overflows (key 'bounds.*')",
+    "bounds.L3=1e120": "L3 = 1e+120 too large: L3 (1 + L3)^2 overflows (key 'bounds.*')",
     "region.alpha_max=1e308": "step size or momentum too large",
     "solver.alpha=1e308": "step size or momentum too large",
+    "bounds.L2=-1": "L2 and L3 must be nonnegative (key 'bounds.*')",
+    "problem.n_agents=0": "n_agents must be positive (key 'problem.n_agents')",
+    f"problem.c={','.join(['1e308'] * 8)}":
+        "tuned dagt step size underflows to 0: L1 = 1e+308 too large (key 'problem.c')",
 }
 
 
@@ -307,7 +321,8 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
                          ("run.compare", 1))],
     # a bounds.* constant is checked as a problem's constants are
     pytest.param("bounds", "placement-paper", ["bounds.mu=100"],
-                 "need 0 < mu <= L1, got mu=100.0, L1=42.00000000000003", id="bounds-mu-above-L1"),
+                 "need 0 < mu <= L1, got mu=100.0, L1=42.00000000000003 (key 'bounds.*')",
+                 id="bounds-mu-above-L1"),
     # checked before the first run, so a bad noise budget is not found
     # only after the delay runs
     pytest.param("robustness", "quadratic-demo", ["robustness.delay_steps=-1"],
@@ -354,6 +369,9 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+MU_EQUALS_L1 = ("0.7", "3.3", "6.1")
+
+
 @pytest.mark.parametrize("command,preset,overrides", [
     ("run", "quadratic-demo", ["run.compare=true", "output.export_graph=true"]),
     ("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=0.0,0.2"]),
@@ -362,7 +380,10 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
     ("bounds", "placement-paper", []),
     ("region", "placement-paper", ["region.alpha_steps=3", "region.momentum_steps=3"]),
     ("rates", "quadratic-demo", []),
-], ids=["run", "sweep", "topology", "robustness", "bounds", "region", "rates"])
+    # mu = L1, where 3 L1 / mu rounds below 3 (see _tuned)
+    *[("rates", "quadratic-demo", [f"problem.c={','.join([c] * 8)}"]) for c in MU_EQUALS_L1],
+], ids=["run", "sweep", "topology", "robustness", "bounds", "region", "rates",
+        *[f"rates-mu-equal-L1-{c}" for c in MU_EQUALS_L1]])
 def test_printed_summary_equals_written_file(tmp_path, capsys, command, preset, overrides):
     out = tmp_path / "o"
     sets = [arg for kv in overrides for arg in ("--set", kv)]

@@ -67,6 +67,8 @@ def test_presets_build_cleanly():
         x0, x_prev = cfg.build_x0(problem)
         assert x0.size == problem.dim
         assert scfg.alpha > 0
+    with pytest.raises(KeyError, match="unknown preset 'nope'"):
+        get_preset("nope")
 
 
 def test_presets_round_trip_through_text():

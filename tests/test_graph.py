@@ -77,6 +77,8 @@ def test_validate_uniform_two_agents_clean():
 def test_validate_reports_one_entry_per_violation():
     out = validate(np.array([[0.6, 0.5], [0.4, 0.5]]))
     assert out == ["not symmetric", "row sums != 1"]
+    assert validate(np.array([[1.5, -0.5], [-0.5, 1.5]])) == ["negative entries"]
+    assert validate(np.array([[0.5, 0.5], [0.0, 1.0]])) == ["not symmetric", "column sums != 1"]
 
 
 def test_validate_rejects_non_square():

@@ -165,6 +165,8 @@ def test_cournot_rejects_bad_inputs():
         make_cournot([1.0, -1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1.0)
     with pytest.raises(InvalidArgument):
         make_cournot([1.0], [0.0], [0.0], 1.0, 0.0)
+    with pytest.raises(InvalidArgument, match="equal length"):
+        make_cournot([1.0, 1.0], [0.0], [0.0, 0.0], 1.0, 1.0)
     with np.errstate(over="ignore"), pytest.raises(InvalidArgument, match="Hessian"):
         make_cournot([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1e308)
 
@@ -217,6 +219,8 @@ def test_quadratic_rejects_bad_inputs():
 def test_regularity_constants_invariant():
     with pytest.raises(InvalidArgument):
         RegularityConstants(mu=2.0, L1=1.0, L2=0.0, L3=0.0)
+    with pytest.raises(InvalidArgument, match="L2 and L3 must be nonnegative"):
+        RegularityConstants(mu=1.0, L1=1.0, L2=-1.0, L3=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -621,8 +621,8 @@ def test_witness_completion_rules():
     b = conservative_bounds_hb(c)
     z1, z2, z3, z4 = b.witness
     assert z2 == 1.0 and z3 == 1.0
-    assert z4 == pytest.approx(3 * c.L2 / (1 - c.rho), abs=1e-14)
-    assert z1 == pytest.approx((2 * c.L1 * z3 + c.L3 * z4) / c.mu, abs=1e-12)
+    assert z4 == 3 * c.L2 / (1 - c.rho)
+    assert z1 == (2 * c.L1 + c.L3 * z4) / c.mu
     assert z1 > (c.L1 * z3 + c.L3 * z4) / c.mu
     assert z4 > 2 * c.L2 * z3 / (1 - c.rho)
 
@@ -783,10 +783,8 @@ def test_conservative_box_inside_region():
             assert region_member_nes(c, a, rng.uniform(0, gb) or gb / 2)
 
 
-def test_bounds_reject_bad_witness_or_alpha():
+def test_bounds_reject_alpha_outside_the_box():
     c = StabilityConstants(rho=0.4, **PLACEMENT)
-    with pytest.raises(InvalidArgument):
-        conservative_bounds_hb(c, z2=-1.0)
     with pytest.raises(InvalidArgument):
         conservative_bounds_hb(c, alpha=1.0)
 
@@ -1185,7 +1183,9 @@ def test_optimal_params_validation():
 
 def reference_tuned(algorithm, mu, L1):
     """The tuned point, quoted rate and attained radius, each expression
-    as the three functions first wrote it, one chain per function."""
+    as the three functions first wrote it, one chain per function, with
+    the Nesterov momentum and radius clamped at 0 where mu = L1 rounds
+    them below it."""
     kappa = L1 / mu
     if algorithm == "dagt":
         rate = (kappa - 1.0) / (kappa + 1.0)
@@ -1196,17 +1196,20 @@ def reference_tuned(algorithm, mu, L1):
         return (4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2, ratio**2), rate, rate
     q = math.sqrt(3.0 * L1 / mu + 1.0)
     quoted = math.sqrt(3.0 * kappa + 1.0)
-    return ((4.0 / (3.0 * L1 + mu), (q - 2.0) / (q + 2.0)), (quoted - 2.0) / (quoted + 2.0),
-            1.0 - 2.0 / math.sqrt(3.0 * L1 / mu + 1.0))
+    return ((4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0)),
+            (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / math.sqrt(3.0 * L1 / mu + 1.0), 0.0))
 
 
 @pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
 def test_tuned_point_is_bit_identical_to_the_reference(algorithm):
-    # log-uniform mu and condition numbers over many decades, plus mu = L1
+    # log-uniform mu and condition numbers over many decades, plus mu = L1;
+    # 3 L1 / mu rounds below 3 for 9 of the 100 drawn and for the four
+    # given, whose Nesterov momentum and radius the clamp holds at 0
     rng = np.random.default_rng(19)
     mu = 10.0 ** rng.uniform(-8, 8, 10_000)
     L1 = mu * 10.0 ** rng.uniform(0, 8, 10_000)
-    points = list(zip(mu.tolist(), L1.tolist())) + [(m, m) for m in mu[:100].tolist()]
+    points = list(zip(mu.tolist(), L1.tolist())) + [
+        (m, m) for m in mu[:100].tolist() + [0.7, 3.3, 6.1, 3e307]]
     for m, l in points:
         (alpha, momentum), quoted, attained = reference_tuned(algorithm, m, l)
         got = (*optimal_params(algorithm, m, l), optimal_rate_formula(algorithm, m, l),

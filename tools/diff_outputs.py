@@ -151,6 +151,19 @@ INVOCATIONS = {
     # a linear coefficient that overflows though the Hessian does not
     "run-placement-linear-overflow": ["run", "--preset", "placement-paper",
                                       *_sets("problem.omega=1e307")],
+    # mu = L1, where 3 L1 / mu rounds below 3, and a tuned step that underflows
+    **{f"rates-mu-equal-L1-{c}": ["rates", "--preset", "quadratic-demo",
+                                  *_sets(f"problem.c={','.join([c] * 8)}")]
+       for c in ("0.7", "3.3", "6.1")},
+    "rates-tuned-step-underflow": ["rates", "--preset", "quadratic-demo",
+                                   *_sets(f"problem.c={','.join(['1e308'] * 8)}")],
+    # bounds.* constants that fail their checks
+    **{f"bounds-{name}": ["bounds", "--preset", "placement-paper", *_sets(kv)]
+       for name, kv in (("negative-L2", "bounds.L2=-1"), ("L3-square-overflow", "bounds.L3=1e200"),
+                        ("L3-cube-overflow", "bounds.L3=1e120"))},
+    # no agents, and no preset or config
+    "run-cournot-zero-agents": ["run", "--preset", "cournot-paper", *_sets("problem.n_agents=0")],
+    "run-no-source": ["run"],
 }
 
 
