@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,20 @@ def measured_tail_rate(trace):
     return float(10.0**slope)
 
 
+def _strict(obj):
+    """obj with None for every float that is not finite: strict JSON has no
+    NaN or Infinity, so such a value is written as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _json_dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict(obj), indent=2, sort_keys=True) + "\n"
 
 
 def _list(cfg, key, default):
@@ -109,12 +122,17 @@ class Experiment:
         self.cfg = cfg
         self.problem, self.graph = cfg.build_problem_and_graph()
         self.x0, self.x_prev = cfg.build_x0(self.problem)
-        self.oracle = solve(self.problem)
         self.noise_sigma = cfg.value("solver.noise_sigma", float, 0.0)
         self.seed = cfg.seed("solver.seed", 0)
         if self.noise_sigma < 0:
             raise ConfigError(NONNEGATIVE, key="solver.*")
         self._channels = {}
+
+    @cached_property
+    def oracle(self):
+        """The ground truth, solved at the first run: a command that rejects
+        its config before running solves nothing."""
+        return solve(self.problem)
 
     def run(self, graph=None, noise_sigma=None, diagnostics=True, **overrides):
         """One run at the config's solver settings, with overrides; graph
@@ -284,10 +302,10 @@ def cmd_bounds(cfg):
 
 def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
     """region.csv of the grid, alpha-major, and its member count: one
-    matrix stack, whose one eigensolve serves both the radius column and
-    membership. The text is csv_text's: each axis value is formatted once
-    and every row joins the two axis strings, the member flag and the
-    radius."""
+    matrix stack, whose characteristic coefficients, read off its entries
+    once, serve both membership and the radius column. The text is
+    csv_text's: each axis value is formatted once and every row joins the
+    two axis strings, the member flag and the radius."""
     c = constants
     A, M = np.meshgrid(a_grid, m_grid, indexing="ij")
     mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
@@ -320,13 +338,21 @@ def cmd_rates(cfg):
     if not _has_exact_rates(exp.problem):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
     mu, L1 = exp.problem.constants.mu, exp.problem.constants.L1
-    rows, details = [], {}
-    code = 0
-    for alg in ALGORITHMS:
-        alpha, momentum = optimal_params(alg, mu, L1)
+    tuned = {}
+    for alg in ALGORITHMS:  # every tuned point is checked before the first run
+        try:
+            alpha, momentum = tuned[alg] = optimal_params(alg, mu, L1)
+        except OverflowError:  # (sqrt(L1) + sqrt(mu))^2 under the heavy-ball step
+            alpha = 0.0
         if alpha == 0:
             raise ConfigError(f"tuned {alg} step size underflows to 0: L1 = {L1} too large",
                               key="problem.c")
+        if not math.isfinite(momentum):
+            raise ConfigError(f"tuned {alg} momentum is not finite: 3 L1 / mu overflows "
+                              f"(mu = {mu}, L1 = {L1})", key="problem.c")
+    rows, details = [], {}
+    code = 0
+    for alg, (alpha, momentum) in tuned.items():
         report = quadratic_rates(exp.problem, exp.graph, alpha, momentum, alg)
         solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=momentum)
         predicted = _per_tick(report.predicted_rate, solver_cfg)

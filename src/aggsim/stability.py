@@ -8,7 +8,10 @@ rates on the quadratic family, read off the solver's own round.
 
 The error matrices, spectral radii, characteristic polynomials, Jury test
 and region membership work on arrays: a grid of (step size, momentum)
-points is one (..., 4, 4) stack, one eigensolve and one Jury table.
+points is one (..., 4, 4) stack whose characteristic coefficients are
+read off its entries once. They serve the Jury table and, by Newton on
+the polynomial, the spectral radius of every entrywise nonnegative matrix;
+only the other matrices go through an eigensolve.
 
 The 4x4 matrices are transcribed verbatim from their published display
 forms. Where a published closed form is internally inconsistent (the
@@ -18,8 +21,9 @@ authoritative.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -113,10 +117,52 @@ class StabilityConstants(RegularityConstants):
         return cls(**vars(problem.constants), rho=graph.rho)
 
 
+def _fold(terms):
+    """The terms added left to right, the order a scalar loop adds them in."""
+    return reduce(operator.add, terms)
+
+
+# Newton steps after which a matrix still moving takes the eigensolve
+_NEWTON_STEPS = 100
+# largest z^3 / p'(z) at a settled root (see _perron_newton)
+_ROOT_CONDITION = 100.0
+
+
+def _perron_newton(coeffs, z):
+    """Largest real root of each monic quartic (ascending rows a0..a3, 1 of
+    `coeffs`) by Newton from the upper bounds `z`, and whether each settled.
+
+    Right of that root the polynomial is increasing and convex (Gauss-Lucas),
+    so the iterates fall monotonically onto it; a step is taken only while it
+    is positive and no longer than the iterate, until no iterate moves. A
+    root settles with a finite value and p'(z) >= z^3 / _ROOT_CONDITION: the
+    coefficients of a nonnegative matrix carry rounding of about eps z^(4-k),
+    which moves a root by about eps z^4 / p'(z), so a near-multiple root is
+    left to the eigensolve, as is one still moving after _NEWTON_STEPS.
+    """
+    a = np.ascontiguousarray(coeffs.T)  # a[k], each coefficient contiguous
+    settled = np.zeros(z.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value, slope = np.ones_like(z), np.zeros_like(z)
+            for k in range(3, -1, -1):  # Horner, with the derivative alongside
+                slope = slope * z + value
+                value = value * z + a[k]
+            step = value / slope
+            new = np.where((step > 0) & (step <= z), z - step, z)
+            moved = new != z
+            settled = ~moved & np.isfinite(value) & (z * z * z <= _ROOT_CONDITION * slope)
+        if not moved.any():
+            break
+        z = new
+    return z, settled
+
+
 @dataclass(frozen=True)
 class ErrorSystemMatrix:
-    """A square matrix, or a stack of them over the leading axes; its
-    eigenvalues are computed once, by one batched eigensolve."""
+    """A square matrix, or a stack of them over the leading axes. The
+    characteristic coefficients of a 4x4 stack are computed once, from its
+    entries, and serve both the Jury test and the spectral radius."""
 
     entries: np.ndarray
 
@@ -124,22 +170,72 @@ class ErrorSystemMatrix:
         if not np.isfinite(self.entries).all():
             raise InvalidArgument("error matrix has a non-finite entry: step size or momentum too large")
 
+    def _by_entry(self):
+        """The stack as an (n, n, K) array, each entry contiguous over the K
+        matrices: a view of the entries that _stacked builds."""
+        flat = self.entries.reshape((-1,) + self.entries.shape[-2:])
+        return np.ascontiguousarray(np.moveaxis(flat, 0, -1))
+
     @cached_property
-    def eigenvalues(self):
-        return np.linalg.eigvals(self.entries)
+    def coefficients(self):
+        """Ascending monic characteristic coefficients a0..a3, 1 of the 4x4
+        matrix, or of each matrix of the stack: the power traces
+        p_k = tr M^k from one product M^2 (p3 = tr(M^2 M), p4 = tr(M^2 M^2)),
+        then Newton's identities. Every sum runs left to right over its
+        indices, so a matrix reads the same bits alone as in a stack."""
+        if self.entries.shape[-2:] != (4, 4):
+            raise UnsupportedDegree(f"characteristic coefficients need 4x4 matrices, "
+                                    f"got {self.entries.shape[-2:]}")
+        n, m = range(4), self._by_entry()
+        # only a matrix far off the unit disk overflows (see jury_stable)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = [_fold(m[i, k] * m[k] for k in n) for i in n]  # the rows of M^2
+            p1 = _fold(m[i, i] for i in n)
+            p2 = _fold(sq[i][i] for i in n)
+            p3 = _fold(sq[i][j] * m[j, i] for i in n for j in n)
+            p4 = _fold(sq[i][j] * sq[j][i] for i in n for j in n)
+            e2 = (p1 * p1 - p2) / 2
+            e3 = (e2 * p1 - p1 * p2 + p3) / 3
+            e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) / 4
+        coeffs = np.stack([e4, -e3, e2, -p1, np.ones_like(p1)], axis=-1)
+        return coeffs.reshape(self.entries.shape[:-2] + (5,))
 
     def spectral_radius(self):
-        """Largest eigenvalue modulus: a float, or one per matrix of a stack."""
-        radius = np.abs(self.eigenvalues).max(axis=-1)
+        """Largest eigenvalue modulus: a float, or one per matrix of a stack.
+
+        A 4x4 matrix whose entries are all >= 0 and whose coefficients are
+        finite has its radius as a real eigenvalue (Perron-Frobenius), the
+        largest real root of its characteristic polynomial: Newton finds it
+        from the largest row sum, which bounds the radius (_perron_newton).
+        Every other matrix, and any whose root does not settle, takes an
+        eigensolve.
+        """
+        m = self._by_entry()
+        radius = np.empty(m.shape[-1])
+        newton = np.zeros(m.shape[-1], dtype=bool)
+        if m.shape[:2] == (4, 4):
+            coeffs = self.coefficients.reshape(-1, 5)
+            newton = (m >= 0).all(axis=(0, 1)) & np.isfinite(coeffs).all(axis=1)
+            bound = _fold(m[:, j] for j in range(4)).max(axis=0)  # the largest row sum
+            z, settled = _perron_newton(coeffs[newton], bound[newton])
+            radius[newton] = z
+            newton[newton] = settled
+        rest = ~newton
+        if rest.any():
+            flat = self.entries.reshape((-1,) + self.entries.shape[-2:])
+            radius[rest] = np.abs(np.linalg.eigvals(flat[rest])).max(axis=-1)
+        radius = radius.reshape(self.entries.shape[:-2])
         return float(radius) if radius.ndim == 0 else radius
 
 
 def _stacked(rows):
     """The matrix whose broadcastable entries are given row by row: n x n
-    for scalars, a (..., n, n) stack for arrays."""
+    for scalars, a (..., n, n) stack for arrays, held entry by entry so
+    that each entry is contiguous over the stack (see _by_entry)."""
     entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
     n = len(rows)
-    return ErrorSystemMatrix(np.stack(entries, axis=-1).reshape(entries[0].shape + (n, n)))
+    by_entry = np.stack(entries).reshape((n, n) + entries[0].shape)
+    return ErrorSystemMatrix(np.moveaxis(by_entry, (0, 1), (-2, -1)))
 
 
 # on the builders below, an overflowing entry is reported once, by the
@@ -237,22 +333,10 @@ def _as_matrix(matrix):
 
 
 def char_poly(matrix):
-    """Ascending monic characteristic-polynomial coefficients a0..a(n-1), 1
-    of a matrix, or of each matrix of a stack (over the last two axes).
-
-    np.poly's recurrence, batched over the matrix's eigenvalues: start from
-    1 and convolve with (1, -z_k) for each root z_k in turn. A real matrix
-    has conjugate roots, so the real part is kept.
-    """
-    roots = _as_matrix(matrix).eigenvalues
-    n = roots.shape[-1]
-    desc = np.zeros(roots.shape[:-1] + (n + 1,), dtype=roots.dtype)
-    desc[..., 0] = 1.0
-    # only roots off the unit disk overflow a coefficient (see jury_stable)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            desc[..., 1 : k + 2] -= roots[..., k : k + 1] * desc[..., : k + 1]
-    return desc.real[..., ::-1]
+    """Ascending monic characteristic-polynomial coefficients a0..a3, 1 of a
+    4x4 matrix, or of each matrix of a stack (over the last two axes), read
+    off its entries (ErrorSystemMatrix.coefficients)."""
+    return _as_matrix(matrix).coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +363,8 @@ def region_member_hb(constants, alpha, beta, matrix=None):
 
     alpha and beta broadcast: arrays give a boolean array, one verdict per
     point. `matrix`, the error matrix already built at (alpha, beta), lends
-    its eigenvalues, so a caller that also wants the spectral radius pays
-    for one eigensolve.
+    its characteristic coefficients, so a caller that also wants the
+    spectral radius computes them once.
     """
     return _member(error_matrix_hb, constants, alpha, beta, matrix)
 

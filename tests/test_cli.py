@@ -36,8 +36,24 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+# quadratic-demo with mu = 1e-320: 3 L1 / mu overflows the tuned Nesterov momentum
+TINY_MU = f"problem.c=1e-320,{','.join(['1'] * 7)}"
+# mu = L1 = 6e307: (sqrt(L1) + sqrt(mu))^2 overflows though mu + L1 does not
+HB_STEP_OVERFLOW = f"problem.c={','.join(['6e307'] * 8)}"
+
+
+def reject_constant(name):
+    raise ValueError(f"summary.json holds {name}, which strict JSON parsers reject")
+
+
 def run_cli(*args):
-    return main(list(args))
+    """main(args); every summary.json it writes must parse as strict JSON."""
+    code = main(list(args))
+    if "--out" in args:
+        summary = Path(args[args.index("--out") + 1]) / "summary.json"
+        if summary.is_file():
+            json.loads(summary.read_text(), parse_constant=reject_constant)
+    return code
 
 
 def test_run_quadratic_demo(tmp_path):
@@ -222,11 +238,18 @@ def test_config_error_exit_code(tmp_path):
     pytest.param("region", "placement-paper", ["bounds.L2=-1"], id="region-negative-L2"),
     pytest.param("rates", "quadratic-demo", [f"problem.c={','.join(['1e308'] * 8)}"],
                  id="rates-tuned-step-underflow"),
+    # a tuned heavy-ball step whose denominator overflows
+    pytest.param("rates", "quadratic-demo", [HB_STEP_OVERFLOW], id="rates-tuned-hb-step-overflow"),
+    # a tuned Nesterov momentum that is not finite
+    pytest.param("rates", "quadratic-demo", [TINY_MU], id="rates-tuned-momentum-not-finite"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
     source = ["--preset", preset] if preset else []
-    code = run_cli(command, *source, *sets, "--out", str(tmp_path / "o"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, *source, *sets, "--out", str(tmp_path / "o"))
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:")
@@ -246,7 +269,25 @@ CAUSES = {
     "problem.n_agents=0": "n_agents must be positive (key 'problem.n_agents')",
     f"problem.c={','.join(['1e308'] * 8)}":
         "tuned dagt step size underflows to 0: L1 = 1e+308 too large (key 'problem.c')",
+    HB_STEP_OVERFLOW:
+        "tuned dagt_hb step size underflows to 0: L1 = 6e+307 too large (key 'problem.c')",
+    TINY_MU: "tuned dagt_nes momentum is not finite: 3 L1 / mu overflows "
+             "(mu = 1e-320, L1 = 1.0) (key 'problem.c')",
 }
+
+
+def test_rates_checks_every_tuned_point_before_any_solve(tmp_path, capsys, monkeypatch):
+    # dagt and dagt_hb are tuned fine at mu = 1e-320; the Nesterov point
+    # stops the command before the oracle or any run is computed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the tuned points were checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "run_solver", no_solve)
+    assert run_cli("rates", "--preset", "quadratic-demo", "--set", TINY_MU,
+                   "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"config error: {CAUSES[TINY_MU]}\n"
+    assert not (tmp_path / "o").exists()
 
 
 HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
@@ -708,6 +749,24 @@ def test_region_csv_matches_csv_text(algorithm, steps):
     assert code == 0
     if steps == 100:
         assert 0 < summary["members"] < steps**2
+
+
+@pytest.mark.parametrize("command,preset,overrides,path", [
+    # one row: no tail to fit a rate to
+    ("run", "cournot-paper", ["solver.max_iter=0"], ("measured_tail_rate",)),
+    # mu = L1: each tuned run converges within a few rows, too few to fit a rate to
+    ("rates", "quadratic-demo", [f"problem.c={','.join(['0.7'] * 8)}"],
+     ("per_algorithm", "dagt_nes", "rel_error")),
+])
+def test_summary_writes_null_for_a_value_that_is_not_finite(tmp_path, command, preset,
+                                                             overrides, path):
+    out = tmp_path / "o"
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert run_cli(command, "--preset", preset, *sets, "--out", str(out)) == 0
+    value = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    for key in path:
+        value = value[key]
+    assert value is None
 
 
 def test_rates_command_quadratic_only(tmp_path):

@@ -1,9 +1,10 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aggsim.config import ExperimentConfig
 from aggsim.exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
@@ -14,6 +15,7 @@ from aggsim.problems import make_quadratic
 from aggsim.solver import SolverConfig, csv_text, init_state, momentum_family, step
 import aggsim.stability as stability
 from aggsim.stability import (
+    ErrorSystemMatrix,
     StabilityConstants,
     _companion2_radius,
     attained_optimal_radius,
@@ -512,14 +514,72 @@ def reference_jury(coeffs):
     return all(slack > 0 for slack in slacks), min(slacks)
 
 
+def left_sum(terms):
+    """The terms added left to right."""
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def reference_coefficients(m):
+    """Ascending characteristic coefficients a0..a3, 1 of one 4x4 matrix
+    given as nested lists of floats: the power traces tr M^k from M^2, then
+    Newton's identities, every sum left to right."""
+    n = range(4)
+    sq = [[left_sum(m[i][k] * m[k][j] for k in n) for j in n] for i in n]
+    p1 = left_sum(m[i][i] for i in n)
+    p2 = left_sum(sq[i][i] for i in n)
+    p3 = left_sum(sq[i][j] * m[j][i] for i in n for j in n)
+    p4 = left_sum(sq[i][j] * sq[j][i] for i in n for j in n)
+    e2 = (p1 * p1 - p2) / 2
+    e3 = (e2 * p1 - p1 * p2 + p3) / 3
+    e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) / 4
+    return [e4, -e3, e2, -p1, 1.0]
+
+
+def reference_perron_radius(m, coeffs):
+    """The Perron root of one nonnegative 4x4 matrix by scalar Newton on
+    its characteristic polynomial from the largest row sum, or None where
+    the iteration does not settle, within the package's step budget, on a
+    finite value at a root whose slope is at least z^3 / _ROOT_CONDITION."""
+    z = max(left_sum(row) for row in m)
+    for _ in range(stability._NEWTON_STEPS):
+        value, slope = 1.0, 0.0
+        for k in (3, 2, 1, 0):
+            slope = slope * z + value
+            value = value * z + coeffs[k]
+        step = value / slope if slope != 0 else math.nan
+        new = z - step if 0 < step <= z else z
+        if new == z:
+            conditioned = math.isfinite(value) and z * z * z <= stability._ROOT_CONDITION * slope
+            return z if conditioned else None
+        z = new
+    return None
+
+
 def reference_region_point(algorithm, c, alpha, momentum):
-    """(member, spectral radius) of one grid point as the per-point loop
-    computed them: a 4x4 matrix and one eigensolve for the radius; for
-    membership, positivity, then np.poly and the scalar Jury loop."""
+    """(member, spectral radius) of one grid point by scalar code on the
+    4x4 matrix as nested lists of floats. Membership: positivity, then the
+    scalar Jury loop on reference_coefficients. Radius: the Perron root by
+    reference_perron_radius where every entry is >= 0 and the coefficients
+    are finite, else (and where the root does not settle) one eigensolve.
+    The radius is held to that eigensolve: bit for bit where it gave it,
+    within 1e-12 relative where Newton did."""
     builder = REGION_BUILDERS[algorithm][0]
     entries = builder(c.mu, c.L1, c.L2, c.L3, c.rho, alpha, momentum).entries
-    radius = float(np.abs(np.linalg.eigvals(entries)).max())
-    member = alpha > 0 and momentum > 0 and reference_jury(np.poly(entries)[::-1])[0]
+    m = entries.tolist()
+    coeffs = reference_coefficients(m)
+    member = alpha > 0 and momentum > 0 and reference_jury(coeffs)[0]
+    eig_radius = float(np.abs(np.linalg.eigvals(entries)).max())
+    radius = None
+    if all(x >= 0 for row in m for x in row) and all(map(math.isfinite, coeffs)):
+        radius = reference_perron_radius(m, coeffs)
+    if radius is None:
+        radius = eig_radius
+    else:
+        assert abs(radius - eig_radius) <= 1e-12 * eig_radius
     return bool(member), radius
 
 
@@ -561,8 +621,13 @@ def test_batched_region_matches_per_point_reference(c, alpha_fracs, momenta, alg
     assert np.array_equal(member, member_fn(c, A, M))
     for idx in np.ndindex(A.shape):
         a, m = float(A[idx]), float(M[idx])
-        assert np.array_equal(matrix.entries[idx], builder(c.mu, c.L1, c.L2, c.L3, c.rho, a, m).entries)
+        single = builder(c.mu, c.L1, c.L2, c.L3, c.rho, a, m)
+        assert np.array_equal(matrix.entries[idx], single.entries)
+        assert np.array_equal(matrix.coefficients[idx], single.coefficients, equal_nan=True)
+        assert np.array_equal(matrix.coefficients[idx], reference_coefficients(single.entries.tolist()),
+                              equal_nan=True)
         assert member_fn(c, a, m) is bool(member[idx])
+        assert single.spectral_radius() == float(radius[idx])
         assert (bool(member[idx]), float(radius[idx])) == reference_region_point(algorithm, c, a, m)
 
 
@@ -592,6 +657,70 @@ def test_batched_jury_agrees_with_roots(root_sets):
         assert (single.stable, single.failed_condition, single.margin) == (
             bool(verdict.stable[i]), str(verdict.failed_condition[i]), float(verdict.margin[i]))
         assert (single.stable, single.margin) == reference_jury(row)
+
+
+# step-size fractions of 1/mu up to past 1/mu, where entry (1, 1) turns negative
+ALPHA_MU_AXIS = st.lists(
+    st.floats(-6.0, 0.5).map(lambda e: 10.0**e) | st.sampled_from([0.0, -1e-3]),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stability_constants(), ALPHA_MU_AXIS, GRID_AXIS, st.sampled_from(sorted(REGION_BUILDERS)))
+def test_jury_on_entry_coefficients_agrees_with_eigenvalues(c, alpha_fracs, momenta, algorithm):
+    # the coefficients come from the entries, so the Jury verdict is checked
+    # against an eigensolve it never saw
+    A, M = np.meshgrid(np.array(alpha_fracs) / c.mu, momenta, indexing="ij")
+    matrix = REGION_BUILDERS[algorithm][0](c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+    radius = np.abs(np.linalg.eigvals(matrix.entries)).max(axis=-1)
+    clear = np.abs(radius - 1.0) > JURY_BAND
+    stable = jury_stable(char_poly(matrix)).stable
+    assert np.array_equal(stable[clear], radius[clear] < 1.0)
+
+
+# nonnegative entries, zeros included, so that reducible matrices, ties and
+# repeated roots are drawn
+NONNEGATIVE_STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.just(4), st.just(4)),
+                            elements=st.just(0.0) | st.floats(0.1, 10.0))
+
+
+def assert_radius_matches_eigensolve(matrix):
+    radius = matrix.spectral_radius()
+    eig = np.abs(np.linalg.eigvals(matrix.entries)).max(axis=-1)
+    assert np.all(np.abs(radius - eig) <= 1e-12 * eig)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(NONNEGATIVE_STACKS)
+def test_perron_newton_radius_agrees_with_eigenvalues(stack):
+    assert_radius_matches_eigensolve(ErrorSystemMatrix(stack))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stability_constants(), GRID_AXIS, GRID_AXIS, st.sampled_from(sorted(REGION_BUILDERS)))
+def test_perron_newton_radius_on_reducible_error_matrices(c, alpha_fracs, momenta, algorithm):
+    # at L2 = L3 = 0 rows 3 and 4 decouple: rho is a double root
+    c = replace(c, L2=0.0, L3=0.0)
+    A, M = np.meshgrid(np.array(alpha_fracs) / c.L1, momenta, indexing="ij")
+    assert_radius_matches_eigensolve(REGION_BUILDERS[algorithm][0](c.mu, c.L1, c.L2, c.L3, c.rho, A, M))
+
+
+@pytest.mark.parametrize("algorithm", sorted(REGION_BUILDERS))
+def test_nonnegative_grid_radius_needs_no_eigensolve(monkeypatch, algorithm):
+    # every point of a benchmark grid takes Newton: the radius is found with
+    # the eigensolver unavailable
+    c = StabilityConstants(mu=1.2, L1=5.1, L2=0.01, L3=50.0, rho=0.71)
+    A, M = np.meshgrid(np.linspace(1e-10, 4e-8, 100), np.linspace(1e-6, 1e-3, 100), indexing="ij")
+    matrix = REGION_BUILDERS[algorithm][0](c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+    eig = np.abs(np.linalg.eigvals(matrix.entries)).max(axis=-1)
+
+    def no_eigensolve(entries):
+        raise AssertionError(f"eigensolve of {len(entries)} matrices")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
+    radius = matrix.spectral_radius()
+    assert np.all(np.abs(radius - eig) <= 1e-12 * eig)
 
 
 def test_batched_jury_names_the_first_failed_condition():

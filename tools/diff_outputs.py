@@ -129,6 +129,11 @@ INVOCATIONS = {
         f"region.algorithm={alg}", f"region.momentum_max={momentum_max}",
         "region.momentum_steps=3", "region.alpha_steps=3")]
        for alg, momentum_max in (("dagt_hb", "1e300"), ("dagt_nes", "1e150"))},
+    # step sizes from below 0 to past 1/mu and momenta from below 0: matrices
+    # with a negative entry, whose radius takes the eigensolve
+    "region-negative-entries": ["region", "--preset", "placement-paper", *_sets(
+        "region.alpha_min=-1e-3", "region.alpha_max=0.05", "region.alpha_steps=12",
+        "region.momentum_min=-1e-3", "region.momentum_max=0.05", "region.momentum_steps=12")],
     # boolean keys given a value other than true or false
     "run-compare-not-boolean": ["run", "--preset", "quadratic-demo", *_sets("run.compare=no")],
     "run-export-graph-not-boolean": ["run", "--preset", "quadratic-demo",
@@ -157,6 +162,11 @@ INVOCATIONS = {
        for c in ("0.7", "3.3", "6.1")},
     "rates-tuned-step-underflow": ["rates", "--preset", "quadratic-demo",
                                    *_sets(f"problem.c={','.join(['1e308'] * 8)}")],
+    # a heavy-ball step whose denominator overflows, a Nesterov momentum that is not finite
+    "rates-tuned-hb-step-overflow": ["rates", "--preset", "quadratic-demo",
+                                     *_sets(f"problem.c={','.join(['6e307'] * 8)}")],
+    "rates-tuned-momentum-not-finite": ["rates", "--preset", "quadratic-demo",
+                                        *_sets(f"problem.c=1e-320,{','.join(['1'] * 7)}")],
     # bounds.* constants that fail their checks
     **{f"bounds-{name}": ["bounds", "--preset", "placement-paper", *_sets(kv)]
        for name, kv in (("negative-L2", "bounds.L2=-1"), ("L3-square-overflow", "bounds.L3=1e200"),
