@@ -132,7 +132,10 @@ class Experiment:
     def oracle(self):
         """The ground truth, solved at the first run: a command that rejects
         its config before running solves nothing."""
-        return solve(self.problem)
+        try:
+            return solve(self.problem)
+        except InvalidArgument as exc:
+            raise ConfigError(str(exc), key="problem.*") from None
 
     def run(self, graph=None, noise_sigma=None, diagnostics=True, **overrides):
         """One run at the config's solver settings, with overrides; graph
@@ -328,7 +331,10 @@ def cmd_region(cfg):
     fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
            else (region_member_nes, error_matrix_nes))
     a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum", 0.5)
-    text, members = _region_csv(constants, *fns, a_grid, m_grid)
+    try:  # the constants pass, so only a grid point can overflow a matrix entry
+        text, members = _region_csv(constants, *fns, a_grid, m_grid)
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc), key="region.*") from None
     summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}
     return summary, {"region.csv": text}, 0
 
@@ -338,18 +344,10 @@ def cmd_rates(cfg):
     if not _has_exact_rates(exp.problem):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
     mu, L1 = exp.problem.constants.mu, exp.problem.constants.L1
-    tuned = {}
-    for alg in ALGORITHMS:  # every tuned point is checked before the first run
-        try:
-            alpha, momentum = tuned[alg] = optimal_params(alg, mu, L1)
-        except OverflowError:  # (sqrt(L1) + sqrt(mu))^2 under the heavy-ball step
-            alpha = 0.0
-        if alpha == 0:
-            raise ConfigError(f"tuned {alg} step size underflows to 0: L1 = {L1} too large",
-                              key="problem.c")
-        if not math.isfinite(momentum):
-            raise ConfigError(f"tuned {alg} momentum is not finite: 3 L1 / mu overflows "
-                              f"(mu = {mu}, L1 = {L1})", key="problem.c")
+    try:  # every tuned point is checked before the first run
+        tuned = {alg: optimal_params(alg, mu, L1) for alg in ALGORITHMS}
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc), key="problem.c") from None
     rows, details = [], {}
     code = 0
     for alg, (alpha, momentum) in tuned.items():

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import InvalidArgument
+
 
 @dataclass(frozen=True)
 class OracleSolution:
@@ -20,9 +22,13 @@ class OracleSolution:
 
 def solve(problem):
     """Ground-truth minimizer of F with achieved gradient norm: one linear
-    solve against the instance's exact quadratic model."""
+    solve against the instance's exact quadratic model. A minimizer that
+    overflows raises InvalidArgument."""
     hess, lin, _ = problem.quadratic_model
     x = np.linalg.solve(hess, -lin)
+    if not np.isfinite(x).all():
+        raise InvalidArgument("ground truth x* has a non-finite entry: the Hessian is too "
+                              "close to singular")
     grad_norm = float(np.linalg.norm(problem.global_gradient(x)))
     return OracleSolution(
         x_star=x, f_star=problem.objective(x), grad_norm=grad_norm, method="closed_form"

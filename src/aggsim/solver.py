@@ -25,7 +25,7 @@ once, at the new point, as the methods do. Per tick `run` only steps the
 round and queues its state; the stop test, the divergence check and every
 diagnostic run per block of queued states (see IterTrace), and the rounds
 stepped past the converged one are thrown away. diagnostics=False keeps only
-k and grad_norm, for callers that read the outcome; `to_csv` needs the rest.
+grad_norm, for callers that read the outcome; `to_csv` needs the rest.
 """
 
 from dataclasses import dataclass, field
@@ -110,14 +110,14 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class SolverState:
-    """Per-agent stacked iterates and trackers at tick k.
+    """Per-agent stacked iterates and trackers after some round.
 
     x, x_prev, y: (N, local_dim), y the point the next gradient is taken
     at (x itself when gamma = 0); u, s: (N, agg_dim) trackers. phi_y and
     g2_y are phi(y) and grad2 f(y, u), carried so that `step` and the
     trace need not evaluate them again. `step` makes new arrays every
-    round and nothing writes into a state's arrays; `run` sets k to the
-    arrival tick, which under delay is past the round count.
+    round and nothing writes into a state's arrays. The state holds no
+    tick: its arrival tick, past the round count under delay, is `run`'s.
     """
 
     x: np.ndarray
@@ -127,7 +127,6 @@ class SolverState:
     s: np.ndarray
     phi_y: np.ndarray
     g2_y: np.ndarray
-    k: int = 0
 
     def finite(self):
         return all(np.isfinite(p).all() for p in (self.x, self.x_prev, self.y, self.u, self.s))
@@ -222,7 +221,7 @@ def init_state(problem, graph, x0, x_minus1=None):
     xm = x.copy() if x_minus1 is None else problem.as_agents(x_minus1).copy()
     u = problem.phi_all(x)
     s = problem.grad2_all(x, u)
-    return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, k=0, phi_y=u, g2_y=s)
+    return SolverState(x=x, x_prev=xm, y=x, u=u, s=s, phi_y=u, g2_y=s)
 
 
 def step(state, problem, channel, config):
@@ -247,23 +246,22 @@ def step(state, problem, channel, config):
     u_new = mix_u + phi_new - state.phi_y
     g2_new = problem.grad2_all(y_new, u_new)
     s_new = mix_s + g2_new - state.g2_y
-    return SolverState(x_new, x, y_new, u_new, s_new, phi_new, g2_new, state.k + 1)
+    return SolverState(x_new, x, y_new, u_new, s_new, phi_new, g2_new)
 
 
 @dataclass
 class IterTrace:
     """Per-tick diagnostics of one run (one row per tick, k = 0 first).
 
-    `record` appends k and queues the state; `hold` repeats the last row
-    on hold ticks. `flush` computes every column for the queued states at
-    once, stop test included, and checks that they are finite; without
-    diagnostics it fills only k and grad_norm. `run` calls it when BLOCK
-    states are queued and at its end. Each column holds the same floats as
-    a row-by-row computation: the stacked products run one BLAS dot or GEMV
-    per row, as one row's would.
+    `record` queues a state with the ticks of its row, its arrival and its
+    holds, and k derives from those counts. `flush` computes every column
+    for the queued states at once, stop test included, and checks that
+    they are finite; without diagnostics it fills only grad_norm. `run`
+    calls it when BLOCK states are queued and at its end. Each column holds
+    the same floats as a row-by-row computation: the stacked products run
+    one BLAS dot or GEMV per row, as one row's would.
     """
 
-    k: list = field(default_factory=list)
     residual_msq: list = field(default_factory=list)
     obj_gap: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
@@ -280,30 +278,30 @@ class IterTrace:
     _ticks: list = field(default_factory=list, repr=False)
 
     def __len__(self):
-        return len(self.k)
+        return sum(self._ticks)
 
-    def record(self, state):
-        """Queue the state at its tick; True once BLOCK states are queued.
-        The queue keeps a reference, not a copy (see SolverState)."""
-        self.k.append(state.k)
-        self._ticks.append(1)
+    @property
+    def k(self):
+        """The tick of every row, 0 to the last: [0, 1, ..., len - 1]."""
+        return list(range(len(self)))
+
+    def record(self, state, ticks):
+        """Queue the state's row of `ticks` ticks; True once BLOCK states are
+        queued. The queue keeps a reference, not a copy (see SolverState)."""
+        self._ticks.append(ticks)
         self._queue.append(state)
         return len(self._queue) == BLOCK
-
-    def hold(self, ticks):
-        """Repeat the last row on `ticks` hold ticks, where the state rests."""
-        self.k.extend(range(self.k[-1] + 1, self.k[-1] + 1 + ticks))
-        self._ticks[-1] += ticks
 
     def flush(self, problem, oracle_solution, tol, diagnostics):
         """Compute the queued rows and their holds; return the first queued
         state whose gradient norm is below tol, or None.
 
         The rows after that state, and its own holds, are dropped. Raises
-        DivergenceDetected at the tick of the first queued state that is
-        not finite, if it comes at or before the converged one (x_prev is
-        the x of the state before it, so x, u, s and y cover every new
-        array); a NaN or infinite norm is never below the finite tol.
+        DivergenceDetected at the arrival tick of the first queued state
+        that is not finite, if it comes at or before the converged one
+        (x_prev is the x of the state before it, so x, u, s and y cover
+        every new array); a NaN or infinite norm is never below the finite
+        tol.
         """
         states = self._queue
         if not states:
@@ -327,11 +325,10 @@ class IterTrace:
             size = int(met[0]) + 1
             states, X, U, S = states[:size], X[:size], U[:size], S[:size]
             grad_norm = grad_norm[:size]
-            del self.k[states[-1].k + 1:]
             del self._ticks[first + size:]
             self._ticks[-1] = 1
         if not finite[:size].all():
-            raise DivergenceDetected(states[int(finite.argmin())].k)
+            raise DivergenceDetected(sum(self._ticks[:first + int(finite.argmin())]))
         columns = {"grad_norm": grad_norm}
         if diagnostics:
             phi = _stack([st.phi_y for st in states])
@@ -367,14 +364,14 @@ class IterTrace:
 
     def to_csv(self):
         """csv_text of the trace columns; a held row is formatted once and
-        its text follows the k of each of its ticks."""
+        its text follows each of its ticks."""
         columns = (self.residual_msq, self.obj_gap, self.grad_norm, self.u_track_err,
                    self.s_track_err)
         lines = [",".join(TRACE_COLUMNS)]
         tick = 0
         for ticks in self._ticks:
             text = ",".join([str(column[tick]) for column in columns])
-            lines.extend([f"{k},{text}" for k in self.k[tick:tick + ticks]])
+            lines.extend([f"{k},{text}" for k in range(tick, tick + ticks)])
             tick += ticks
         return "\n".join(lines) + "\n"
 
@@ -382,24 +379,24 @@ class IterTrace:
 def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagnostics=True):
     """Iterate until the central gradient-norm monitor passes tol or the
     tick budget max_iter runs out; returns the per-tick trace. With
-    diagnostics False the run ends alike, but its trace holds k and
-    grad_norm alone, too few columns for `to_csv`.
+    diagnostics False the run ends alike, but its trace holds grad_norm
+    alone, too few columns for `to_csv`.
 
     channel is a CommGraph, which mixes exactly, or a CommChannel, which
     adds its noise. A channel is rewound, so runs that share it replay one
     noise stream.
 
-    The first round fires at tick 0; each later state is recorded once, at
-    its arrival tick, and its row repeats on the delay_steps hold ticks
-    after it. The stopping gradient is computed centrally for monitoring
-    only; the agents never use it. The stop test runs per block of
-    recorded states (see IterTrace.flush): the rounds stepped after the
-    converged state, at most BLOCK - 1 of them, are thrown away, and the
-    trace ends at that state's arrival tick. Raises DivergenceDetected at
-    the first tick with a non-finite state, at or before the converged
-    one: the initial state is checked whole, and each later one only in
-    the arrays its step made. Rounds stepped after a divergence but before
-    its block is flushed are NaN work whose trace is thrown away.
+    The run alone keeps the clock. The first round fires at tick 0; each later
+    state is recorded once, with its arrival tick and the delay_steps hold
+    ticks after it, on which its row repeats. The stopping gradient is
+    computed centrally for monitoring only; the agents never use it. The stop
+    test runs per block of recorded states (see IterTrace.flush): the rounds
+    stepped after the converged state, at most BLOCK - 1 of them, are thrown
+    away, and the trace ends at that state's arrival tick. Raises
+    DivergenceDetected at the first tick with a non-finite state, at or before
+    the converged one: the initial state is checked whole, and each later one
+    only in the arrays its step made. Rounds stepped after a divergence but
+    before its block is flushed are NaN work whose trace is thrown away.
     """
     graph = channel
     if isinstance(channel, CommChannel):
@@ -412,23 +409,19 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagn
     # divergence surfaces as NaN/Inf checks, not as float warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if not state.finite():
-            raise DivergenceDetected(state.k)
+            raise DivergenceDetected(0)
+        tick = 0  # the arrival tick of state
         while True:
-            full = record(state)
-            if state.k > 0 and delay_steps > 0:
-                trace.hold(min(delay_steps, max_iter - state.k))
-            tick = trace.k[-1]
-            spent = tick >= max_iter
+            # a later state rests on delay_steps holds, cut at the budget
+            ticks = min(delay_steps + 1 if tick else 1, max_iter + 1 - tick)
+            full = record(state, ticks)
+            tick += ticks
+            spent = tick > max_iter
             if full or spent:
                 converged = trace.flush(problem, oracle_solution, config.tol, diagnostics)
                 if spent or converged is not None:
                     break
             state = step(state, problem, channel, config)
-            # the round arrives on the tick after the holds
-            state.k = tick + 1
     trace.converged = converged is not None
-    if not trace.converged:
-        # the last state rests on its holds until the budget ends
-        state.k = tick
     trace.final_state = converged if trace.converged else state
     return trace

@@ -597,23 +597,36 @@ def _tuned(algorithm, mu, L1):
     q = sqrt(3k+1), but the family attains 1 - 2/q. Its momentum and radius
     take 3 L1/mu and its quoted rate 3 k, which can round apart (at mu = L1,
     3 L1/mu can round below 3: the momentum and radius are clamped at 0).
+    A step size that underflows to 0 and a momentum that is not finite
+    raise InvalidArgument.
     """
     if not (0 < mu <= L1):
         raise InvalidArgument("need 0 < mu <= L1")
     kappa = L1 / mu
     if algorithm == "dagt":
         rate = (kappa - 1.0) / (kappa + 1.0)
-        return 2.0 / (mu + L1), 0.0, rate, rate
-    if algorithm == "dagt_hb":
+        tuned = 2.0 / (mu + L1), 0.0, rate, rate
+    elif algorithm == "dagt_hb":
         ratio = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
         rate = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-        return 4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2, ratio**2, rate, rate
-    if algorithm == "dagt_nes":
+        try:
+            alpha = 4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2
+        except OverflowError:  # the squared denominator overflows: the step underflows
+            alpha = 0.0
+        tuned = alpha, ratio**2, rate, rate
+    elif algorithm == "dagt_nes":
         q = math.sqrt(3.0 * L1 / mu + 1.0)
         quoted = math.sqrt(3.0 * kappa + 1.0)
-        return (4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0),
-                (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / q, 0.0))
-    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+        tuned = (4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0),
+                 (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / q, 0.0))
+    else:
+        raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    if tuned[0] == 0:
+        raise InvalidArgument(f"tuned {algorithm} step size underflows to 0: L1 = {L1} too large")
+    if not math.isfinite(tuned[1]):
+        raise InvalidArgument(f"tuned {algorithm} momentum is not finite: 3 L1 / mu overflows "
+                              f"(mu = {mu}, L1 = {L1})")
+    return tuned
 
 
 def optimal_params(algorithm, mu, L1):

@@ -242,6 +242,12 @@ def test_config_error_exit_code(tmp_path):
     pytest.param("rates", "quadratic-demo", [HB_STEP_OVERFLOW], id="rates-tuned-hb-step-overflow"),
     # a tuned Nesterov momentum that is not finite
     pytest.param("rates", "quadratic-demo", [TINY_MU], id="rates-tuned-momentum-not-finite"),
+    # a ground truth that overflows: -lin / c at c = 1e-320
+    pytest.param("run", "quadratic-demo", [TINY_MU], id="oracle-not-finite"),
+    # a momentum grid whose error matrix entries overflow
+    pytest.param("region", "placement-paper", ["region.momentum_max=1e308",
+                                               "region.momentum_steps=3", "region.alpha_steps=3"],
+                 id="region-momentum-overflow"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -255,15 +261,17 @@ def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overri
     assert err.startswith("config error:")
     assert "Traceback" not in err
     for kv in overrides:
-        assert CAUSES.get(kv, "") in err
+        assert CAUSES.get((command, kv), CAUSES.get(kv, "")) in err
 
 
 # an overflow or underflow names its cause: the constant, the step size or
-# momentum, or L1; a bad bounds.* constant or agent count names its key
+# momentum, or L1; a bad bounds.* constant or agent count names its key. A
+# (command, override) entry takes precedence over the override's own
 CAUSES = {
     "bounds.L3=1e200": "L3 = 1e+200 too large: L3 (1 + L3)^2 overflows (key 'bounds.*')",
     "bounds.L3=1e120": "L3 = 1e+120 too large: L3 (1 + L3)^2 overflows (key 'bounds.*')",
-    "region.alpha_max=1e308": "step size or momentum too large",
+    "region.alpha_max=1e308": "step size or momentum too large (key 'region.*')",
+    "region.momentum_max=1e308": "step size or momentum too large (key 'region.*')",
     "solver.alpha=1e308": "step size or momentum too large",
     "bounds.L2=-1": "L2 and L3 must be nonnegative (key 'bounds.*')",
     "problem.n_agents=0": "n_agents must be positive (key 'problem.n_agents')",
@@ -271,8 +279,10 @@ CAUSES = {
         "tuned dagt step size underflows to 0: L1 = 1e+308 too large (key 'problem.c')",
     HB_STEP_OVERFLOW:
         "tuned dagt_hb step size underflows to 0: L1 = 6e+307 too large (key 'problem.c')",
-    TINY_MU: "tuned dagt_nes momentum is not finite: 3 L1 / mu overflows "
-             "(mu = 1e-320, L1 = 1.0) (key 'problem.c')",
+    ("rates", TINY_MU): "tuned dagt_nes momentum is not finite: 3 L1 / mu overflows "
+                        "(mu = 1e-320, L1 = 1.0) (key 'problem.c')",
+    ("run", TINY_MU): "ground truth x* has a non-finite entry: the Hessian is too close to "
+                      "singular (key 'problem.*')",
 }
 
 
@@ -286,7 +296,7 @@ def test_rates_checks_every_tuned_point_before_any_solve(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "run_solver", no_solve)
     assert run_cli("rates", "--preset", "quadratic-demo", "--set", TINY_MU,
                    "--out", str(tmp_path / "o")) == 2
-    assert capsys.readouterr().err == f"config error: {CAUSES[TINY_MU]}\n"
+    assert capsys.readouterr().err == f"config error: {CAUSES['rates', TINY_MU]}\n"
     assert not (tmp_path / "o").exists()
 
 

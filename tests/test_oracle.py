@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from aggsim.exceptions import InvalidArgument
 from aggsim.oracle import OracleSolution, solve
 from aggsim.problems import make_cournot, make_placement, make_quadratic
 
@@ -89,6 +92,16 @@ def test_paths_agree_and_gradient_norm_cap(problem):
     assert np.linalg.norm(closed.x_star - descent.x_star) < 1e-8
     assert closed.grad_norm <= 1e-10
     assert descent.grad_norm <= 1e-10
+
+
+def test_non_finite_minimizer_is_rejected():
+    # -lin / c overflows at c = 1e-320; the check runs before the gradient
+    # and the objective, so no float warning is raised
+    p = make_quadratic([1e-320, 1.0], [0.5, 0.5], [0.25, 0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="ground truth x\\* has a non-finite entry"):
+            solve(p)
 
 
 def test_not_converged_raises():

@@ -4,7 +4,7 @@ stopping gradient on generated inputs.
 Each example draws a generic affine-quadratic problem (every coefficient
 nonzero, local dimension 1 or 2), a ring, star or complete graph, a step
 size and a momentum value, optionally a seeded noisy channel, and runs
-about 20 rounds.
+about 20 rounds, or up to two diagnostics blocks of ticks.
 """
 
 from dataclasses import replace
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.problems import AggregativeProblem
-from aggsim.solver import CommChannel, SolverConfig, init_state, step
+from aggsim.solver import ALGORITHMS, BLOCK, CommChannel, SolverConfig, init_state, run, step
 
 from test_problems import reference_global_gradient
 from test_solver import assert_runs_equal, assert_states_equal, reference_step
@@ -93,6 +93,30 @@ def test_run_matches_reference_run_bitwise(instance, noise_seed, delay, max_iter
                 state = step(state, problem, ch or graph, cfg)
                 assert state.phi_y.tobytes() == problem.phi_all(state.y).tobytes()
                 assert state.g2_y.tobytes() == problem.grad2_all(state.y, state.u).tobytes()
+
+
+# budgets from 0 to past two blocks, so that runs end on a block edge, one
+# tick either side of it and inside a row's holds
+@PROPERTY_SETTINGS
+@given(instances(), st.sampled_from(ALGORITHMS), st.none() | st.integers(0, 1000),
+       st.integers(0, 4), st.integers(0, 2 * BLOCK + 3), st.none() | st.integers(0, 2 * BLOCK + 3),
+       st.booleans())
+def test_run_keeps_the_reference_clock(instance, algorithm, noise_seed, delay, max_iter, tol_row,
+                                       blow_up):
+    # run derives every tick from the rows it records; the reference
+    # appends each one. Both give the same CSV, k, outcome and divergence tick
+    problem, graph, x0, x_minus1, alpha, momentum = instance
+    cfg = replace({c.algorithm: c for c in configs(alpha, momentum)}[algorithm],
+                  max_iter=max_iter, tol=0.0, delay_steps=delay)
+    if tol_row is not None:
+        # the tol that the undelayed noise-free run first meets on row tol_row or before
+        norms = run(problem, graph, replace(cfg, delay_steps=0, max_iter=tol_row), x0,
+                    x_minus1=x_minus1, diagnostics=False).grad_norm
+        cfg = replace(cfg, tol=float(np.nextafter(norms[-1], np.inf)))
+    if blow_up:
+        cfg = replace(cfg, alpha=1e19)
+    assert_runs_equal((problem, channel(graph, noise_seed) or graph, cfg, x0),
+                      {"x_minus1": x_minus1, "oracle_solution": solve(problem)})
 
 
 @PROPERTY_SETTINGS

@@ -1,4 +1,5 @@
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -83,8 +84,7 @@ def reference_step_hb(state, problem, graph, alpha, beta, channel=None):
     u_new = mix_u + phi_new - problem.phi_all(x)
     g2_new = reference_grad2_all(problem, x_new, u_new)
     s_new = mix_s + g2_new - reference_grad2_all(problem, x, u)
-    return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
-                       k=state.k + 1)
+    return SolverState(x=x_new, x_prev=x, y=x_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new)
 
 
 def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
@@ -101,8 +101,7 @@ def reference_step_nes(state, problem, graph, alpha, gamma, channel=None):
     u_new = mix_u + phi_new - problem.phi_all(y)
     g2_new = reference_grad2_all(problem, y_new, u_new)
     s_new = mix_s + g2_new - reference_grad2_all(problem, y, u)
-    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new,
-                       k=state.k + 1)
+    return SolverState(x=x_new, x_prev=x, y=y_new, u=u_new, s=s_new, phi_y=phi_new, g2_y=g2_new)
 
 
 def reference_step(state, problem, graph, config, channel=None):
@@ -112,20 +111,45 @@ def reference_step(state, problem, graph, config, channel=None):
 
 
 def assert_states_equal(a, b):
-    for name in ("x", "x_prev", "y", "u", "s", "k"):
+    for name in ("x", "x_prev", "y", "u", "s"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 # ---------------------------------------------------------------------------
-# reference run: the loop before the state carried phi(y) and grad2 f(y, u)
-# and before the diagnostics ran in blocks, kept to check `run` bit for bit.
-# It checks the whole state on every tick and takes the reference steps,
-# record and hold, which evaluate every row on its own tick. Given a
+# reference run: the loop before the state carried phi(y) and grad2 f(y, u),
+# before the diagnostics ran in blocks and before the trace derived k, kept
+# to check `run` bit for bit. It keeps its own clock, checks the whole state
+# on every tick and takes the reference steps, record and hold, which
+# evaluate every row on its own tick and append k with it. Given a
 # CommChannel, it draws that channel's noise afresh through a
 # ReferenceChannel of the same noise_sigma and seed.
 # ---------------------------------------------------------------------------
 
-def reference_record(trace, problem, state, oracle_solution, grad_vec):
+@dataclass
+class ReferenceTrace:
+    """The trace as reference_run fills it: every column a list, k too."""
+
+    k: list = field(default_factory=list)
+    residual_msq: list = field(default_factory=list)
+    obj_gap: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)
+    u_track_err: list = field(default_factory=list)
+    s_track_err: list = field(default_factory=list)
+    u_mean_err: list = field(default_factory=list)
+    s_mean_err: list = field(default_factory=list)
+    converged: bool = False
+    final_state: SolverState = None
+
+    def __len__(self):
+        return len(self.k)
+
+    def to_csv(self):
+        """The trace CSV, every row formatted on its own."""
+        return reference_csv_text(TRACE_COLUMNS, zip(*(getattr(self, name)
+                                                       for name in TRACE_FIELDS[:6])))
+
+
+def reference_record(trace, problem, state, tick, oracle_solution, grad_vec):
     xa = state.x
     z = state.y
     n = problem.n_agents
@@ -136,7 +160,7 @@ def reference_record(trace, problem, state, oracle_solution, grad_vec):
     else:
         trace.residual_msq.append(float("nan"))
         trace.obj_gap.append(float("nan"))
-    trace.k.append(state.k)
+    trace.k.append(tick)
     trace.grad_norm.append(float(np.linalg.norm(grad_vec)))
     u_mean = state.u.sum(axis=0) / n
     s_mean = state.s.sum(axis=0) / n
@@ -163,23 +187,25 @@ def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=Non
             channel = ReferenceChannel(graph.graph, graph.noise_sigma, graph.seed)
         graph = graph.graph
     state = init_state(problem, graph, x0, x_minus1=x_minus1)
-    trace = IterTrace()
+    trace = ReferenceTrace()
+    tick = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             if not state.finite():
-                raise DivergenceDetected(state.k)
-            reference_record(trace, problem, state, oracle_solution,
+                raise DivergenceDetected(tick)
+            reference_record(trace, problem, state, tick, oracle_solution,
                              problem.global_gradient(state.x))
             gnorm = trace.grad_norm[-1]
             if np.isfinite(gnorm) and gnorm < config.tol:
                 trace.converged = True
                 break
-            if state.k > 0 and config.delay_steps > 0:
-                reference_hold(trace, min(config.delay_steps, config.max_iter - state.k))
-                state = replace(state, k=trace.k[-1])
-            if state.k >= config.max_iter:
+            if tick > 0 and config.delay_steps > 0:
+                reference_hold(trace, min(config.delay_steps, config.max_iter - tick))
+                tick = trace.k[-1]
+            if tick >= config.max_iter:
                 break
             state = reference_step(state, problem, graph, config, channel)
+            tick += 1
     trace.final_state = state
     return trace
 
@@ -200,8 +226,8 @@ def assert_columns_equal(ours, ref, names):
 
 
 def assert_runs_equal(run_args, run_kwargs):
-    """run and reference_run end alike, bit for bit: the same trace and
-    final state, or a divergence at the same tick. A run without
+    """run and reference_run end alike, bit for bit: the same trace, CSV
+    text and final state, or a divergence at the same tick. A run without
     diagnostics ends alike too, with the same k and grad_norm and no other
     column. Returns the reference's trace or divergence tick."""
     outcomes = []
@@ -211,11 +237,12 @@ def assert_runs_equal(run_args, run_kwargs):
         except DivergenceDetected as exc:
             outcomes.append(exc.iteration)
     ours, ref, outcome_only = outcomes
-    if not isinstance(ref, IterTrace):
+    if not isinstance(ref, ReferenceTrace):
         assert ours == ref and outcome_only == ref
         return ref
     assert isinstance(ours, IterTrace) and isinstance(outcome_only, IterTrace)
     assert_columns_equal(ours, ref, TRACE_FIELDS)
+    assert ours.to_csv() == ref.to_csv()
     assert_columns_equal(outcome_only, ref, ("k", "grad_norm"))
     for name in TRACE_FIELDS:
         if name not in ("k", "grad_norm"):
@@ -278,7 +305,6 @@ def test_step_hb_hand_computed_quadratic():
     st = init_state(p, g, np.array([1.0, -1.0]))
     nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, momentum=0.0))
     assert nxt.x[:, 0] == pytest.approx([0.5, -0.5], abs=0)
-    assert nxt.k == 1
     # x+ = x - alpha x + beta (x - x_prev), with x_prev = 0
     st = init_state(p, g, np.array([1.0, -1.0]), x_minus1=np.zeros(2))
     nxt = step(st, p, g, SolverConfig("dagt_hb", alpha=0.5, momentum=0.25))
@@ -537,7 +563,6 @@ def test_delayed_trace_repeats_each_undelayed_row(delay, noise_sigma, max_iter, 
         expected = expected[:len(expected) - delay]
     assert trace_rows(delayed) == expected[:max_iter + 1]
     assert delayed.k == list(range(len(delayed)))
-    assert delayed.final_state.k == delayed.k[-1]
     rounds = (delayed.k[-1] + delay) // (delay + 1)  # arrivals at ticks 1, delay + 2, ...
     at_round = run(p, g, replace(cfg, delay_steps=0, max_iter=rounds), x0)
     assert np.array_equal(delayed.final_state.x, at_round.final_state.x)
@@ -793,21 +818,23 @@ def test_rounds_past_convergence_keep_the_noise_stream():
 
 
 def test_record_called_once_per_distinct_state(monkeypatch):
-    # record(state) queues each state once, at its arrival tick; the
-    # diagnostics and the stop test run per block, in flush
+    # record(state, ticks) queues each state once, with the ticks of its
+    # row; the diagnostics and the stop test run per block, in flush
     recorded = []
     record = IterTrace.record
 
-    def counting(self, state):
-        recorded.append(state.k)
-        return record(self, state)
+    def counting(self, state, ticks):
+        recorded.append(ticks)
+        return record(self, state, ticks)
 
     monkeypatch.setattr(IterTrace, "record", counting)
     p, g, cfg, x0 = delay_case(delay_steps=2, max_iter=62)
     trace = run(p, g, cfg, x0)
-    # x0 at tick 0, then one record per arrival: ticks 1, 4, ..., 61
-    assert recorded == [0] + list(range(1, 62, 3))
-    assert len(trace) == 63
+    # x0 at tick 0, then one record per arrival: ticks 1, 4, ..., 61; each
+    # arrival tick is the sum of the earlier rows' ticks
+    arrivals = list(accumulate(recorded, initial=0))
+    assert arrivals[:-1] == [0] + list(range(1, 62, 3))
+    assert arrivals[-1] == len(trace) == 63
 
 
 def test_noise_bounded_floor():
@@ -882,10 +909,10 @@ def test_runs_sharing_a_channel_match_fresh_channels(family, delay):
     tick, drawn = shared(replace(cfg, alpha=10.0, max_iter=10_000))
     assert isinstance(tick, int) and drawn >= 40
     trace, rounds = shared(replace(cfg, max_iter=40))
-    assert isinstance(trace, IterTrace) and rounds == drawn
+    assert isinstance(trace, ReferenceTrace) and rounds == drawn
     # rounds arrive at ticks 1, delay + 2, ...: this budget is 40 rounds more
     trace, rounds = shared(replace(cfg, max_iter=(drawn + 40) * (delay + 1)))
-    assert isinstance(trace, IterTrace) and rounds == drawn + 40
+    assert isinstance(trace, ReferenceTrace) and rounds == drawn + 40
 
 
 def test_noise_only_on_received_entries():
@@ -901,9 +928,11 @@ def test_noise_only_on_received_entries():
 
 
 def test_state_requires_its_evaluations():
-    # every state carries phi(y) and grad2 f(y, u); none is built without them
+    # every state carries phi(y) and grad2 f(y, u); none is built without
+    # them, and none carries a tick, which run keeps
     required = [f.name for f in fields(SolverState) if f.default is MISSING]
     assert required == ["x", "x_prev", "y", "u", "s", "phi_y", "g2_y"]
+    assert [f.name for f in fields(SolverState)] == required
 
 
 def test_solver_config_validation():

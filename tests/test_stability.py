@@ -1310,6 +1310,22 @@ def test_optimal_params_validation():
         optimal_params("sgd", 1.0, 2.0)
 
 
+@pytest.mark.parametrize("algorithm,mu,L1,message", [
+    ("dagt", 1e308, 1e308, "tuned dagt step size underflows to 0: L1 = 1e+308 too large"),
+    # (sqrt(L1) + sqrt(mu))^2 overflows though mu + L1 does not
+    ("dagt_hb", 6e307, 6e307, "tuned dagt_hb step size underflows to 0: L1 = 6e+307 too large"),
+    ("dagt_nes", 6e307, 6e307, "tuned dagt_nes step size underflows to 0: L1 = 6e+307 too large"),
+    ("dagt_nes", 1e-320, 1.0, "tuned dagt_nes momentum is not finite: 3 L1 / mu overflows "
+                              "(mu = 1e-320, L1 = 1.0)"),
+])
+def test_tuned_point_that_cannot_be_given_is_rejected(algorithm, mu, L1, message):
+    # every function of the tuned point rejects it, none with another error
+    for fn in (optimal_params, optimal_rate_formula, attained_optimal_radius):
+        with pytest.raises(InvalidArgument) as exc:
+            fn(algorithm, mu, L1)
+        assert str(exc.value) == message
+
+
 def reference_tuned(algorithm, mu, L1):
     """The tuned point, quoted rate and attained radius, each expression
     as the three functions first wrote it, one chain per function, with

@@ -46,6 +46,9 @@ INVOCATIONS = {
        for n in (0, 64, 65)},
     "run-cournot-delay": ["run", "--preset", "cournot-paper", *_sets(
         "solver.delay_steps=1", "solver.max_iter=257")],
+    # the row arriving at tick 97 keeps one of its two hold ticks
+    "run-cournot-delay-cut": ["run", "--preset", "cournot-paper", *_sets(
+        "solver.delay_steps=2", "solver.max_iter=98")],
     "sweep-cournot": ["sweep", "--preset", "cournot-paper", *_sets(
         "init.seed=3", "sweep.values=0.0,0.5,0.9,0.99")],
     "sweep-quadratic-hb": ["sweep", "--preset", "quadratic-demo", *_sets(
@@ -129,6 +132,9 @@ INVOCATIONS = {
         f"region.algorithm={alg}", f"region.momentum_max={momentum_max}",
         "region.momentum_steps=3", "region.alpha_steps=3")]
        for alg, momentum_max in (("dagt_hb", "1e300"), ("dagt_nes", "1e150"))},
+    # a momentum grid whose error matrix entries overflow
+    "region-matrix-overflow": ["region", "--preset", "placement-paper", *_sets(
+        "region.momentum_max=1e308", "region.momentum_steps=3", "region.alpha_steps=3")],
     # step sizes from below 0 to past 1/mu and momenta from below 0: matrices
     # with a negative entry, whose radius takes the eigensolve
     "region-negative-entries": ["region", "--preset", "placement-paper", *_sets(
@@ -167,6 +173,9 @@ INVOCATIONS = {
                                      *_sets(f"problem.c={','.join(['6e307'] * 8)}")],
     "rates-tuned-momentum-not-finite": ["rates", "--preset", "quadratic-demo",
                                         *_sets(f"problem.c=1e-320,{','.join(['1'] * 7)}")],
+    # a ground truth x* that overflows
+    "run-oracle-not-finite": ["run", "--preset", "quadratic-demo",
+                              *_sets(f"problem.c=1e-320,{','.join(['1'] * 7)}")],
     # bounds.* constants that fail their checks
     **{f"bounds-{name}": ["bounds", "--preset", "placement-paper", *_sets(kv)]
        for name, kv in (("negative-L2", "bounds.L2=-1"), ("L3-square-overflow", "bounds.L3=1e200"),
