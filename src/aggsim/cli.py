@@ -295,32 +295,58 @@ def cmd_bounds(cfg):
     alpha = cfg.value("solver.alpha", float, hb.alpha_eval)
     beta = cfg.value("solver.beta", float, 0.0)
     gamma = cfg.value("solver.gamma", float, 0.0)
+    try:  # the constants pass, so only the configured pair can overflow a matrix entry
+        hb_member = region_member_hb(constants, alpha, beta)
+        nes_member = region_member_nes(constants, alpha, gamma)
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc), key="solver.*") from None
     summary = {
         "constants": vars(constants),
-        "hb": _bounds_entry(hb, region_member_hb(constants, alpha, beta)),
-        "nes": _bounds_entry(nes, region_member_nes(constants, alpha, gamma)),
+        "hb": _bounds_entry(hb, hb_member),
+        "nes": _bounds_entry(nes, nes_member),
     }
     return summary, {"bounds.json": _json_dump(summary)}, 0
 
 
+# grid points per region slab: a slab's ~40 live arrays of this length fit in L2
+REGION_SLAB = 2048
+
+
 def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
-    """region.csv of the grid, alpha-major, and its member count: one
-    matrix stack, whose characteristic coefficients, read off its entries
-    once, serve both membership and the radius column. The text is
-    csv_text's: each axis value is formatted once and every row joins the
-    two axis strings, the member flag and the radius."""
+    """region.csv of the grid, alpha-major, and its member count.
+
+    The flattened grid is walked in slabs of REGION_SLAB points, so no
+    array but the radius and member columns (9 bytes a point, allocated
+    first: a grid too large to hold fails before any work) grows with the
+    grid. Each slab is one matrix stack, whose characteristic coefficients,
+    read off its entries once, serve both membership and the radius. Every
+    kernel works point by point, so a slab has the bits of the whole grid.
+    The text is csv_text's: each axis value is formatted once and every row
+    joins the two axis strings, the member flag and the radius."""
     c = constants
-    A, M = np.meshgrid(a_grid, m_grid, indexing="ij")
-    mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
-    radius = mat.spectral_radius()
-    member = member_fn(c, A, M, matrix=mat)
+    n_m = m_grid.size
+    radius = np.empty((a_grid.size, n_m))
+    member = np.empty(radius.shape, dtype=bool)
+    flat_radius, flat_member = radius.reshape(-1), member.reshape(-1)
+    a_text = [f"{a}," for a in a_grid.tolist()]
     m_text = [f"{m}," for m in m_grid.tolist()]
-    prefixes = [a + m for a in [f"{a}," for a in a_grid.tolist()] for m in m_text]
     flags = ("False,", "True,")
-    lines = ["alpha,momentum,member,spectral_radius"]
-    lines.extend(p + flags[f] + str(r) for p, f, r in
-                 zip(prefixes, member.ravel().tolist(), radius.ravel().tolist()))
-    return "\n".join(lines) + "\n", int(member.sum())
+    chunks = ["alpha,momentum,member,spectral_radius"]
+    for lo in range(0, radius.size, REGION_SLAB):
+        hi = min(lo + REGION_SLAB, radius.size)
+        rows, cols = np.divmod(np.arange(lo, hi), n_m)
+        A, M = a_grid[rows], m_grid[cols]
+        mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
+        flat_radius[lo:hi] = mat.spectral_radius()
+        flat_member[lo:hi] = member_fn(c, A, M, matrix=mat)
+        del mat
+        # the slab's part of each alpha row, the row split only at a slab border
+        prefixes = [a_text[i] + m for i in range(lo // n_m, (hi - 1) // n_m + 1)
+                    for m in m_text[max(lo - i * n_m, 0):hi - i * n_m]]
+        chunks.append("\n".join([p + flags[f] + str(r) for p, f, r in zip(
+            prefixes, flat_member[lo:hi].tolist(), flat_radius[lo:hi].tolist())]))
+    chunks.append("")  # the final newline, without another copy of the text
+    return "\n".join(chunks), int(member.sum())
 
 
 def cmd_region(cfg):

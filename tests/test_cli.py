@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -203,6 +204,8 @@ def test_config_error_exit_code(tmp_path):
     # an error matrix entry that overflows to inf
     pytest.param("region", "cournot-paper", ["region.alpha_max=1e308"], id="region-matrix-overflow"),
     pytest.param("bounds", "cournot-paper", ["solver.alpha=1e308"], id="bounds-matrix-overflow"),
+    pytest.param("bounds", "placement-paper", ["solver.beta=1e308"],
+                 id="bounds-momentum-matrix-overflow"),
     # a constant whose square overflows
     pytest.param("bounds", "placement-paper", ["bounds.L3=1e200"], id="bounds-L3-square-overflow"),
     pytest.param("region", "placement-paper", ["bounds.L3=1e200"], id="region-L3-square-overflow"),
@@ -226,6 +229,10 @@ def test_config_error_exit_code(tmp_path):
                  id="grid-size-past-index"),
     pytest.param("region", "placement-paper", ["region.alpha_steps=1e18"],
                  id="grid-size-past-memory"),
+    # a grid whose linspaces fit but whose radius column numpy cannot allocate
+    pytest.param("region", "cournot-paper", ["region.alpha_steps=1000000",
+                                             "region.momentum_steps=1000000"],
+                 id="region-grid-past-memory"),
     pytest.param("run", "cournot-paper", ["problem.n_agents=1e18", "topology.n_agents=1e18"],
                  id="cournot-count-past-memory"),
     # a linear coefficient that overflows though the Hessian does not
@@ -272,7 +279,10 @@ CAUSES = {
     "bounds.L3=1e120": "L3 = 1e+120 too large: L3 (1 + L3)^2 overflows (key 'bounds.*')",
     "region.alpha_max=1e308": "step size or momentum too large (key 'region.*')",
     "region.momentum_max=1e308": "step size or momentum too large (key 'region.*')",
-    "solver.alpha=1e308": "step size or momentum too large",
+    "solver.alpha=1e308": "step size or momentum too large (key 'solver.*')",
+    "solver.beta=1e308": "step size or momentum too large (key 'solver.*')",
+    "region.alpha_steps=1000000": "Unable to allocate 7.28 TiB for an array with shape "
+                                  "(1000000, 1000000) and data type float64",
     "bounds.L2=-1": "L2 and L3 must be nonnegative (key 'bounds.*')",
     "problem.n_agents=0": "n_agents must be positive (key 'problem.n_agents')",
     f"problem.c={','.join(['1e308'] * 8)}":
@@ -731,23 +741,43 @@ def test_region_csv_matches_per_point_reference(tmp_path, capsys, preset, algori
     assert 0 < members == text.count(",True,")
 
 
-@pytest.mark.parametrize("algorithm", ["dagt_hb", "dagt_nes"])
-@pytest.mark.parametrize("steps", [0, 1, 100])
-def test_region_csv_matches_csv_text(algorithm, steps):
-    # the region text formats each axis value once; csv_text of the
-    # (alpha, momentum, member, radius) rows is the same text
-    a_lo, a_hi, m_lo, m_hi = COURNOT_REGION_RANGES[algorithm]
+# placement-paper step sizes from 1e-4 to twice 1/mu: past 1/mu entry (1, 1)
+# is negative, so those rows take the eigensolve; momenta from below 0
+PLACEMENT_REGION_RANGES = (1e-4, 0.05, -1e-3, 0.05)
+SLAB = cli.REGION_SLAB
+
+
+@pytest.mark.parametrize("preset,algorithm,a_steps,m_steps", [
+    # the benchmark grids, and their empty and one-point edges
+    *[pytest.param("cournot-paper", alg, steps, steps, id=f"{steps}-{alg}")
+      for steps in (0, 1, 100) for alg in ("dagt_hb", "dagt_nes")],
+    # slab borders: an alpha row longer than a slab, and point counts one
+    # below and one above a multiple of the slab (45 x 91 = 2 x 2048 - 1 and
+    # 17 x 241 = 2 x 2048 + 1)
+    pytest.param("cournot-paper", "dagt_hb", 2, 2 * SLAB + 3, id="row-past-slab-dagt_hb"),
+    pytest.param("cournot-paper", "dagt_nes", 45, 91, id="slab-multiple-minus-1-dagt_nes"),
+    pytest.param("cournot-paper", "dagt_hb", 17, 241, id="slab-multiple-plus-1-dagt_hb"),
+    # the border at two slabs splits row 40, past 1/mu: the eigensolve on both sides
+    *[pytest.param("placement-paper", alg, 45, 101, id=f"placement-past-inverse-mu-{alg}")
+      for alg in ("dagt_hb", "dagt_nes")],
+])
+def test_region_csv_matches_csv_text(preset, algorithm, a_steps, m_steps):
+    # the region text formats each axis value once and walks the grid in
+    # slabs; csv_text of the (alpha, momentum, member, radius) rows of one
+    # whole-grid stack is the same text
+    a_lo, a_hi, m_lo, m_hi = (COURNOT_REGION_RANGES[algorithm] if preset == "cournot-paper"
+                              else PLACEMENT_REGION_RANGES)
     cfg = ExperimentConfig({
-        **get_preset("cournot-paper"), "region.algorithm": algorithm,
-        "region.alpha_min": a_lo, "region.alpha_max": a_hi, "region.alpha_steps": steps,
-        "region.momentum_min": m_lo, "region.momentum_max": m_hi, "region.momentum_steps": steps,
+        **get_preset(preset), "region.algorithm": algorithm,
+        "region.alpha_min": a_lo, "region.alpha_max": a_hi, "region.alpha_steps": a_steps,
+        "region.momentum_min": m_lo, "region.momentum_max": m_hi, "region.momentum_steps": m_steps,
     })
     summary, files, code = cli.cmd_region(cfg)
     c = cli._constants(cfg)
     matrix_fn, member_fn = ((stability.error_matrix_hb, stability.region_member_hb)
                             if algorithm == "dagt_hb"
                             else (stability.error_matrix_nes, stability.region_member_nes))
-    A, M = np.meshgrid(np.linspace(a_lo, a_hi, steps), np.linspace(m_lo, m_hi, steps),
+    A, M = np.meshgrid(np.linspace(a_lo, a_hi, a_steps), np.linspace(m_lo, m_hi, m_steps),
                        indexing="ij")
     mat = matrix_fn(c.mu, c.L1, c.L2, c.L3, c.rho, A, M)
     columns = [v.ravel().tolist() for v in (A, M, member_fn(c, A, M, matrix=mat),
@@ -755,10 +785,49 @@ def test_region_csv_matches_csv_text(algorithm, steps):
     rows = list(zip(*columns))
     expected = csv_text(("alpha", "momentum", "member", "spectral_radius"), rows)
     assert_same_lines(files["region.csv"], expected)
-    assert (summary["points"], summary["members"]) == (steps**2, sum(r[2] for r in rows))
+    points = a_steps * m_steps
+    # every grid past one slab has a slab border inside an alpha row
+    assert points <= SLAB or any(b % m_steps for b in range(SLAB, points, SLAB))
+    assert (summary["points"], summary["members"]) == (points, sum(r[2] for r in rows))
     assert code == 0
-    if steps == 100:
-        assert 0 < summary["members"] < steps**2
+    if points > 1:
+        assert 0 < summary["members"] < points
+    if preset == "placement-paper":
+        negative = (mat.entries < 0).any(axis=(-2, -1)).ravel()
+        assert negative[2 * SLAB - 1] and negative[2 * SLAB] and (2 * SLAB) % m_steps
+
+
+def test_region_memory_per_point():
+    # the grid is walked in slabs: no array but the radius and member
+    # columns grows with it, so the traced peak per point stays far below
+    # the ~560 bytes of one whole-grid stack
+    steps = 200
+    a_lo, a_hi, m_lo, m_hi = COURNOT_REGION_RANGES["dagt_hb"]
+    cfg = ExperimentConfig({
+        **get_preset("cournot-paper"),
+        "region.alpha_min": a_lo, "region.alpha_max": a_hi, "region.alpha_steps": steps,
+        "region.momentum_min": m_lo, "region.momentum_max": m_hi, "region.momentum_steps": steps,
+    })
+    tracemalloc.start()
+    try:
+        cli.cmd_region(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 250 * steps**2, f"{peak / steps**2:.0f} bytes per point"
+
+
+def test_region_grid_too_large_is_rejected_before_any_slab(tmp_path, capsys, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a slab was built before the grid was allocated")
+
+    monkeypatch.setattr(cli, "error_matrix_hb", no_matrix)
+    assert run_cli("region", "--preset", "cournot-paper", "--set", "region.alpha_steps=1000000",
+                   "--set", "region.momentum_steps=1000000", "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "config error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+        "and data type float64\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command,preset,overrides,path", [

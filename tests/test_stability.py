@@ -706,6 +706,49 @@ def test_perron_newton_radius_on_reducible_error_matrices(c, alpha_fracs, moment
     assert_radius_matches_eigensolve(REGION_BUILDERS[algorithm][0](c.mu, c.L1, c.L2, c.L3, c.rho, A, M))
 
 
+# entries of both signs: the radius takes the eigensolve
+SIGNED_STACKS = arrays(np.float64, st.tuples(st.integers(1, 8), st.just(4), st.just(4)),
+                       elements=st.just(0.0) | st.floats(-10.0, 10.0))
+
+
+@st.composite
+def near_multiple_stacks(draw):
+    """Nonnegative stacks whose two largest roots are r and r (1 + delta),
+    coupled by a small entry: at small delta a root that Newton leaves to
+    the eigensolve, so one stack mixes both paths."""
+    count = draw(st.integers(1, 8))
+    stack = np.zeros((count, 4, 4))
+    for m in stack:
+        r = draw(st.floats(0.1, 10.0))
+        delta = 10.0 ** draw(st.floats(-15.0, 0.0))
+        m[np.diag_indices(4)] = [r, r * (1 + delta), *(r * draw(st.floats(0.0, 0.9)) for _ in "ab")]
+        m[0, 1], m[2, 0] = draw(st.floats(0.0, 1e-3)), draw(st.floats(0.0, 1.0))
+    return stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(NONNEGATIVE_STACKS | SIGNED_STACKS | near_multiple_stacks(), st.data())
+def test_split_stack_reads_the_bits_of_the_whole(stack, data):
+    # region walks its grid in slabs: any split of a stack gives the whole
+    # stack's coefficients, radii and memberships, bit for bit
+    split = data.draw(st.integers(0, len(stack)), label="split")
+    positive = np.array(data.draw(st.lists(st.booleans(), min_size=len(stack),
+                                           max_size=len(stack)), label="positive"))
+    alpha, momentum = np.where(positive, 1e-3, 0.0), np.full(len(stack), 0.1)
+    c = StabilityConstants(rho=0.4, **PLACEMENT)
+    whole = ErrorSystemMatrix(stack)
+    parts = [(ErrorSystemMatrix(stack[s]), s) for s in (slice(None, split), slice(split, None))]
+
+    def joined(read):
+        return np.concatenate([np.asarray(read(part, s)) for part, s in parts]).tobytes()
+
+    assert joined(lambda part, s: part.coefficients) == whole.coefficients.tobytes()
+    assert joined(lambda part, s: part.spectral_radius()) == whole.spectral_radius().tobytes()
+    for member_fn in (region_member_hb, region_member_nes):
+        assert joined(lambda part, s: member_fn(c, alpha[s], momentum[s], matrix=part)) == (
+            member_fn(c, alpha, momentum, matrix=whole).tobytes())
+
+
 @pytest.mark.parametrize("algorithm", sorted(REGION_BUILDERS))
 def test_nonnegative_grid_radius_needs_no_eigensolve(monkeypatch, algorithm):
     # every point of a benchmark grid takes Newton: the radius is found with

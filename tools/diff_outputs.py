@@ -28,12 +28,12 @@ def _sets(*pairs):
     return [arg for pair in pairs for arg in ("--set", pair)]
 
 
-def _region(algorithm, alpha_max, steps):
+def _region(algorithm, alpha_max, alpha_steps, momentum_steps):
     return ["region", "--preset", "cournot-paper", *_sets(
         f"region.algorithm={algorithm}", "region.alpha_min=1e-10",
-        f"region.alpha_max={alpha_max}", f"region.alpha_steps={steps}",
+        f"region.alpha_max={alpha_max}", f"region.alpha_steps={alpha_steps}",
         "region.momentum_min=1e-6", "region.momentum_max=1e-3",
-        f"region.momentum_steps={steps}")]
+        f"region.momentum_steps={momentum_steps}")]
 
 
 INVOCATIONS = {
@@ -82,7 +82,7 @@ INVOCATIONS = {
         "solver.algorithm=dagt_nes", "solver.delay_steps=1", "solver.noise_sigma=1e-9",
         "solver.tol=1e-6")],
     # the benchmark's region grids, and their empty and one-point edges
-    **{f"region-{alg}-{steps}": _region(alg, alpha_max, steps)
+    **{f"region-{alg}-{steps}": _region(alg, alpha_max, steps, steps)
        for alg, alpha_max in (("dagt_hb", 4e-8), ("dagt_nes", 5e-6)) for steps in (0, 1, 100)},
     **{f"run-{kind}": ["run", "--preset", "placement-paper", *_sets(f"topology.kind={kind}")]
        for kind in ("ring", "star", "complete")},
@@ -180,6 +180,19 @@ INVOCATIONS = {
     **{f"bounds-{name}": ["bounds", "--preset", "placement-paper", *_sets(kv)]
        for name, kv in (("negative-L2", "bounds.L2=-1"), ("L3-square-overflow", "bounds.L3=1e200"),
                         ("L3-cube-overflow", "bounds.L3=1e120"))},
+    # grids whose slab borders split alpha rows: 7 rows of 1,000, and 45 rows
+    # of 101 past 1/mu, whose matrices with a negative entry take the eigensolve
+    "region-slab-rows": _region("dagt_hb", 4e-8, 7, 1000),
+    "region-slab-past-inverse-mu": ["region", "--preset", "placement-paper", *_sets(
+        "region.algorithm=dagt_nes", "region.alpha_min=1e-4", "region.alpha_max=0.05",
+        "region.alpha_steps=45", "region.momentum_min=-1e-3", "region.momentum_max=0.05",
+        "region.momentum_steps=101")],
+    # a grid whose axes fit but whose radius column numpy cannot allocate
+    "region-grid-past-memory": ["region", "--preset", "cournot-paper", *_sets(
+        "region.alpha_steps=1000000", "region.momentum_steps=1000000")],
+    # a configured step size or momentum whose error matrix entry overflows
+    "bounds-alpha-overflow": ["bounds", "--preset", "cournot-paper", *_sets("solver.alpha=1e308")],
+    "bounds-beta-overflow": ["bounds", "--preset", "placement-paper", *_sets("solver.beta=1e308")],
     # no agents, and no preset or config
     "run-cournot-zero-agents": ["run", "--preset", "cournot-paper", *_sets("problem.n_agents=0")],
     "run-no-source": ["run"],
