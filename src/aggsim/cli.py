@@ -313,7 +313,8 @@ REGION_SLAB = 2048
 
 
 def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
-    """region.csv of the grid, alpha-major, and its member count.
+    """region.csv of the grid, alpha-major, as a list of pieces (the header
+    line, then one piece of whole lines per slab), and its member count.
 
     The flattened grid is walked in slabs of REGION_SLAB points, so no
     array but the radius and member columns (9 bytes a point, allocated
@@ -321,7 +322,8 @@ def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
     grid. Each slab is one matrix stack, whose characteristic coefficients,
     read off its entries once, serve both membership and the radius. Every
     kernel works point by point, so a slab has the bits of the whole grid.
-    The text is csv_text's: each axis value is formatted once and every row
+    The pieces are never joined: `main` writes them one by one. Joined, they
+    are csv_text's text: each axis value is formatted once and every row
     joins the two axis strings, the member flag and the radius."""
     c = constants
     n_m = m_grid.size
@@ -331,7 +333,7 @@ def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
     a_text = [f"{a}," for a in a_grid.tolist()]
     m_text = [f"{m}," for m in m_grid.tolist()]
     flags = ("False,", "True,")
-    chunks = ["alpha,momentum,member,spectral_radius"]
+    chunks = ["alpha,momentum,member,spectral_radius\n"]
     for lo in range(0, radius.size, REGION_SLAB):
         hi = min(lo + REGION_SLAB, radius.size)
         rows, cols = np.divmod(np.arange(lo, hi), n_m)
@@ -343,10 +345,10 @@ def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
         # the slab's part of each alpha row, the row split only at a slab border
         prefixes = [a_text[i] + m for i in range(lo // n_m, (hi - 1) // n_m + 1)
                     for m in m_text[max(lo - i * n_m, 0):hi - i * n_m]]
+        # the empty last line gives the slab's final newline without another copy of its text
         chunks.append("\n".join([p + flags[f] + str(r) for p, f, r in zip(
-            prefixes, flat_member[lo:hi].tolist(), flat_radius[lo:hi].tolist())]))
-    chunks.append("")  # the final newline, without another copy of the text
-    return "\n".join(chunks), int(member.sum())
+            prefixes, flat_member[lo:hi].tolist(), flat_radius[lo:hi].tolist())] + [""]))
+    return chunks, int(member.sum())
 
 
 def cmd_region(cfg):
@@ -358,11 +360,11 @@ def cmd_region(cfg):
            else (region_member_nes, error_matrix_nes))
     a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum", 0.5)
     try:  # the constants pass, so only a grid point can overflow a matrix entry
-        text, members = _region_csv(constants, *fns, a_grid, m_grid)
+        pieces, members = _region_csv(constants, *fns, a_grid, m_grid)
     except InvalidArgument as exc:
         raise ConfigError(str(exc), key="region.*") from None
     summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}
-    return summary, {"region.csv": text}, 0
+    return summary, {"region.csv": pieces}, 0
 
 
 def cmd_rates(cfg):
@@ -458,7 +460,9 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
+        # a file given as a list of pieces is written piece by piece, never joined
+        with (out / name).open("w", encoding="utf-8") as f:
+            f.writelines([text] if isinstance(text, str) else text)
     print(files["summary.json"], end="")
     return code
 

@@ -161,8 +161,12 @@ class ExperimentConfig:
         return arr
 
     def range(self, key, default):
-        """The key's two-entry range as floats (lo, hi); see array and _finite_span."""
-        return _finite_span(*self.array(key, default, size=2), key)
+        """The key's two-entry range as floats (lo, hi), lo <= hi; see array
+        and _finite_span."""
+        lo, hi = _finite_span(*self.array(key, default, size=2), key)
+        if lo > hi:
+            raise ConfigError(f"range {lo!r} to {hi!r} is reversed: need lo <= hi", key=key)
+        return lo, hi
 
     def grid(self, axis, default_max):
         """The region grid along one axis, from region.<axis>_min/_max/_steps."""

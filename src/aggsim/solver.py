@@ -402,12 +402,12 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagn
     if isinstance(channel, CommChannel):
         channel.rewind()
         graph = channel.graph
-    state = init_state(problem, graph, x0, x_minus1=x_minus1)
     trace = IterTrace()
     record, delay_steps, max_iter = trace.record, config.delay_steps, config.max_iter
     converged = None
-    # divergence surfaces as NaN/Inf checks, not as float warnings
+    # divergence surfaces as NaN/Inf checks, not as float warnings, from the start on
     with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(problem, graph, x0, x_minus1=x_minus1)
         if not state.finite():
             raise DivergenceDetected(0)
         tick = 0  # the arrival tick of state

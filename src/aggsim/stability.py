@@ -509,20 +509,28 @@ def _round_matrix(qp, graph, config):
     """Linear part of one `step` round on a quadratic instance (d = 1), in
     the coordinates (s; x, x_prev; u), 4N square; dagt reads no x_prev, so
     its coordinates are (s; x; u). Without the offsets p, l and q the round
-    is linear, so column j is step(e_j), unrounded by any offset. The unit
-    states sit side by side on the local axis, one (N, 4N) array per
-    coordinate: every coefficient is a scalar or an (N, 1) column and W
-    mixes from the left, so one `step` steps each column alone.
+    is linear, so column j is step(e_j), unrounded by any offset. The
+    matrix is filled one coordinate's block of N columns at a time: that
+    coordinate's unit states sit side by side on the local axis, an (N, N)
+    identity beside zeros, and every coefficient is a scalar or an (N, 1)
+    column and W mixes from the left, so one `step` steps each column
+    alone. A mixed unit column sums one nonzero product, so the block has
+    the bits of a step on all 4N columns at once.
     """
     qp = replace(qp, **{k: np.zeros_like(getattr(qp, k)) for k in ("p", "l", "q")})
     names = ("s", "x", "u") if config.algorithm == "dagt" else ("s", "x", "x_prev", "u")
-    m = len(names) * qp.n_agents
-    z = dict(zip(names, np.eye(m).reshape(len(names), qp.n_agents, m)))
-    x, x_prev, u, gamma = z["x"], z.get("x_prev", z["x"]), z["u"], config.coefficients[2]
-    y = x if gamma is None else x + gamma * (x - x_prev)
-    state = SolverState(x, x_prev, y, u, z["s"], qp.phi_all(y), qp.grad2_all(y, u))
-    new = step(state, qp, graph, config)
-    return np.concatenate([getattr(new, k) for k in names])
+    n, gamma = qp.n_agents, config.coefficients[2]
+    full = np.empty((len(names) * n, len(names) * n))
+    unit, zero = np.eye(n), np.zeros((n, n))
+    for j, name in enumerate(names):
+        z = {k: unit if k == name else zero for k in names}
+        x, x_prev, u = z["x"], z.get("x_prev", z["x"]), z["u"]
+        y = x if gamma is None else x + gamma * (x - x_prev)
+        state = SolverState(x, x_prev, y, u, z["s"], qp.phi_all(y), qp.grad2_all(y, u))
+        new = step(state, qp, graph, config)
+        for i, k in enumerate(names):
+            full[i * n:(i + 1) * n, j * n:(j + 1) * n] = getattr(new, k)
+    return full
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,17 @@ def test_non_finite_minimizer_is_rejected():
             solve(p)
 
 
+def test_ground_truth_that_cannot_be_evaluated_is_rejected():
+    # at omega1 = 1e308 x* is finite, but its gradient norm overflows to inf
+    # and its objective is NaN; both are computed quietly
+    p = seeded_cournot(n=10, seed=3, omega1=1e308)
+    assert np.isfinite(np.linalg.solve(p.quadratic_model[0], -p.quadratic_model[1])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="ground truth cannot be evaluated at x\\*"):
+            solve(p)
+
+
 def test_not_converged_raises():
     with pytest.raises(NotConverged):
         solve_gradient_descent(seeded_cournot(n=10, seed=3), tol=1e-12, max_iter=2)

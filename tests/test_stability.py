@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from aggsim.graph import build_topology
 from aggsim.oracle import solve
 from aggsim.presets import get_preset
 from aggsim.problems import make_quadratic
-from aggsim.solver import SolverConfig, csv_text, init_state, momentum_family, step
+from aggsim.solver import SolverConfig, SolverState, csv_text, init_state, momentum_family, step
 import aggsim.stability as stability
 from aggsim.stability import (
     ErrorSystemMatrix,
@@ -1331,6 +1332,65 @@ def test_quadratic_rates_where_the_graph_shares_the_reduced_root():
     assert rep.predicted_rate == pytest.approx(1 / 3, rel=1e-15)
     assert rep.spectral_radius == pytest.approx(1 / 3, abs=1e-9)
     assert rep.matrix.entries.shape == (16, 16)
+
+
+def reference_round_matrix(qp, graph, config):
+    """The round matrix as one `step` on every unit state at once: the unit
+    states of all 4N columns side by side, an (N, 4N) array per coordinate
+    cut from one identity, and the new coordinates concatenated. The
+    reference that `_round_matrix`, which steps one coordinate block at a
+    time, is held to bit for bit."""
+    qp = replace(qp, **{k: np.zeros_like(getattr(qp, k)) for k in ("p", "l", "q")})
+    names = ("s", "x", "u") if config.algorithm == "dagt" else ("s", "x", "x_prev", "u")
+    m = len(names) * qp.n_agents
+    z = dict(zip(names, np.eye(m).reshape(len(names), qp.n_agents, m)))
+    x, x_prev, u, gamma = z["x"], z.get("x_prev", z["x"]), z["u"], config.coefficients[2]
+    y = x if gamma is None else x + gamma * (x - x_prev)
+    state = SolverState(x, x_prev, y, u, z["s"], qp.phi_all(y), qp.grad2_all(y, u))
+    new = step(state, qp, graph, config)
+    return np.concatenate([getattr(new, k) for k in names])
+
+
+def test_round_matrix_by_blocks_matches_one_step_on_all_columns():
+    # 40 generated instances, every fourth with offsets of size 1e17, on
+    # random graphs and on a ring, at drawn step sizes and momenta for all
+    # three algorithms: the same bits, signs of zeros included
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        qp = quad_instance(rng)
+        if i % 4 == 0:
+            qp = make_quadratic(qp.c, qp.h, qp.l[:, 0] * 1e17)
+        g = (build_topology("ring", qp.n_agents) if i % 5 == 0 else
+             build_topology("random", qp.n_agents, edge_prob=0.6, seed=int(rng.integers(1000))))
+        for alg in ("dagt", "dagt_hb", "dagt_nes"):
+            a = rng.uniform(0.01, 2.0 / qp.constants.L1)
+            config = SolverConfig(alg, a, 0.0 if alg == "dagt" else rng.uniform(0.0, 0.99))
+            ours, ref = stability._round_matrix(qp, g, config), reference_round_matrix(qp, g, config)
+            assert ours.shape == ref.shape == (qp.n_agents * (3 if alg == "dagt" else 4),) * 2
+            assert np.array_equal(ours, ref), (i, alg)
+            assert np.array_equal(np.signbit(ours), np.signbit(ref)), (i, alg)
+
+
+def test_quadratic_rates_memory_is_a_few_matrices():
+    # the round is stepped one coordinate block at a time on (N, N) unit
+    # states, so no 4N identity or (N, 4N) state sits beside the matrix;
+    # one step on all 4N columns at once peaked at 3.8-4.5 matrices here
+    def instance(n):
+        qp = make_quadratic(np.linspace(1.0, 9.0, n), np.full(n, 0.5), np.full(n, 0.25))
+        return qp, build_topology("random", n, edge_prob=0.8, seed=3)
+
+    small, (qp, g) = instance(8), instance(128)
+    for alg in ("dagt", "dagt_hb", "dagt_nes"):
+        a, m = optimal_params(alg, 1.0, 9.0)
+        quadratic_rates(*small, a, m, alg)  # untraced: numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            report = quadratic_rates(qp, g, a, m, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / report.matrix.entries.nbytes
+        assert ratio <= 3.5, f"{alg}: peak {ratio:.2f} times the matrix"
 
 
 def test_quadratic_rates_checks_the_block_structure(monkeypatch):

@@ -196,6 +196,17 @@ INVOCATIONS = {
     # no agents, and no preset or config
     "run-cournot-zero-agents": ["run", "--preset", "cournot-paper", *_sets("problem.n_agents=0")],
     "run-no-source": ["run"],
+    # a reversed range, a start whose phi overflows, and a ground truth whose
+    # gradient norm overflows and whose objective is NaN
+    **{f"run-{name}-reversed": ["run", "--preset", "cournot-paper", *_sets(f"{key}={lo},{hi}")]
+       for name, key, lo, hi in (("kappa-range", "problem.kappa_range", 2, 1),
+                                 ("theta-range", "problem.theta_range", 20, 10),
+                                 ("sigma-range", "problem.sigma_range", 5, -5),
+                                 ("x0-range", "init.x0_range", 1, 0))},
+    "run-x0-not-finite": ["run", "--preset", "cournot-paper", *_sets(
+        "init.x0_range=0,1e308", "solver.max_iter=3")],
+    "run-oracle-not-evaluable": ["run", "--preset", "cournot-paper", *_sets(
+        "problem.omega1=1e308", "solver.max_iter=3")],
 }
 
 
