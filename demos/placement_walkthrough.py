@@ -8,13 +8,7 @@ neighbors. Run with: python demos/placement_walkthrough.py
 
 import numpy as np
 
-from aggsim import (
-    SolverConfig,
-    build_topology,
-    make_placement,
-    run,
-    solve,
-)
+from aggsim import SolverConfig, build_topology, make_placement, run
 
 ANCHORS = [[10, 4], [1, 3], [2, 7], [8, 10], [3, 9]]
 X0 = np.array([2, 9, 8, 6, 7, 3, 4, 7, 8, 3], float)
@@ -22,14 +16,14 @@ X_PREV = np.array([0, 11, 9, 8, 9, 1, 1, 4, 3, 1], float)
 
 problem = make_placement(ANCHORS, omega=20.0)
 graph = build_topology("random", 5, edge_prob=0.7, seed=2)
-oracle = solve(problem)
+x_star = problem.ground_truth.x_star
 
 print("anchors:", ANCHORS)
 print("regularity constants:", problem.constants)
 print("graph contraction factor rho = %.4f" % graph.rho)
-print("optimal aggregate position  =", np.round(problem.aggregate(oracle.x_star), 6))
+print("optimal aggregate position  =", np.round(problem.aggregate(x_star), 6))
 print("optimal entity positions:")
-print(np.round(oracle.x_star.reshape(5, 2), 4))
+print(np.round(x_star.reshape(5, 2), 4))
 print()
 
 # the same step size for all three variants; momentum values sit inside
@@ -44,13 +38,12 @@ configs = {
 
 print(f"{'variant':<22} {'rounds':>7} {'final residual':>16} {'final |u err|':>14}")
 for label, cfg in configs.items():
-    trace = run(problem, graph, cfg, X0, x_minus1=X_PREV, oracle_solution=oracle)
-    u_err = np.abs(trace.final_state.u - problem.aggregate(oracle.x_star)).max()
+    trace = run(problem, graph, cfg, X0, x_minus1=X_PREV)
+    u_err = np.abs(trace.final_state.u - problem.aggregate(x_star)).max()
     print(f"{label:<22} {trace.k[-1]:>7} {trace.residual_msq[-1]:>16.3e} {u_err:>14.3e}")
 
 print()
 print("tracker means stay glued to the network means (conservation law):")
-trace = run(problem, graph, configs["heavy ball  (dagt_hb)"], X0, x_minus1=X_PREV,
-            oracle_solution=oracle)
+trace = run(problem, graph, configs["heavy ball  (dagt_hb)"], X0, x_minus1=X_PREV)
 print("  max |mean(u) - mean(phi(x))| over the run: %.2e" % max(trace.u_mean_err))
 print("  max |mean(s) - mean(grad2)|  over the run: %.2e" % max(trace.s_mean_err))

@@ -19,7 +19,6 @@ from aggsim import (
     optimal_rate_formula,
     quadratic_rates,
     run,
-    solve,
 )
 from aggsim.cli import measured_tail_rate
 
@@ -28,7 +27,6 @@ N = 8
 
 problem = make_quadratic(np.linspace(MU, L1, N), np.full(N, 0.5), np.full(N, 0.25))
 graph = build_topology("random", N, edge_prob=0.8, seed=3)
-oracle = solve(problem)
 print(f"condition number kappa = {L1 / MU:.0f}, graph factor rho = {graph.rho:.4f}")
 print()
 
@@ -38,7 +36,7 @@ for alg in ("dagt", "dagt_hb", "dagt_nes"):
     alpha, momentum = optimal_params(alg, MU, L1)
     report = quadratic_rates(problem, graph, alpha, momentum, alg)
     cfg = SolverConfig(alg, alpha=alpha, momentum=momentum, max_iter=3000, tol=1e-12)
-    trace = run(problem, graph, cfg, np.linspace(1, 2, N), oracle_solution=oracle)
+    trace = run(problem, graph, cfg, np.linspace(1, 2, N))
     print(f"{alg:<10} {alpha:>8.4f} {momentum:>9.4f} "
           f"{report.reduced_radius:>8.4f} {optimal_rate_formula(alg, MU, L1):>8.4f} "
           f"{report.predicted_rate:>10.4f} {measured_tail_rate(trace):>9.4f}")

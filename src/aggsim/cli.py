@@ -11,12 +11,11 @@ import argparse
 import json
 import math
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, convert, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, convert, keyed, load_config, parse_config, serialize_config
 from .exceptions import (
     ConfigError,
     DivergenceDetected,
@@ -24,7 +23,6 @@ from .exceptions import (
     InvalidArgument,
 )
 from .graph import build_topology
-from .oracle import solve
 from .presets import get_preset, preset_names
 from .solver import ALGORITHMS, NONNEGATIVE, CommChannel, csv_text, run as run_solver
 from .stability import (
@@ -106,9 +104,9 @@ def _stop_reason(trace):
 
 
 class Experiment:
-    """The problem, graph, start point, oracle and noise of one config,
-    built once; each run varies only the solver config (and maybe the
-    graph or the noise level).
+    """The problem, graph, start point and noise of one config, built
+    once; each run varies only the solver config (and maybe the graph or
+    the noise level), and the first solves the problem's ground truth.
 
     The experiment is where noisy channels are built: solver.noise_sigma
     and solver.seed are read here, once, and the seed is checked even when
@@ -128,15 +126,6 @@ class Experiment:
             raise ConfigError(NONNEGATIVE, key="solver.*")
         self._channels = {}
 
-    @cached_property
-    def oracle(self):
-        """The ground truth, solved at the first run: a command that rejects
-        its config before running solves nothing."""
-        try:
-            return solve(self.problem)
-        except InvalidArgument as exc:
-            raise ConfigError(str(exc), key="problem.*") from None
-
     def run(self, graph=None, noise_sigma=None, diagnostics=True, **overrides):
         """One run at the config's solver settings, with overrides; graph
         and noise_sigma default to the experiment's, diagnostics to solver.run's."""
@@ -149,15 +138,14 @@ class Experiment:
             if key not in self._channels:
                 self._channels[key] = CommChannel(graph, noise_sigma, self.seed)
             graph = self._channels[key]
-        trace = run_solver(
-            self.problem, graph, solver_cfg, self.x0,
-            x_minus1=self.x_prev, oracle_solution=self.oracle, diagnostics=diagnostics,
-        )
-        return solver_cfg, trace
+        with keyed("problem.*"):  # x* at the first run, even an outcome-only one
+            self.problem.ground_truth
+        return solver_cfg, run_solver(self.problem, graph, solver_cfg, self.x0,
+                                      x_minus1=self.x_prev, diagnostics=diagnostics)
 
 
 def _run_summary(exp, solver_cfg, trace):
-    problem, graph, oracle = exp.problem, exp.graph, exp.oracle
+    problem, graph, oracle = exp.problem, exp.graph, exp.problem.ground_truth
     summary = {
         "algorithm": solver_cfg.algorithm,
         "alpha": solver_cfg.alpha,
@@ -202,13 +190,15 @@ def cmd_run(cfg):
 
 
 def cmd_sweep(cfg):
-    values = _list(cfg, "sweep.values", [])
     algorithm = cfg.get("solver.algorithm", "dagt_hb")
     if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("sweep needs a momentum algorithm", key="solver.algorithm")
+    values = [convert(float, v, "sweep.values") for v in _list(cfg, "sweep.values", [])]
+    if any(v < 0 for v in values):
+        raise ConfigError("momentum parameters must be nonnegative", key="sweep.values")
     exp = Experiment(cfg)
     rows = []
-    for v in (convert(float, v, "sweep.values") for v in values):
+    for v in values:
         try:
             trace = exp.run(momentum=v, diagnostics=False)[1]
             rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
@@ -225,6 +215,8 @@ def cmd_topology(cfg):
     bad = [k for k in kinds if k not in ("star", "ring", "complete")]
     if bad:
         raise ConfigError(f"unsupported topology kinds {bad}", key="topology_compare.kinds")
+    if len(set(kinds)) < len(kinds):  # per_topology holds one entry per kind
+        raise ConfigError(f"repeated topology kinds {kinds}", key="topology_compare.kinds")
     exp = Experiment(cfg)
     rows, per_topology = [], {}
     for kind in kinds:
@@ -275,12 +267,11 @@ def cmd_robustness(cfg):
 
 
 def _constants(cfg):
-    c = StabilityConstants.from_problem(*cfg.build_problem_and_graph())
+    with keyed("problem.*"):  # a problem's own L3 can overflow, as an override can
+        c = StabilityConstants.from_problem(*cfg.build_problem_and_graph())
     values = {k: cfg.value(f"bounds.{k}", float, v) for k, v in vars(c).items()}
-    try:  # the problem's own constants pass, so only an override can fail
+    with keyed("bounds.*"):
         return StabilityConstants(**values)
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc), key="bounds.*") from None
 
 
 def _bounds_entry(bounds, member):
@@ -295,11 +286,9 @@ def cmd_bounds(cfg):
     alpha = cfg.value("solver.alpha", float, hb.alpha_eval)
     beta = cfg.value("solver.beta", float, 0.0)
     gamma = cfg.value("solver.gamma", float, 0.0)
-    try:  # the constants pass, so only the configured pair can overflow a matrix entry
+    with keyed("solver.*"):  # the constants pass, so only the configured pair can overflow
         hb_member = region_member_hb(constants, alpha, beta)
         nes_member = region_member_nes(constants, alpha, gamma)
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc), key="solver.*") from None
     summary = {
         "constants": vars(constants),
         "hb": _bounds_entry(hb, hb_member),
@@ -359,10 +348,8 @@ def cmd_region(cfg):
     fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
            else (region_member_nes, error_matrix_nes))
     a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum", 0.5)
-    try:  # the constants pass, so only a grid point can overflow a matrix entry
+    with keyed("region.*"):  # the constants pass, so only a grid point can overflow
         pieces, members = _region_csv(constants, *fns, a_grid, m_grid)
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc), key="region.*") from None
     summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}
     return summary, {"region.csv": pieces}, 0
 
@@ -372,10 +359,8 @@ def cmd_rates(cfg):
     if not _has_exact_rates(exp.problem):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
     mu, L1 = exp.problem.constants.mu, exp.problem.constants.L1
-    try:  # every tuned point is checked before the first run
+    with keyed("problem.c"):  # every tuned point is checked before the first run
         tuned = {alg: optimal_params(alg, mu, L1) for alg in ALGORITHMS}
-    except InvalidArgument as exc:
-        raise ConfigError(str(exc), key="problem.c") from None
     rows, details = [], {}
     code = 0
     for alg, (alpha, momentum) in tuned.items():

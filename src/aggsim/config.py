@@ -10,6 +10,8 @@ scalars, else a bare string (no quoting). Serialization writes floats with
 repr so parse -> serialize -> parse round-trips losslessly.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .exceptions import ConfigError, ConstructionFailed, InvalidArgument
@@ -94,6 +96,15 @@ def convert(kind, value, key):
     if kind is int and isinstance(value, float) and out != value:
         raise ConfigError(f"expected an integer, got {value!r}", key=key)
     return out
+
+
+@contextmanager
+def keyed(key):
+    """Report an InvalidArgument raised in the block as a ConfigError of key."""
+    try:
+        yield
+    except InvalidArgument as exc:
+        raise ConfigError(str(exc), key=key) from exc
 
 
 def _finite_span(lo, hi, key):
@@ -186,7 +197,7 @@ class ExperimentConfig:
     @np.errstate(over="ignore", invalid="ignore")
     def build_problem(self):
         kind = self.require("problem.kind")
-        try:
+        with keyed("problem.*"):
             if kind == "placement":
                 r = self.array("problem.r")
                 if r.size % 2:
@@ -213,8 +224,6 @@ class ExperimentConfig:
                 h = self.array("problem.h", [0.0] * c.size)
                 l = self.array("problem.l", [0.0] * c.size)
                 return make_quadratic(c, h, l)
-        except InvalidArgument as exc:
-            raise ConfigError(str(exc), key="problem.*") from exc
         raise ConfigError(f"unknown problem kind {kind!r}", key="problem.kind")
 
     # -- topology ----------------------------------------------------------
@@ -261,10 +270,8 @@ class ExperimentConfig:
             delay_steps=self.value("solver.delay_steps", int, 0),
         )
         kw.update(overrides)
-        try:
+        with keyed("solver.*"):
             return SolverConfig(**kw)
-        except InvalidArgument as exc:
-            raise ConfigError(str(exc), key="solver.*") from exc
 
     # -- initial point -------------------------------------------------------
     def build_x0(self, problem):

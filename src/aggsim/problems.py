@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import oracle
 from .exceptions import InvalidArgument
 
 
@@ -57,7 +58,7 @@ class AggregativeProblem:
     made read-only, so instances are immutable and thread-safe. States
     are stacked 1-D vectors of length N * d or (N, d) arrays; trackers
     are (N, d) arrays. The Hessian model and the regularity constants are
-    derived once at construction.
+    derived once at construction, the ground truth at its first use.
     """
 
     name: str
@@ -108,6 +109,15 @@ class AggregativeProblem:
         for name in ("p", "l", "q"):
             offset = getattr(self, name)
             object.__setattr__(self, f"_{name}", offset if offset.any() else None)
+        object.__setattr__(self, "_truth", None)  # see ground_truth
+
+    @property
+    def ground_truth(self):
+        """oracle.solve(self), x* of F: solved at first use and kept in a slot
+        made at construction (a key added later slows every attribute read)."""
+        if self._truth is None:
+            object.__setattr__(self, "_truth", oracle.solve(self))
+        return self._truth
 
     # -- layout ------------------------------------------------------------
     @property

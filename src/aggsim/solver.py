@@ -292,7 +292,7 @@ class IterTrace:
         self._queue.append(state)
         return len(self._queue) == BLOCK
 
-    def flush(self, problem, oracle_solution, tol, diagnostics):
+    def flush(self, problem, tol, diagnostics):
         """Compute the queued rows and their holds; return the first queued
         state whose gradient norm is below tol, or None.
 
@@ -334,16 +334,13 @@ class IterTrace:
             phi = _stack([st.phi_y for st in states])
             g2 = _stack([st.g2_y for st in states])
             n_agents = problem.n_agents
-            if oracle_solution is not None:
-                dx = X - np.asarray(oracle_solution.x_star, dtype=float)
-                residual_msq = (dx**2).sum(axis=1) / n_agents
-                # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
-                # cancel at the size of F and can come out negative. The 0.5
-                # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
-                h_dx = np.matmul(hess, dx[:, :, None])
-                obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
-            else:
-                residual_msq = obj_gap = np.full(size, np.nan)
+            dx = X - problem.ground_truth.x_star
+            residual_msq = (dx**2).sum(axis=1) / n_agents
+            # F is quadratic, so its exact gap is dx.H dx / 2; F(x) - f* would
+            # cancel at the size of F and can come out negative. The 0.5
+            # scales dx first, as in a row's 0.5 * dx @ (H @ dx)
+            h_dx = np.matmul(hess, dx[:, :, None])
+            obj_gap = np.matmul((0.5 * dx)[:, None, :], h_dx)[:, 0, 0]
             # every mean is sum / N, which is bit-identical to .mean(axis=0)
             u_mean = U.sum(axis=1) / n_agents
             s_mean = S.sum(axis=1) / n_agents
@@ -376,11 +373,12 @@ class IterTrace:
         return "\n".join(lines) + "\n"
 
 
-def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagnostics=True):
+def run(problem, channel, config, x0, x_minus1=None, diagnostics=True):
     """Iterate until the central gradient-norm monitor passes tol or the
-    tick budget max_iter runs out; returns the per-tick trace. With
-    diagnostics False the run ends alike, but its trace holds grad_norm
-    alone, too few columns for `to_csv`.
+    tick budget max_iter runs out; returns the per-tick trace, whose residual
+    and gap columns read problem.ground_truth. With diagnostics False the run
+    ends alike, but its trace holds grad_norm alone, too few columns for
+    `to_csv`, and the ground truth is not read.
 
     channel is a CommGraph, which mixes exactly, or a CommChannel, which
     adds its noise. A channel is rewound, so runs that share it replay one
@@ -418,7 +416,7 @@ def run(problem, channel, config, x0, x_minus1=None, oracle_solution=None, diagn
             tick += ticks
             spent = tick > max_iter
             if full or spent:
-                converged = trace.flush(problem, oracle_solution, config.tol, diagnostics)
+                converged = trace.flush(problem, config.tol, diagnostics)
                 if spent or converged is not None:
                     break
             state = step(state, problem, channel, config)

@@ -90,11 +90,10 @@ def test_criterion_01_placement_reproduction():
     with criterion(1, "placement reproduction"):
         t0 = time.perf_counter()
         cfg, problem, graph, x0, x_prev = preset_env("placement-paper")
-        sol = solve(problem)
         for alg in ("dagt_hb", "dagt_nes"):
             scfg = preset_solver_cfg(cfg, alg)
             assert (scfg.alpha, scfg.momentum) == ((0.005, 0.009) if alg == "dagt_hb" else (0.005, 0.008))
-            trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+            trace = run(problem, graph, scfg, x0, x_minus1=x_prev)
             assert trace.converged
             x = trace.final_state.x
             assert np.abs(x - PLACEMENT_POSITIONS).max() <= 1e-3
@@ -117,11 +116,10 @@ def test_criterion_03_zero_momentum_equivalence():
     with criterion(3, "zero-momentum trajectories bitwise identical"):
         for name in preset_names():
             cfg, problem, graph, x0, x_prev = preset_env(name)
-            sol = solve(problem)
             csvs = []
             for alg in ALGORITHMS:
                 scfg = preset_solver_cfg(cfg, alg, momentum=0.0)
-                trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+                trace = run(problem, graph, scfg, x0, x_minus1=x_prev)
                 csvs.append(trace.to_csv())
             assert csvs[0] == csvs[1] == csvs[2], name
 
@@ -252,12 +250,11 @@ def test_criterion_08_measured_vs_predicted_rate():
         cfg, problem, graph, x0, x_prev = preset_env("quadratic-demo")
         mu, L1 = problem.constants.mu, problem.constants.L1
         assert graph.rho <= (L1 - mu) / (L1 + mu)
-        sol = solve(problem)
         for alg in ALGORITHMS:
             alpha, momentum = optimal_params(alg, mu, L1)
             report = quadratic_rates(problem, graph, alpha, momentum or 0.0, alg)
             scfg = preset_solver_cfg(cfg, alg, alpha=alpha, momentum=momentum or 0.0)
-            trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+            trace = run(problem, graph, scfg, x0, x_minus1=x_prev)
             measured = measured_tail_rate(trace)
             assert abs(measured - report.predicted_rate) / report.predicted_rate < 0.05, alg
         assert time.perf_counter() - t0 < 10.0
@@ -347,11 +344,10 @@ def test_criterion_10_threshold_bound_domination():
 def test_criterion_11_robustness():
     with criterion(11, "delay converges with momentum advantage; noise stays bounded"):
         cfg, problem, graph, x0, x_prev = preset_env("cournot-paper")
-        sol = solve(problem)
         iters = {}
         for alg in ALGORITHMS:
             scfg = preset_solver_cfg(cfg, alg, delay_steps=2)
-            trace = run(problem, graph, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+            trace = run(problem, graph, scfg, x0, x_minus1=x_prev)
             assert trace.converged and trace.grad_norm[-1] < 1e-6, alg
             iters[alg] = trace.k[-1]
         assert iters["dagt_hb"] < iters["dagt"]
@@ -361,7 +357,7 @@ def test_criterion_11_robustness():
                               seed=cfg.seed("solver.seed", 0))
         for alg in ALGORITHMS:
             scfg = preset_solver_cfg(cfg, alg, max_iter=10000, tol=0.0)
-            trace = run(problem, channel, scfg, x0, x_minus1=x_prev, oracle_solution=sol)
+            trace = run(problem, channel, scfg, x0, x_minus1=x_prev)
             res = np.asarray(trace.residual_msq)
             assert np.isfinite(res).all(), alg
             assert np.median(res[-1000:]) < res[0], alg

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aggsim.cli as cli
+import aggsim.oracle as oracle
 import aggsim.stability as stability
 from aggsim.cli import main, measured_tail_rate
 from aggsim.config import ExperimentConfig, serialize_config
@@ -41,6 +42,8 @@ def read_csv(path):
 TINY_MU = f"problem.c=1e-320,{','.join(['1'] * 7)}"
 # mu = L1 = 6e307: (sqrt(L1) + sqrt(mu))^2 overflows though mu + L1 does not
 HB_STEP_OVERFLOW = f"problem.c={','.join(['6e307'] * 8)}"
+# quadratic-demo with L3 = max h = 1e120: the problem's own L3 (1 + L3)^2 overflows
+HUGE_H = f"problem.h={','.join(['1e120'] * 8)}"
 # (key, lo, hi) of each range given with lo > hi
 REVERSED_RANGES = (("problem.kappa_range", 2, 1), ("problem.theta_range", 20, 10),
                    ("problem.sigma_range", 5, -5), ("init.x0_range", 1, 0))
@@ -264,6 +267,14 @@ def test_config_error_exit_code(tmp_path):
     pytest.param("region", "placement-paper", ["region.momentum_max=1e308",
                                                "region.momentum_steps=3", "region.alpha_steps=3"],
                  id="region-momentum-overflow"),
+    # a problem whose own L3 (1 + L3)^2 overflows
+    pytest.param("bounds", "quadratic-demo", [HUGE_H], id="bounds-problem-L3-overflow"),
+    pytest.param("region", "quadratic-demo", [HUGE_H], id="region-problem-L3-overflow"),
+    # a negative sweep value, after a valid one: rejected before any run
+    pytest.param("sweep", "cournot-paper", ["sweep.values=0.5,-0.5"], id="sweep-negative-value"),
+    # a repeated topology kind
+    pytest.param("topology", "quadratic-demo", ["topology_compare.kinds=ring,ring",
+                                                "solver.max_iter=20"], id="topology-repeated-kind"),
 ])
 def test_config_boundary_errors_exit_2(tmp_path, capsys, command, preset, overrides):
     sets = [arg for kv in overrides for arg in ("--set", kv)]
@@ -304,6 +315,10 @@ CAUSES = {
                       "singular (key 'problem.*')",
     "problem.omega1=1e308": "ground truth cannot be evaluated at x*: gradient norm inf, "
                             "objective nan (key 'problem.*')",
+    HUGE_H: "L3 = 1e+120 too large: L3 (1 + L3)^2 overflows (key 'problem.*')",
+    "sweep.values=0.5,-0.5": "momentum parameters must be nonnegative (key 'sweep.values')",
+    "topology_compare.kinds=ring,ring": "repeated topology kinds ['ring', 'ring'] "
+                                        "(key 'topology_compare.kinds')",
     **{f"{key}={lo},{hi}": f"range {float(lo)!r} to {float(hi)!r} is reversed: need lo <= hi "
                            f"(key '{key}')"
        for key, lo, hi in REVERSED_RANGES},
@@ -330,7 +345,8 @@ def test_rates_checks_every_tuned_point_before_any_solve(tmp_path, capsys, monke
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the tuned points were checked")
 
-    monkeypatch.setattr(cli, "solve", no_solve)
+    # problem.ground_truth looks solve up in aggsim.oracle
+    monkeypatch.setattr(oracle, "solve", no_solve)
     monkeypatch.setattr(cli, "run_solver", no_solve)
     assert run_cli("rates", "--preset", "quadratic-demo", "--set", TINY_MU,
                    "--out", str(tmp_path / "o")) == 2
@@ -359,7 +375,7 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
     pytest.param("run", "placement-paper", ["solver.algorithm=dagt_nes", "solver.gamma=-1"],
                  "momentum parameters must be nonnegative (key 'solver.*')", id="negative-gamma"),
     pytest.param("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=-0.5"],
-                 "momentum parameters must be nonnegative (key 'solver.*')",
+                 "momentum parameters must be nonnegative (key 'sweep.values')",
                  id="negative-sweep-value"),
     pytest.param("bounds", "cournot-paper", ["topology.n_agents=3"],
                  "graph has 3 agents, problem has 50 (key 'topology.n_agents')",
@@ -524,16 +540,17 @@ def test_rates_gate_disagreement_exits_3(tmp_path, capsys, monkeypatch, command)
 def test_one_oracle_solve_per_command(tmp_path, monkeypatch, command, overrides, runs):
     calls = {"solve": 0, "run_solver": 0}
 
-    def counted(name):
-        fn = getattr(cli, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(cli, "solve", counted("solve"))
-    monkeypatch.setattr(cli, "run_solver", counted("run_solver"))
+    # problem.ground_truth looks solve up in aggsim.oracle
+    counted(oracle, "solve")
+    counted(cli, "run_solver")
     sets = [arg for kv in overrides for arg in ("--set", kv)]
     assert run_cli(command, "--preset", "quadratic-demo", *sets, "--out", str(tmp_path / "o")) == 0
     assert calls == {"solve": 1, "run_solver": runs}

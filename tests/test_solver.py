@@ -4,6 +4,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+import aggsim.oracle as oracle
 import aggsim.solver as solver
 from aggsim.cli import Experiment
 from aggsim.config import ExperimentConfig
@@ -153,13 +154,9 @@ def reference_record(trace, problem, state, tick, oracle_solution, grad_vec):
     xa = state.x
     z = state.y
     n = problem.n_agents
-    if oracle_solution is not None:
-        dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
-        trace.residual_msq.append(float((dx**2).sum() / n))
-        trace.obj_gap.append(float(0.5 * dx @ (problem.quadratic_model[0] @ dx)))
-    else:
-        trace.residual_msq.append(float("nan"))
-        trace.obj_gap.append(float("nan"))
+    dx = xa.reshape(-1) - np.asarray(oracle_solution.x_star, dtype=float)
+    trace.residual_msq.append(float((dx**2).sum() / n))
+    trace.obj_gap.append(float(0.5 * dx @ (problem.quadratic_model[0] @ dx)))
     trace.k.append(tick)
     trace.grad_norm.append(float(np.linalg.norm(grad_vec)))
     u_mean = state.u.sum(axis=0) / n
@@ -181,6 +178,10 @@ def reference_hold(trace, ticks):
 
 
 def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=None):
+    """The reference loop, measured against oracle_solution, by default a
+    fresh solve(problem): never the problem's cached ground truth."""
+    if oracle_solution is None:
+        oracle_solution = solve(problem)
     channel = None
     if isinstance(graph, CommChannel):
         if graph.noise_sigma > 0:
@@ -225,7 +226,7 @@ def assert_columns_equal(ours, ref, names):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def assert_runs_equal(run_args, run_kwargs):
+def assert_runs_equal(run_args, **run_kwargs):
     """run and reference_run end alike, bit for bit: the same trace, CSV
     text and final state, or a divergence at the same tick. A run without
     diagnostics ends alike too, with the same k and grad_norm and no other
@@ -380,9 +381,8 @@ def test_step_matches_reference_steps(problem, noise_sigma):
 def test_run_placement_converges_to_anchor_mean():
     p = paper_placement()
     g = build_topology("ring", 5)
-    sol = solve(p)
     cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, momentum=0.009, max_iter=5000, tol=1e-8)
-    trace = run(p, g, cfg, PLACEMENT_X0, x_minus1=PLACEMENT_XM1, oracle_solution=sol)
+    trace = run(p, g, cfg, PLACEMENT_X0, x_minus1=PLACEMENT_XM1)
     assert trace.converged
     u_final = trace.final_state.u
     assert np.abs(u_final - np.array([4.8, 6.6])).max() < 1e-3
@@ -393,9 +393,53 @@ def test_run_nes_placement():
     p = paper_placement()
     g = build_topology("ring", 5)
     cfg = SolverConfig(algorithm="dagt_nes", alpha=0.005, momentum=0.008, max_iter=5000, tol=1e-8)
-    trace = run(p, g, cfg, PLACEMENT_X0, oracle_solution=solve(p))
+    trace = run(p, g, cfg, PLACEMENT_X0)
     assert trace.converged
     assert np.abs(trace.final_state.u - np.array([4.8, 6.6])).max() < 1e-3
+
+
+def test_runs_of_one_problem_solve_its_ground_truth_once(monkeypatch):
+    # the problem keeps its ground truth: a second run, even with another
+    # config, reads it; an outcome-only run of a new problem never solves it,
+    # and dataclasses.replace makes a problem that solves afresh
+    solved = []
+
+    def counted(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(oracle, "solve", counted)
+    p, g, cfg, x0 = delay_case(max_iter=2 * BLOCK)
+    run(p, g, cfg, x0)
+    run(p, g, replace(cfg, delay_steps=2, tol=1e-3), x0)
+    assert len(solved) == 1 and solved[0] is p
+    q = replace(p)
+    run(q, g, cfg, x0, diagnostics=False)
+    assert len(solved) == 1
+    assert q.ground_truth is not p.ground_truth and len(solved) == 2
+    assert np.array_equal(q.ground_truth.x_star, p.ground_truth.x_star)
+
+
+def test_run_matches_reference_given_an_explicit_solve():
+    # run reads problem.ground_truth; the reference is handed solve(p)
+    p, g, cfg, x0 = delay_case(delay_steps=1, noise_sigma=1e-2, max_iter=2 * BLOCK + 5)
+    ours = run(p, g, cfg, x0)
+    ref = reference_run(p, g, cfg, x0, oracle_solution=solve(p))
+    assert_columns_equal(ours, ref, TRACE_FIELDS)
+    assert ours.to_csv() == ref.to_csv()
+
+
+def test_ground_truth_that_cannot_be_solved_is_not_cached():
+    # x* = -lin / c overflows at c = 1e-320; a diagnostics run raises, an
+    # outcome-only run of the same problem needs no ground truth
+    p = make_quadratic([1e-320] + [1.0] * 3, [0.5] * 4, [0.0] * 4)
+    g = build_topology("ring", 4)
+    cfg = SolverConfig("dagt", alpha=0.1, max_iter=5, tol=0.0)
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match="ground truth x"):
+            run(p, g, cfg, np.ones(4))
+        assert p._truth is None
+    assert run(p, g, cfg, np.ones(4), diagnostics=False).k[-1] == 5
 
 
 def test_run_zero_max_iter_records_initial_only():
@@ -422,7 +466,7 @@ def test_tracking_conservation_along_runs():
     x0 = np.linspace(10, 30, 10)
     for alg, mom in (("dagt", 0.0), ("dagt_hb", 0.05), ("dagt_nes", 0.05)):
         cfg = SolverConfig(algorithm=alg, alpha=0.01, momentum=mom, max_iter=800, tol=1e-10)
-        trace = run(p, g, cfg, x0, oracle_solution=solve(p))
+        trace = run(p, g, cfg, x0)
         assert max(trace.u_mean_err) <= 1e-9
         assert max(trace.s_mean_err) <= 1e-9
 
@@ -467,7 +511,7 @@ def test_tail_rate_dominated_by_error_system_prediction():
     p = make_quadratic(np.linspace(1, 9, 8), np.full(8, 0.5), np.zeros(8))
     g = build_topology("random", 8, edge_prob=0.8, seed=3)
     cfg = SolverConfig(algorithm="dagt_hb", alpha=0.1, momentum=0.2, max_iter=4000, tol=1e-12)
-    trace = run(p, g, cfg, np.linspace(1, 2, 8), oracle_solution=solve(p))
+    trace = run(p, g, cfg, np.linspace(1, 2, 8))
     rho_hat = quadratic_rates(p, g, 0.1, 0.2, "dagt_hb").predicted_rate
     rate = measured_tail_rate(trace)
     assert rate < (1 + rho_hat) / 2 + 0.01
@@ -478,7 +522,7 @@ def test_linear_convergence_tail_negative_slope():
     p = paper_placement()
     g = build_topology("ring", 5)
     cfg = SolverConfig(algorithm="dagt_hb", alpha=0.005, momentum=0.009, max_iter=5000, tol=1e-10)
-    trace = run(p, g, cfg, PLACEMENT_X0, oracle_solution=solve(p))
+    trace = run(p, g, cfg, PLACEMENT_X0)
     r = np.asarray(trace.residual_msq)
     tail = r[int(0.5 * len(r)):]
     tail = tail[tail > 0]
@@ -517,7 +561,7 @@ def test_delayed_run_preserves_tracking_means():
     p = seeded_cournot(n=8, seed=4)
     g = build_topology("ring", 8)
     cfg = SolverConfig(algorithm="dagt", alpha=0.01, max_iter=600, tol=1e-9, delay_steps=3)
-    trace = run(p, g, cfg, np.linspace(5, 8, 8), oracle_solution=solve(p))
+    trace = run(p, g, cfg, np.linspace(5, 8, 8))
     assert max(trace.u_mean_err) <= 1e-9
     assert max(trace.s_mean_err) <= 1e-9
 
@@ -553,8 +597,8 @@ def delay_case(delay_steps=0, noise_sigma=0.0, max_iter=60, tol=0.0, alpha=0.01)
 @pytest.mark.parametrize("max_iter,tol", [(60, 0.0), (61, 0.0), (62, 0.0), (2000, 1e-2)])
 def test_delayed_trace_repeats_each_undelayed_row(delay, noise_sigma, max_iter, tol):
     p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter, tol)
-    delayed = run(p, g, cfg, x0, oracle_solution=solve(p))
-    undelayed = run(p, g, replace(cfg, delay_steps=0), x0, oracle_solution=solve(p))
+    delayed = run(p, g, cfg, x0)
+    undelayed = run(p, g, replace(cfg, delay_steps=0), x0)
     rows = trace_rows(undelayed)
     expected = rows[:1] + [row for row in rows[1:] for _ in range(delay + 1)]
     if undelayed.converged:
@@ -584,7 +628,7 @@ def test_run_evaluates_phi_and_grad2_once_per_state(monkeypatch):
     # once, at its new point, and neither the next step nor the record
     # evaluates them again
     p, g, cfg, x0 = delay_case(delay_steps=2, noise_sigma=1e-2, max_iter=62)
-    oracle = solve(p)
+    p.ground_truth  # solved before the counting: its objective evaluates phi
     calls = {"phi_all": 0, "grad2_all": 0, "step": 0}
 
     def counting(owner, name):
@@ -600,7 +644,7 @@ def test_run_evaluates_phi_and_grad2_once_per_state(monkeypatch):
     counting(solver, "step")
     for alg, momentum in FAMILIES:
         calls.update(phi_all=0, grad2_all=0, step=0)
-        run(p, g, replace(cfg, algorithm=alg, momentum=momentum), x0, oracle_solution=oracle)
+        run(p, g, replace(cfg, algorithm=alg, momentum=momentum), x0)
         assert calls["step"] == 21  # arrivals at ticks 1, 4, ..., 61
         assert calls["phi_all"] == calls["grad2_all"] == 1 + calls["step"]
 
@@ -627,8 +671,7 @@ def test_placement_divergence_tick_unchanged(algorithm, delay, tick):
     exp = Experiment(cfg)
     for fn in (run, reference_run):
         with pytest.raises(DivergenceDetected) as exc:
-            fn(exp.problem, exp.graph, cfg.build_solver_config(), exp.x0,
-               x_minus1=exp.x_prev, oracle_solution=exp.oracle)
+            fn(exp.problem, exp.graph, cfg.build_solver_config(), exp.x0, x_minus1=exp.x_prev)
         assert exc.value.iteration == tick
 
 
@@ -672,7 +715,7 @@ def test_block_edge_budgets_match_reference(rows, family, noise_sigma):
     p, g, cfg, x0 = delay_case(noise_sigma=noise_sigma, max_iter=rows - 1)
     alg, momentum = family
     cfg = replace(cfg, algorithm=alg, momentum=momentum)
-    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert_runs_equal((p, g, cfg, x0))
     assert len(run(p, g, cfg, x0)) == rows
 
 
@@ -685,7 +728,7 @@ def test_holds_across_a_flush_match_reference(delay, noise_sigma, offset):
     row, extra = offset
     max_iter = arrival_tick(row, delay) + extra
     p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter=max_iter)
-    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert_runs_equal((p, g, cfg, x0))
     trace = run(p, g, cfg, x0)
     assert trace.k == list(range(max_iter + 1))
 
@@ -711,7 +754,7 @@ def test_divergence_at_block_edges_matches_reference(diverge_row, delay, noise_s
     ticks = []
     for fn in (run, reference_run, run_outcome_only):
         with pytest.raises(DivergenceDetected) as exc:
-            fn(p, g, cfg, x0, oracle_solution=solve(p))
+            fn(p, g, cfg, x0)
         ticks.append(exc.value.iteration)
     assert ticks == [arrival_tick(diverge_row, delay)] * 3
 
@@ -720,7 +763,7 @@ def test_budget_before_divergence_matches_reference():
     # a budget that ends one round before the overflow returns a trace
     p, g, cfg, x0 = doubling_case(BLOCK + 1, 0, 0.0)
     cfg = replace(cfg, max_iter=BLOCK)
-    assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    assert_runs_equal((p, g, cfg, x0))
     assert len(run(p, g, cfg, x0)) == BLOCK + 1
 
 
@@ -743,7 +786,7 @@ def converging_case(row, delay=0, noise_sigma=0.0, family=FAMILIES[1]):
 @pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_convergence_at_block_edges_matches_reference(row, family, noise_sigma):
     p, g, cfg, x0 = converging_case(row, noise_sigma=noise_sigma, family=family)
-    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    ref = assert_runs_equal((p, g, cfg, x0))
     assert ref.converged and len(ref) == row + 1
 
 
@@ -753,7 +796,7 @@ def test_convergence_at_block_edges_matches_reference(row, family, noise_sigma):
 def test_delayed_convergence_drops_the_converged_holds(row, delay, noise_sigma):
     # the converged state's holds were queued before the flush found it
     p, g, cfg, x0 = converging_case(row, delay, noise_sigma)
-    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    ref = assert_runs_equal((p, g, cfg, x0))
     assert ref.converged and ref.k[-1] == arrival_tick(row, delay)
 
 
@@ -766,7 +809,7 @@ def test_delayed_convergence_drops_the_converged_holds(row, delay, noise_sigma):
 @pytest.mark.parametrize("row", [BLOCK - 1, BLOCK, BLOCK + 1])
 def test_outcome_only_run_matches_the_full_run(row, family, delay, noise_sigma):
     p, g, cfg, x0 = converging_case(row, delay, noise_sigma, family)
-    ref = assert_runs_equal((p, g, cfg, x0), {"oracle_solution": solve(p)})
+    ref = assert_runs_equal((p, g, cfg, x0))
     assert ref.converged and ref.k[-1] == arrival_tick(row, delay)
 
 
@@ -794,7 +837,7 @@ def tracker_overflow_case(converged_offset):
 def test_convergence_before_a_non_finite_row_returns_the_trace():
     # the block holds the converged row and, later, the overflowed one
     args, diverge_row = tracker_overflow_case(-1)
-    ref = assert_runs_equal(args, {"oracle_solution": solve(args[0])})
+    ref = assert_runs_equal(args)
     assert ref.converged and len(ref) == diverge_row
 
 
@@ -802,18 +845,17 @@ def test_convergence_before_a_non_finite_row_returns_the_trace():
 def test_non_finite_row_at_or_before_convergence_raises(converged_offset):
     # a converged row with non-finite trackers raises, as does an earlier one
     args, diverge_row = tracker_overflow_case(converged_offset)
-    assert assert_runs_equal(args, {}) == diverge_row
+    assert assert_runs_equal(args) == diverge_row
 
 
 def test_rounds_past_convergence_keep_the_noise_stream():
     # the converging run draws its block's rounds ahead of need; a second
     # run on the same channel still replays the stream a fresh channel draws
     p, channel, cfg, x0 = converging_case(BLOCK // 2, noise_sigma=1e-2)
-    oracle = solve(p)
-    assert assert_runs_equal((p, channel, cfg, x0), {"oracle_solution": oracle}).converged
+    assert assert_runs_equal((p, channel, cfg, x0)).converged
     assert len(channel._rounds) == BLOCK - 1
     longer = replace(cfg, tol=0.0, max_iter=2 * BLOCK)
-    assert len(assert_runs_equal((p, channel, longer, x0), {"oracle_solution": oracle})) == \
+    assert len(assert_runs_equal((p, channel, longer, x0))) == \
         2 * BLOCK + 1
 
 
@@ -842,7 +884,7 @@ def test_noise_bounded_floor():
     g = build_topology("random", 10, edge_prob=0.5, seed=2)
     x0 = np.linspace(10, 30, 10)
     cfg = SolverConfig(algorithm="dagt_hb", alpha=0.01, momentum=0.05, max_iter=3000, tol=0.0)
-    trace = run(p, CommChannel(g, noise_sigma=1e-3, seed=11), cfg, x0, oracle_solution=solve(p))
+    trace = run(p, CommChannel(g, noise_sigma=1e-3, seed=11), cfg, x0)
     r = np.asarray(trace.residual_msq)
     assert np.isfinite(r).all()
     floor = np.median(r[-300:])
@@ -899,11 +941,10 @@ def test_runs_sharing_a_channel_match_fresh_channels(family, delay):
     alg, momentum = family
     p, channel, cfg, x0 = delay_case(delay, noise_sigma=1e-2)
     cfg = replace(cfg, algorithm=alg, momentum=momentum)
-    oracle = solve(p)
 
     def shared(config):
         # the reference draws the channel's stream afresh on every run
-        outcome = assert_runs_equal((p, channel, config, x0), {"oracle_solution": oracle})
+        outcome = assert_runs_equal((p, channel, config, x0))
         return outcome, len(channel._rounds)
 
     tick, drawn = shared(replace(cfg, alpha=10.0, max_iter=10_000))
@@ -958,10 +999,12 @@ def reference_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("with_oracle", [True, False], ids=["oracle", "no-oracle"])
+# "oracle": the problem's ground truth is solved before the run;
+# "no-oracle": the run's first flush solves it
+@pytest.mark.parametrize("solved_first", [True, False], ids=["oracle", "no-oracle"])
 @pytest.mark.parametrize("converged", [False, True], ids=["budget", "tolerance"])
 @pytest.mark.parametrize("delay", [0, 1, 2, 3])
-def test_trace_csv_matches_csv_text_of_its_columns(delay, converged, with_oracle):
+def test_trace_csv_matches_csv_text_of_its_columns(delay, converged, solved_first):
     # to_csv formats a held row once; its text must still be csv_text's.
     # Rows 3 and 4 get every column zero, of opposite signs, so only the
     # rows' own formatting tells them apart
@@ -969,7 +1012,12 @@ def test_trace_csv_matches_csv_text_of_its_columns(delay, converged, with_oracle
         p, g, cfg, x0 = converging_case(BLOCK + 3, delay)
     else:
         p, g, cfg, x0 = delay_case(delay, max_iter=arrival_tick(BLOCK + 3, delay) + delay // 2)
-    trace = run(p, g, cfg, x0, oracle_solution=solve(p) if with_oracle else None)
+    p = replace(p)  # converging_case's runs solved p's ground truth
+    if solved_first:
+        p.ground_truth
+    assert (p._truth is not None) == solved_first
+    trace = run(p, g, cfg, x0)
+    assert p._truth is not None
     assert trace.converged == converged
     for row, zero in ((3, 0.0), (4, -0.0)):
         start = arrival_tick(row, delay)

@@ -207,6 +207,13 @@ INVOCATIONS = {
         "init.x0_range=0,1e308", "solver.max_iter=3")],
     "run-oracle-not-evaluable": ["run", "--preset", "cournot-paper", *_sets(
         "problem.omega1=1e308", "solver.max_iter=3")],
+    # a problem whose own L3 overflows, a negative sweep value and a repeated topology kind
+    **{f"{command}-problem-L3-overflow": [command, "--preset", "quadratic-demo",
+                                          *_sets(f"problem.h={','.join(['1e120'] * 8)}")]
+       for command in ("bounds", "region")},
+    "sweep-negative-value": ["sweep", "--preset", "cournot-paper", *_sets("sweep.values=-0.5")],
+    "topology-repeated-kind": ["topology", "--preset", "quadratic-demo", *_sets(
+        "topology_compare.kinds=ring,ring", "solver.max_iter=20")],
 }
 
 
