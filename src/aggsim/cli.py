@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, convert, keyed, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, keyed, load_config, parse_config, serialize_config
 from .exceptions import (
     ConfigError,
     DivergenceDetected,
@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .graph import build_topology
 from .presets import get_preset, preset_names
-from .solver import ALGORITHMS, NONNEGATIVE, CommChannel, csv_text, run as run_solver
+from .solver import ALGORITHMS, CommChannel, csv_text, run as run_solver
 from .stability import (
     StabilityConstants,
     conservative_bounds_hb,
@@ -76,14 +76,6 @@ def _json_dump(obj):
     return json.dumps(_strict(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _list(cfg, key, default):
-    """The key's comma list; a scalar is one entry, an empty value none."""
-    value = cfg.get(key, default)
-    if value in ("", None):
-        return []
-    return value if isinstance(value, list) else [value]
-
-
 def _has_exact_rates(problem):
     """The exact-rate matrices model scalar states whose curvature does not
     depend on the aggregate (b = e = 0): the quadratic family."""
@@ -109,10 +101,9 @@ class Experiment:
     the noise level), and the first solves the problem's ground truth.
 
     The experiment is where noisy channels are built: solver.noise_sigma
-    and solver.seed are read here, once, and the seed is checked even when
-    the noise level is 0. Noisy runs on one graph with one noise_sigma
-    share a CommChannel, so the command draws their noise stream once and
-    every run replays it. The channels, and the noise they record, live as
+    and solver.seed are read here, once. Noisy runs on one graph with one
+    noise_sigma share a CommChannel, so the command draws their noise
+    stream once and every run replays it. The channels, and the noise they record, live as
     long as the experiment: one command.
     """
 
@@ -120,10 +111,7 @@ class Experiment:
         self.cfg = cfg
         self.problem, self.graph = cfg.build_problem_and_graph()
         self.x0, self.x_prev = cfg.build_x0(self.problem)
-        self.noise_sigma = cfg.value("solver.noise_sigma", float, 0.0)
-        self.seed = cfg.seed("solver.seed", 0)
-        if self.noise_sigma < 0:
-            raise ConfigError(NONNEGATIVE, key="solver.*")
+        self.noise_sigma, self.seed = cfg["solver.noise_sigma"], cfg["solver.seed"]
         self._channels = {}
 
     def run(self, graph=None, noise_sigma=None, diagnostics=True, **overrides):
@@ -173,14 +161,13 @@ def _run_summary(exp, solver_cfg, trace):
 
 
 def cmd_run(cfg):
-    export_graph, compare = cfg.flag("output.export_graph"), cfg.flag("run.compare")
     exp = Experiment(cfg)
     solver_cfg, trace = exp.run()
     files = {"trace.csv": trace.to_csv()}
     summary = _run_summary(exp, solver_cfg, trace)
-    if export_graph:
+    if cfg["output.export_graph"]:
         files["weights.csv"] = exp.graph.weights_csv()
-    if compare:
+    if cfg["run.compare"]:
         rows = []
         for alg in ALGORITHMS:
             atrace = trace if alg == solver_cfg.algorithm else exp.run(algorithm=alg)[1]
@@ -190,15 +177,12 @@ def cmd_run(cfg):
 
 
 def cmd_sweep(cfg):
-    algorithm = cfg.get("solver.algorithm", "dagt_hb")
+    algorithm = cfg["solver.algorithm"]
     if algorithm not in ("dagt_hb", "dagt_nes"):
         raise ConfigError("sweep needs a momentum algorithm", key="solver.algorithm")
-    values = [convert(float, v, "sweep.values") for v in _list(cfg, "sweep.values", [])]
-    if any(v < 0 for v in values):
-        raise ConfigError("momentum parameters must be nonnegative", key="sweep.values")
     exp = Experiment(cfg)
     rows = []
-    for v in values:
+    for v in cfg["sweep.values"]:
         try:
             trace = exp.run(momentum=v, diagnostics=False)[1]
             rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
@@ -211,15 +195,9 @@ def cmd_sweep(cfg):
 
 
 def cmd_topology(cfg):
-    kinds = _list(cfg, "topology_compare.kinds", ["star", "ring", "complete"])
-    bad = [k for k in kinds if k not in ("star", "ring", "complete")]
-    if bad:
-        raise ConfigError(f"unsupported topology kinds {bad}", key="topology_compare.kinds")
-    if len(set(kinds)) < len(kinds):  # per_topology holds one entry per kind
-        raise ConfigError(f"repeated topology kinds {kinds}", key="topology_compare.kinds")
     exp = Experiment(cfg)
     rows, per_topology = [], {}
-    for kind in kinds:
+    for kind in cfg["topology_compare.kinds"]:
         graph = build_topology(kind, exp.problem.n_agents)
         _, trace = exp.run(graph=graph)
         rows += [(kind, int(k), float(r)) for k, r in zip(trace.k, trace.residual_msq)]
@@ -229,13 +207,8 @@ def cmd_topology(cfg):
 
 
 def cmd_robustness(cfg):
-    delay = cfg.value("robustness.delay_steps", int, 2)
-    sigma = cfg.value("robustness.noise_sigma", float, 0.001)
-    noise_iters = cfg.value("robustness.noise_max_iter", int, 10000)
-    for name, value in (("delay_steps", delay), ("noise_sigma", sigma),
-                        ("noise_max_iter", noise_iters)):
-        if value < 0:
-            raise ConfigError(f"{name} must be nonnegative", key=f"robustness.{name}")
+    delay, sigma = cfg["robustness.delay_steps"], cfg["robustness.noise_sigma"]
+    noise_iters = cfg["robustness.noise_max_iter"]
     exp = Experiment(cfg)
     files, summary = {}, {"delay": {}, "noise": {}, "delay_steps": delay, "noise_sigma": sigma}
     code = 0
@@ -269,9 +242,9 @@ def cmd_robustness(cfg):
 def _constants(cfg):
     with keyed("problem.*"):  # a problem's own L3 can overflow, as an override can
         c = StabilityConstants.from_problem(*cfg.build_problem_and_graph())
-    values = {k: cfg.value(f"bounds.{k}", float, v) for k, v in vars(c).items()}
+    given = {k: cfg.values[f"bounds.{k}"] for k in vars(c) if f"bounds.{k}" in cfg.values}
     with keyed("bounds.*"):
-        return StabilityConstants(**values)
+        return StabilityConstants(**{**vars(c), **given})
 
 
 def _bounds_entry(bounds, member):
@@ -281,11 +254,10 @@ def _bounds_entry(bounds, member):
 
 def cmd_bounds(cfg):
     constants = _constants(cfg)
-    hb = conservative_bounds_hb(constants)
-    nes = conservative_bounds_nes(constants)
-    alpha = cfg.value("solver.alpha", float, hb.alpha_eval)
-    beta = cfg.value("solver.beta", float, 0.0)
-    gamma = cfg.value("solver.gamma", float, 0.0)
+    with keyed("bounds.*"):  # the constants' box can be empty, as at L2 = 0
+        hb, nes = conservative_bounds_hb(constants), conservative_bounds_nes(constants)
+    alpha = cfg.values.get("solver.alpha", hb.alpha_eval)
+    beta, gamma = cfg["solver.beta"], cfg["solver.gamma"]
     with keyed("solver.*"):  # the constants pass, so only the configured pair can overflow
         hb_member = region_member_hb(constants, alpha, beta)
         nes_member = region_member_nes(constants, alpha, gamma)
@@ -342,12 +314,10 @@ def _region_csv(constants, member_fn, matrix_fn, a_grid, m_grid):
 
 def cmd_region(cfg):
     constants = _constants(cfg)
-    algorithm = cfg.get("region.algorithm", "dagt_hb")
-    if algorithm not in ("dagt_hb", "dagt_nes"):
-        raise ConfigError("region.algorithm must be dagt_hb or dagt_nes", key="region.algorithm")
+    algorithm = cfg["region.algorithm"]
     fns = ((region_member_hb, error_matrix_hb) if algorithm == "dagt_hb"
            else (region_member_nes, error_matrix_nes))
-    a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum", 0.5)
+    a_grid, m_grid = cfg.grid("alpha", 1.0 / constants.L1), cfg.grid("momentum")
     with keyed("region.*"):  # the constants pass, so only a grid point can overflow
         pieces, members = _region_csv(constants, *fns, a_grid, m_grid)
     summary = {"algorithm": algorithm, "members": members, "points": a_grid.size * m_grid.size}

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .exceptions import ConfigError, ConstructionFailed, InvalidArgument
-from .graph import build_topology
+from .graph import TOPOLOGY_KINDS, build_topology
 from .problems import make_cournot, make_placement, make_quadratic
 from .solver import ALGORITHMS, SolverConfig
 
@@ -84,9 +84,96 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def convert(kind, value, key):
-    """kind(value) for a config value; a failed conversion, a float that
-    is not finite and a fractional value for an int is a ConfigError."""
+_REQUIRED = object()
+RANGE = "range"
+INDEX_MAX = np.iinfo(np.intp).max  # more than numpy can index
+AT_LEAST_0, SIZE, COUNT = (0, None), (0, INDEX_MAX), (1, INDEX_MAX)
+
+# every config key: (kind, default, domain). A kind is float, int, bool, a
+# tuple of allowed strings, [kind] for a comma list of that kind, or RANGE:
+# two floats lo <= hi. A domain (lo, hi) bounds every number from below and,
+# unless hi is None, from above. A default of None is computed at the read
+# site, or means the key is unset.
+KEYS = {
+    "problem.kind": (("placement", "cournot", "quadratic"), _REQUIRED, None),
+    "problem.r": ([float], _REQUIRED, None),
+    "problem.omega": ([float], [1.0], None),
+    "problem.n_agents": (int, _REQUIRED, COUNT),
+    "problem.seed": (int, 0, AT_LEAST_0),
+    "problem.kappa_range": (RANGE, (0.5, 2.5), None),
+    "problem.theta_range": (RANGE, (10.0, 20.0), None),
+    "problem.sigma_range": (RANGE, (5.0, 20.0), None),
+    "problem.omega1": (float, _REQUIRED, None),
+    "problem.omega2": (float, _REQUIRED, None),
+    "problem.c": ([float], _REQUIRED, None),
+    "problem.h": ([float], None, None),  # zeros of problem.c's size
+    "problem.l": ([float], None, None),  # zeros of problem.c's size
+    "topology.kind": (TOPOLOGY_KINDS, _REQUIRED, None),
+    "topology.n_agents": (int, _REQUIRED, None),
+    "topology.edge_prob": (float, None, None),
+    "topology.seed": (int, None, AT_LEAST_0),
+    "solver.algorithm": (ALGORITHMS, "dagt_hb", None),
+    "solver.alpha": (float, _REQUIRED, None),  # bounds takes its box's alpha_eval
+    "solver.beta": (float, 0.0, None),
+    "solver.gamma": (float, 0.0, None),
+    "solver.max_iter": (int, 5000, AT_LEAST_0),
+    "solver.tol": (float, 1e-6, AT_LEAST_0),
+    "solver.delay_steps": (int, 0, AT_LEAST_0),
+    "solver.noise_sigma": (float, 0.0, AT_LEAST_0),
+    "solver.seed": (int, 0, AT_LEAST_0),
+    "init.x0": ([float], None, None),
+    "init.x0_range": (RANGE, (0.0, 1.0), None),
+    "init.x_prev": ([float], None, None),
+    "init.seed": (int, 0, AT_LEAST_0),
+    "sweep.values": ([float], [], AT_LEAST_0),
+    "topology_compare.kinds": ([("star", "ring", "complete")], ["star", "ring", "complete"], None),
+    "robustness.delay_steps": (int, 2, AT_LEAST_0),
+    "robustness.noise_sigma": (float, 0.001, AT_LEAST_0),
+    "robustness.noise_max_iter": (int, 10000, AT_LEAST_0),
+    "region.algorithm": (("dagt_hb", "dagt_nes"), "dagt_hb", None),
+    "region.alpha_min": (float, 1e-4, None),
+    "region.alpha_max": (float, None, None),  # 1 / L1
+    "region.alpha_steps": (int, 20, SIZE),
+    "region.momentum_min": (float, 1e-4, None),
+    "region.momentum_max": (float, 0.5, None),
+    "region.momentum_steps": (int, 20, SIZE),
+    "bounds.mu": (float, None, None),  # bounds.*: the problem's constants
+    "bounds.L1": (float, None, None),
+    "bounds.L2": (float, None, None),
+    "bounds.L3": (float, None, None),
+    "bounds.rho": (float, None, None),
+    "output.export_graph": (bool, False, None),
+    "run.compare": (bool, False, None),
+}
+
+
+def convert(kind, value, key, domain=None):
+    """value as a key of that kind and domain (see KEYS); a comma list takes
+    a scalar as one entry and an empty value as none, and names each choice
+    at most once. Any failed check is a ConfigError of key."""
+    if isinstance(kind, list):
+        entries = [] if value == "" else value if isinstance(value, (list, tuple)) else [value]
+        out = [convert(kind[0], v, key, domain) for v in entries]
+        if isinstance(kind[0], tuple) and len(set(out)) < len(out):
+            raise ConfigError(f"repeated choices {out}", key=key)
+        return out
+    if kind == RANGE:
+        out = convert([float], value, key)
+        if len(out) != 2:
+            raise ConfigError(f"expected 2 entries, got {len(out)}", key=key)
+        lo, hi = _finite_span(*out, key)
+        if lo > hi:
+            raise ConfigError(f"range {lo!r} to {hi!r} is reversed: need lo <= hi", key=key)
+        return lo, hi
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"expected one of {', '.join(kind)}, got {value!r}", key=key)
+        return value
+    if kind is bool or isinstance(value, bool):
+        if kind is not bool or not isinstance(value, bool):
+            raise ConfigError(f"expected {'true or false' if kind is bool else kind.__name__}, "
+                              f"got {value!r}", key=key)
+        return value
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -95,6 +182,11 @@ def convert(kind, value, key):
         raise ConfigError(f"expected a finite float, got {value!r}", key=key)
     if kind is int and isinstance(value, float) and out != value:
         raise ConfigError(f"expected an integer, got {value!r}", key=key)
+    lo, hi = domain or (None, None)
+    if lo is not None and out < lo:
+        raise ConfigError(f"must be at least {lo}, got {value!r}", key=key)
+    if hi is not None and out > hi:
+        raise ConfigError(f"must be at most {hi}, got {value!r}", key=key)
     return out
 
 
@@ -115,126 +207,71 @@ def _finite_span(lo, hi, key):
     return lo, hi
 
 
-_REQUIRED = object()
-
-
 class ExperimentConfig:
-    """Typed view over a flat config dict: problem + topology + solver + init.
+    """Checked view over a flat config dict: problem + topology + solver + init.
 
-    Building the experiment objects validates every referenced parameter
-    against the module preconditions; errors surface as ConfigError with
-    the offending key.
+    Every key is converted and checked against KEYS when the config is
+    built, whether or not a command reads it; an unknown key is a
+    ConfigError. `values` holds the checked value of each key given, and
+    cfg[key] is that value, else the key's default. Checks across keys, or
+    against the model, run where the experiment objects are built; every
+    error is a ConfigError naming the offending key.
     """
 
     def __init__(self, raw):
         self.raw = dict(raw)
+        self.values = {}
+        for key, value in self.raw.items():
+            if key not in KEYS:
+                raise ConfigError("unknown key", key=key)
+            kind, _, domain = KEYS[key]
+            self.values[key] = convert(kind, value, key, domain)
 
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
-
-    def require(self, key):
-        if key not in self.raw:
+    def __getitem__(self, key):
+        value = self.values.get(key, KEYS[key][1])
+        if value is _REQUIRED:
             raise ConfigError("missing required key", key=key)
-        return self.raw[key]
-
-    def value(self, key, kind, default=_REQUIRED):
-        """The key's value converted by kind (float or int); a missing
-        required key or a failed conversion is a ConfigError. A default
-        of None passes through unconverted."""
-        value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
-        return None if value is None else convert(kind, value, key)
-
-    def flag(self, key):
-        """The key's true or false, default false; any other value is a ConfigError."""
-        value = self.raw.get(key, False)
-        if not isinstance(value, bool):
-            raise ConfigError(f"expected true or false, got {value!r}", key=key)
         return value
 
-    def seed(self, key, default):
-        """The key's int seed, or default; numpy rejects a negative one."""
-        seed = self.value(key, int, default)
-        if seed is not None and seed < 0:
-            raise ConfigError("seed must be nonnegative", key=key)
-        return seed
-
-    def array(self, key, default=_REQUIRED, size=None):
-        """The key's number or comma list as a float array; like value, and
-        with size given, any other entry count is a ConfigError."""
-        value = self.require(key) if default is _REQUIRED else self.raw.get(key, default)
-        if isinstance(value, (int, float)):
-            value = [value]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError("expected a number or comma list", key=key)
-        arr = np.array([convert(float, v, key) for v in value])
-        if size is not None and arr.size != size:
-            raise ConfigError(f"expected {size} entries, got {arr.size}", key=key)
-        return arr
-
-    def range(self, key, default):
-        """The key's two-entry range as floats (lo, hi), lo <= hi; see array
-        and _finite_span."""
-        lo, hi = _finite_span(*self.array(key, default, size=2), key)
-        if lo > hi:
-            raise ConfigError(f"range {lo!r} to {hi!r} is reversed: need lo <= hi", key=key)
-        return lo, hi
-
-    def grid(self, axis, default_max):
-        """The region grid along one axis, from region.<axis>_min/_max/_steps."""
-        lo, hi = _finite_span(self.value(f"region.{axis}_min", float, 1e-4),
-                              self.value(f"region.{axis}_max", float, default_max),
+    def grid(self, axis, max_default=None):
+        """The region grid along one axis, from region.<axis>_min/_max/_steps;
+        max_default stands in for an unset max."""
+        hi = self[f"region.{axis}_max"]
+        lo, hi = _finite_span(self[f"region.{axis}_min"], max_default if hi is None else hi,
                               f"region.{axis}_*")
-        steps = self.value(f"region.{axis}_steps", int, 20)
-        if steps < 0:
-            raise ConfigError("grid size must be nonnegative", key=f"region.{axis}_steps")
-        if steps > np.iinfo(np.intp).max:  # more than numpy can index
-            raise ConfigError(f"grid size must be at most {np.iinfo(np.intp).max}",
-                              key=f"region.{axis}_steps")
-        return np.linspace(lo, hi, steps)
+        return np.linspace(lo, hi, self[f"region.{axis}_steps"])
 
     # -- problem ---------------------------------------------------------
     # an overflowing coefficient is reported by the Hessian check, not by numpy warnings
     @np.errstate(over="ignore", invalid="ignore")
     def build_problem(self):
-        kind = self.require("problem.kind")
+        kind = self["problem.kind"]
         with keyed("problem.*"):
             if kind == "placement":
-                r = self.array("problem.r")
+                r = np.array(self["problem.r"])
                 if r.size % 2:
                     raise ConfigError("expected x,y anchor pairs", key="problem.r")
-                return make_placement(r.reshape(-1, 2), self.array("problem.omega", 1.0))
+                return make_placement(r.reshape(-1, 2), self["problem.omega"])
             if kind == "cournot":
-                n = self.value("problem.n_agents", int)
-                if n < 1:
-                    raise ConfigError("n_agents must be positive", key="problem.n_agents")
-                if n > np.iinfo(np.intp).max:  # more than numpy can index
-                    raise ConfigError(f"n_agents must be at most {np.iinfo(np.intp).max}",
-                                      key="problem.n_agents")
-                rng = np.random.default_rng(self.seed("problem.seed", 0))
-                kappa = rng.uniform(*self.range("problem.kappa_range", [0.5, 2.5]), n)
-                theta = rng.uniform(*self.range("problem.theta_range", [10, 20]), n)
-                sigma = rng.uniform(*self.range("problem.sigma_range", [5, 20]), n)
-                return make_cournot(
-                    kappa, theta, sigma,
-                    self.value("problem.omega1", float),
-                    self.value("problem.omega2", float),
-                )
-            if kind == "quadratic":
-                c = self.array("problem.c")
-                h = self.array("problem.h", [0.0] * c.size)
-                l = self.array("problem.l", [0.0] * c.size)
-                return make_quadratic(c, h, l)
-        raise ConfigError(f"unknown problem kind {kind!r}", key="problem.kind")
+                n = self["problem.n_agents"]
+                rng = np.random.default_rng(self["problem.seed"])
+                kappa = rng.uniform(*self["problem.kappa_range"], n)
+                theta = rng.uniform(*self["problem.theta_range"], n)
+                sigma = rng.uniform(*self["problem.sigma_range"], n)
+                return make_cournot(kappa, theta, sigma, self["problem.omega1"],
+                                    self["problem.omega2"])
+            c, h, l = self["problem.c"], self["problem.h"], self["problem.l"]
+            zeros = [0.0] * len(c)
+            return make_quadratic(c, zeros if h is None else h, zeros if l is None else l)
 
     # -- topology ----------------------------------------------------------
     def build_graph(self):
-        kind = self.require("topology.kind")
-        n = self.value("topology.n_agents", int)
+        kind, n = self["topology.kind"], self["topology.n_agents"]
         # edge_prob/seed only apply to random patterns; a preset may carry
         # them while the kind is overridden
         is_random = kind == "random"
-        edge_prob = self.value("topology.edge_prob", float, None) if is_random else None
-        seed = self.seed("topology.seed", None) if is_random else None
+        edge_prob = self["topology.edge_prob"] if is_random else None
+        seed = self["topology.seed"] if is_random else None
         if is_random and seed is None:
             # an unseeded draw would give a different graph on every run
             raise ConfigError("a random topology needs a seed", key="topology.seed")
@@ -246,7 +283,7 @@ class ExperimentConfig:
     def build_problem_and_graph(self):
         """The problem and the graph, whose agent counts are compared first."""
         problem = self.build_problem()
-        n = self.value("topology.n_agents", int)
+        n = self["topology.n_agents"]
         if n != problem.n_agents:
             raise ConfigError(f"graph has {n} agents, problem has {problem.n_agents}",
                               key="topology.n_agents")
@@ -255,19 +292,16 @@ class ExperimentConfig:
     # -- solver ------------------------------------------------------------
     def build_solver_config(self, algorithm=None, **overrides):
         """The SolverConfig of one run. Heavy ball takes its momentum from
-        solver.beta and Nesterov from solver.gamma; both keys are checked
-        for every algorithm."""
-        algorithm = algorithm or self.get("solver.algorithm", "dagt_hb")
-        if algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algorithm!r}", key="solver.algorithm")
+        solver.beta and Nesterov from solver.gamma."""
+        algorithm = algorithm or self["solver.algorithm"]
         kw = dict(
             algorithm=algorithm,
-            alpha=self.value("solver.alpha", float),
-            momentum={"dagt_hb": self.value("solver.beta", float, 0.0),
-                      "dagt_nes": self.value("solver.gamma", float, 0.0)}.get(algorithm, 0.0),
-            max_iter=self.value("solver.max_iter", int, 5000),
-            tol=self.value("solver.tol", float, 1e-6),
-            delay_steps=self.value("solver.delay_steps", int, 0),
+            alpha=self["solver.alpha"],
+            momentum={"dagt_hb": self["solver.beta"],
+                      "dagt_nes": self["solver.gamma"]}.get(algorithm, 0.0),
+            max_iter=self["solver.max_iter"],
+            tol=self["solver.tol"],
+            delay_steps=self["solver.delay_steps"],
         )
         kw.update(overrides)
         with keyed("solver.*"):
@@ -275,13 +309,11 @@ class ExperimentConfig:
 
     # -- initial point -------------------------------------------------------
     def build_x0(self, problem):
-        if "init.x0" in self.raw:
-            x0 = self.array("init.x0", size=problem.dim)
-        else:
-            lo, hi = self.range("init.x0_range", [0.0, 1.0])
-            rng = np.random.default_rng(self.seed("init.seed", 0))
-            x0 = rng.uniform(lo, hi, problem.dim)
-        x_prev = None
-        if "init.x_prev" in self.raw:
-            x_prev = self.array("init.x_prev", size=problem.dim)
-        return x0, x_prev
+        x0, x_prev = self["init.x0"], self["init.x_prev"]
+        for key, value in (("init.x0", x0), ("init.x_prev", x_prev)):
+            if value is not None and len(value) != problem.dim:
+                raise ConfigError(f"expected {problem.dim} entries, got {len(value)}", key=key)
+        if x0 is None:
+            rng = np.random.default_rng(self["init.seed"])
+            x0 = rng.uniform(*self["init.x0_range"], problem.dim)
+        return np.array(x0), None if x_prev is None else np.array(x_prev)

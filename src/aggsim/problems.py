@@ -199,8 +199,8 @@ def make_placement(r, omega):
     analytic bounds. L2 = 2, L3 = 1.
     """
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[1] != 2:
-        raise InvalidArgument("anchors r must be an (N, 2) array")
+    if r.ndim != 2 or r.shape[1] != 2 or not r.size:
+        raise InvalidArgument("anchors r must be an (N, 2) array, N >= 1")
     n = r.shape[0]
     try:
         w = np.broadcast_to(np.asarray(omega, dtype=float), (n,))
@@ -253,8 +253,8 @@ def make_quadratic(c, h, l):
     n = c.shape[0]
     if h.shape != (n,) or l.shape != (n,):
         raise InvalidArgument("c, h, l must have equal length")
-    if (c <= 0).any():
-        raise InvalidArgument("c entries must be positive")
+    if not c.size or (c <= 0).any():
+        raise InvalidArgument("c needs at least one entry, all positive")
     if (h < 0).any():
         raise InvalidArgument("h entries must be nonnegative")
     return AggregativeProblem(

@@ -46,10 +46,6 @@ TRACE_COLUMNS = ("iter", "residual_msq", "obj_gap", "grad_norm", "u_track_err", 
 # gradients are one more (BLOCK, N d) array, a quarter of the finite check's
 BLOCK = 64
 
-# the config error of a negative solver.max_iter, delay_steps or
-# noise_sigma; SolverConfig checks the first two, cli.Experiment the third
-NONNEGATIVE = "max_iter, delay_steps, noise_sigma must be nonnegative"
-
 
 def csv_text(header, rows):
     """CSV text of a table of Python scalars. str of a Python float is its
@@ -91,8 +87,8 @@ class SolverConfig:
             raise InvalidArgument("momentum parameters must be nonnegative")
         if self.algorithm == "dagt" and self.momentum != 0:
             raise InvalidArgument("dagt requires momentum = 0")
-        if self.max_iter < 0 or self.delay_steps < 0:
-            raise InvalidArgument(NONNEGATIVE)
+        if self.max_iter < 0 or self.tol < 0 or self.delay_steps < 0:
+            raise InvalidArgument("max_iter, tol and delay_steps must be nonnegative")
 
     @cached_property
     def family(self):

@@ -353,8 +353,8 @@ def test_criterion_11_robustness():
         assert iters["dagt_hb"] < iters["dagt"]
         assert iters["dagt_nes"] < iters["dagt"]
 
-        channel = CommChannel(graph, noise_sigma=float(cfg.get("robustness.noise_sigma")),
-                              seed=cfg.seed("solver.seed", 0))
+        channel = CommChannel(graph, noise_sigma=cfg["robustness.noise_sigma"],
+                              seed=cfg["solver.seed"])
         for alg in ALGORITHMS:
             scfg = preset_solver_cfg(cfg, alg, max_iter=10000, tol=0.0)
             trace = run(problem, channel, scfg, x0, x_minus1=x_prev)

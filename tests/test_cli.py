@@ -14,12 +14,13 @@ import aggsim.cli as cli
 import aggsim.oracle as oracle
 import aggsim.stability as stability
 from aggsim.cli import main, measured_tail_rate
-from aggsim.config import ExperimentConfig, serialize_config
+from aggsim.config import KEYS, ExperimentConfig, serialize_config
 from aggsim.graph import CommGraph
 from aggsim.presets import get_preset
 from aggsim.solver import TRACE_COLUMNS, SolverConfig, csv_text
 from aggsim.stability import StabilityConstants
 
+from test_config import bad_values
 from test_stability import reference_region_csv
 
 
@@ -304,7 +305,7 @@ CAUSES = {
     "region.alpha_steps=1000000": "Unable to allocate 7.28 TiB for an array with shape "
                                   "(1000000, 1000000) and data type float64",
     "bounds.L2=-1": "L2 and L3 must be nonnegative (key 'bounds.*')",
-    "problem.n_agents=0": "n_agents must be positive (key 'problem.n_agents')",
+    "problem.n_agents=0": "must be at least 1, got 0 (key 'problem.n_agents')",
     f"problem.c={','.join(['1e308'] * 8)}":
         "tuned dagt step size underflows to 0: L1 = 1e+308 too large (key 'problem.c')",
     HB_STEP_OVERFLOW:
@@ -316,8 +317,8 @@ CAUSES = {
     "problem.omega1=1e308": "ground truth cannot be evaluated at x*: gradient norm inf, "
                             "objective nan (key 'problem.*')",
     HUGE_H: "L3 = 1e+120 too large: L3 (1 + L3)^2 overflows (key 'problem.*')",
-    "sweep.values=0.5,-0.5": "momentum parameters must be nonnegative (key 'sweep.values')",
-    "topology_compare.kinds=ring,ring": "repeated topology kinds ['ring', 'ring'] "
+    "sweep.values=0.5,-0.5": "must be at least 0, got -0.5 (key 'sweep.values')",
+    "topology_compare.kinds=ring,ring": "repeated choices ['ring', 'ring'] "
                                         "(key 'topology_compare.kinds')",
     **{f"{key}={lo},{hi}": f"range {float(lo)!r} to {float(hi)!r} is reversed: need lo <= hi "
                            f"(key '{key}')"
@@ -361,9 +362,9 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
 # exit 2 and this exact stderr line, no numpy warning, and writes nothing
 @pytest.mark.parametrize("command,preset,overrides,message", [
     pytest.param("run", "quadratic-demo", ["solver.seed=-1"],
-                 "seed must be nonnegative (key 'solver.seed')", id="seed-at-sigma-0"),
+                 "must be at least 0, got -1 (key 'solver.seed')", id="seed-at-sigma-0"),
     pytest.param("run", "quadratic-demo", ["solver.noise_sigma=-1"],
-                 "max_iter, delay_steps, noise_sigma must be nonnegative (key 'solver.*')",
+                 "must be at least 0, got -1 (key 'solver.noise_sigma')",
                  id="negative-sigma"),
     pytest.param("run", "quadratic-demo", ["solver.noise_sigma=1e400"],
                  "expected a finite float, got inf (key 'solver.noise_sigma')", id="infinite-sigma"),
@@ -375,13 +376,13 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
     pytest.param("run", "placement-paper", ["solver.algorithm=dagt_nes", "solver.gamma=-1"],
                  "momentum parameters must be nonnegative (key 'solver.*')", id="negative-gamma"),
     pytest.param("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=-0.5"],
-                 "momentum parameters must be nonnegative (key 'sweep.values')",
+                 "must be at least 0, got -0.5 (key 'sweep.values')",
                  id="negative-sweep-value"),
     pytest.param("bounds", "cournot-paper", ["topology.n_agents=3"],
                  "graph has 3 agents, problem has 50 (key 'topology.n_agents')",
                  id="agent-count-mismatch"),
     pytest.param("robustness", "quadratic-demo", ["robustness.noise_sigma=-1"],
-                 "noise_sigma must be nonnegative (key 'robustness.noise_sigma')",
+                 "must be at least 0, got -1 (key 'robustness.noise_sigma')",
                  id="negative-robustness-sigma"),
     # a coefficient whose Hessian entry overflows
     *[pytest.param("run", preset, [kv], f"{HESSIAN_OVERFLOW} (key 'problem.*')", id=kv)
@@ -389,7 +390,8 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
                          ("cournot-paper", "problem.omega2=1e308"),
                          ("cournot-paper", "problem.kappa_range=1e308,1e308"))],
     *[pytest.param(command, preset, ["solver.algorithm=1,2"],
-                   "unknown algorithm [1, 2] (key 'solver.algorithm')", id=f"{command}-algorithm-list")
+                   "expected one of dagt, dagt_hb, dagt_nes, got [1, 2] (key 'solver.algorithm')",
+                   id=f"{command}-algorithm-list")
       for command, preset in (("run", "cournot-paper"), ("topology", "placement-paper"))],
     # agent counts numpy cannot allocate are rejected before anything is built
     pytest.param("run", "cournot-paper", ["topology.n_agents=1e308"],
@@ -399,7 +401,7 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
                  f"graph has {int(1e308)} agents, problem has 8 (key 'topology.n_agents')",
                  id="rates-graph-count-1e308"),
     pytest.param("run", "cournot-paper", ["problem.n_agents=1e308"],
-                 f"n_agents must be at most {np.iinfo(np.intp).max} (key 'problem.n_agents')",
+                 f"must be at most {np.iinfo(np.intp).max}, got 1e+308 (key 'problem.n_agents')",
                  id="cournot-count-1e308"),
     # the problem's linear term overflows, its Hessian does not
     pytest.param("run", "placement-paper", ["problem.omega=1e307"],
@@ -418,7 +420,7 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
                    f"(key 'region.{axis}_*')", id=f"grid-{axis}-span-width")
       for axis in ("alpha", "momentum")],
     pytest.param("region", "placement-paper", ["region.alpha_steps=1e308"],
-                 f"grid size must be at most {np.iinfo(np.intp).max} (key 'region.alpha_steps')",
+                 f"must be at most {np.iinfo(np.intp).max}, got 1e+308 (key 'region.alpha_steps')",
                  id="grid-size-past-index"),
     *[pytest.param("run", "quadratic-demo", [f"{key}={value}"],
                    f"expected true or false, got {value!r} (key '{key}')", id=f"{key}-{value}")
@@ -431,10 +433,10 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
     # checked before the first run, so a bad noise budget is not found
     # only after the delay runs
     pytest.param("robustness", "quadratic-demo", ["robustness.delay_steps=-1"],
-                 "delay_steps must be nonnegative (key 'robustness.delay_steps')",
+                 "must be at least 0, got -1 (key 'robustness.delay_steps')",
                  id="negative-robustness-delay"),
     pytest.param("robustness", "quadratic-demo", ["robustness.noise_max_iter=-1"],
-                 "noise_max_iter must be nonnegative (key 'robustness.noise_max_iter')",
+                 "must be at least 0, got -1 (key 'robustness.noise_max_iter')",
                  id="negative-robustness-noise-budget"),
 ])
 def test_run_parameter_errors_name_their_key(tmp_path, capsys, command, preset, overrides,
@@ -992,37 +994,63 @@ def test_robustness_diverged_delay_run_reports_its_arrival_tick(tmp_path):
     assert summary["noise"]["dagt_hb"]["bounded"]
 
 
-# the documented config keys (README, "Config format") the exit-code property
-# overrides, with values from a bounded domain: no draw allocates much or
-# runs long, and the failures it reaches are config errors or divergence
-DOCUMENTED_KEYS = (
-    "problem.kind", "problem.n_agents", "problem.seed", "problem.kappa_range",
-    "problem.theta_range", "problem.sigma_range", "problem.omega1", "problem.omega2",
-    "problem.r", "problem.omega", "problem.c", "problem.h", "problem.l",
-    "topology.kind", "topology.n_agents", "topology.edge_prob", "topology.seed",
-    "solver.algorithm", "solver.alpha", "solver.beta", "solver.gamma", "solver.max_iter",
-    "solver.tol", "solver.delay_steps", "solver.noise_sigma", "solver.seed",
-    "init.x0", "init.x0_range", "init.x_prev", "init.seed",
-    "sweep.values", "region.algorithm", "region.alpha_min", "region.alpha_max",
-    "region.alpha_steps", "region.momentum_min", "region.momentum_max",
-    "region.momentum_steps", "bounds.mu", "bounds.L1", "bounds.L2", "bounds.L3", "bounds.rho",
-    "output.export_graph", "run.compare",
-)
+@pytest.mark.parametrize("key", KEYS)
+def test_each_bad_value_of_each_key_exits_2_naming_it(tmp_path, capsys, key):
+    out = tmp_path / "o"
+    for name, text in bad_values(key).items():
+        assert run_cli("run", "--preset", "quadratic-demo", "--set", f"{key}={text}",
+                       "--out", str(out)) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.endswith(f"(key '{key}')\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--dump-config"]], ids=["run", "dump-config"])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, extra):
+    assert run_cli("run", "--preset", "quadratic-demo", "--set", "solver.alhpa=100", *extra,
+                   "--out", str(tmp_path / "o")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: unknown key (key 'solver.alhpa')\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("preset,overrides,key", [
+    ("quadratic-demo", ["topology.kind=ring", "topology.seed=-1"], "topology.seed"),
+    ("placement-paper", ["init.x0_range=5,1"], "init.x0_range"),
+], ids=["unused-topology-seed", "x0-range-beside-x0"])
+def test_invalid_value_of_an_unread_key_exits_2(tmp_path, capsys, preset, overrides, key):
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    assert run_cli("run", "--preset", preset, *sets, "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.endswith(f"(key '{key}')\n")
+
+
 OVERRIDE_VALUES = st.one_of(
     st.integers(-3, 5).map(str),
-    st.sampled_from(["1e400", "-1e400", "1e200", "nan", "", "abc", "1,2", "0.5", "dagt_nes"]),
+    st.sampled_from(["1e400", "-1e400", "1e200", "nan", "", "abc", "1,2", "0.5", "dagt_nes",
+                     "true", "ring"]),
 )
-# caps that keep every run short; a drawn override comes after them and wins
-SHORT_RUNS = ["solver.max_iter=100", "sweep.values=0.0,0.5",
+# caps that keep every run short; a drawn override comes after them and wins,
+# but a run budget is not drawn at 1e200: a noisy run at tol = 0 would never stop
+SHORT_RUNS = ["solver.max_iter=100", "robustness.noise_max_iter=100", "sweep.values=0.0,0.5",
               "region.alpha_steps=4", "region.momentum_steps=4"]
+BUDGETS = ("solver.max_iter", "robustness.noise_max_iter")
+# the keys an error may name besides the drawn ones: the groups whose
+# objects check their own preconditions, and the keys that checks across
+# keys name (agent counts, tuned points, start sizes, the command's
+# algorithm or problem kind, a random topology's seed)
+GROUP_KEYS = {"problem.*", "solver.*", "bounds.*", "topology.*", "region.*",
+              "region.alpha_*", "region.momentum_*"}
+CROSS_KEYS = {"topology.n_agents", "problem.c", "init.x0", "init.x_prev", "solver.algorithm",
+              "problem.kind", "topology.seed"}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["run", "bounds", "region", "sweep"]),
+    st.sampled_from(sorted(cli.COMMANDS)),
     st.sampled_from(["placement-paper", "cournot-paper", "quadratic-demo"]),
-    st.lists(st.tuples(st.sampled_from(DOCUMENTED_KEYS), OVERRIDE_VALUES),
-             min_size=1, max_size=2, unique_by=lambda kv: kv[0]),
+    st.lists(st.tuples(st.sampled_from(list(KEYS)), OVERRIDE_VALUES), min_size=1, max_size=2,
+             unique_by=lambda kv: kv[0]).filter(
+        lambda kvs: not any(key in BUDGETS and value == "1e200" for key, value in kvs)),
 )
 def test_random_overrides_exit_0_2_or_3(tmp_path_factory, command, preset, overrides):
     sets = SHORT_RUNS + [f"{key}={value}" for key, value in overrides]
@@ -1032,3 +1060,6 @@ def test_random_overrides_exit_0_2_or_3(tmp_path_factory, command, preset, overr
         code = run_cli(command, "--preset", preset, *args, "--out", str(out))
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        named = err.getvalue().rpartition("(key '")[2].removesuffix("')\n")
+        assert named in {key for key, _ in overrides} | GROUP_KEYS | CROSS_KEYS, err.getvalue()

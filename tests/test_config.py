@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggsim.config import ExperimentConfig, parse_config, serialize_config
+from aggsim.config import _REQUIRED, KEYS, RANGE, ExperimentConfig, parse_config, serialize_config
 from aggsim.exceptions import ConfigError
 from aggsim.presets import get_preset, preset_names
 
@@ -78,9 +81,8 @@ def test_presets_round_trip_through_text():
 
 
 def test_unknown_problem_kind():
-    cfg = ExperimentConfig({"problem.kind": "lasso"})
-    with pytest.raises(ConfigError):
-        cfg.build_problem()
+    with pytest.raises(ConfigError, match="problem.kind"):
+        ExperimentConfig({"problem.kind": "lasso"})
 
 
 def test_missing_required_key():
@@ -123,13 +125,12 @@ def test_x0_size_mismatch():
     ("solver.max_iter", 2.7), ("problem.n_agents", 0.5), ("topology.n_agents", 8.5),
 ])
 def test_fractional_int_value_rejected(key, value):
-    cfg = ExperimentConfig({key: value})
     with pytest.raises(ConfigError) as exc:
-        cfg.value(key, int)
+        ExperimentConfig({key: value})
     assert key in str(exc.value) and "integer" in str(exc.value)
     # an integral float and an int string still convert
-    assert ExperimentConfig({key: 3.0}).value(key, int) == 3
-    assert ExperimentConfig({key: "3"}).value(key, int) == 3
+    assert ExperimentConfig({key: 3.0})[key] == 3
+    assert ExperimentConfig({key: "3"})[key] == 3
 
 
 def test_preset_fidelity_to_published_numbers():
@@ -168,8 +169,8 @@ SCALAR_TEXTS = st.one_of(
     st.text("abcxyz_.-+0123456789 ", max_size=8),
 )
 VALUE_TEXTS = st.one_of(SCALAR_TEXTS, st.lists(SCALAR_TEXTS, min_size=2, max_size=4).map(",".join))
-KEYS = st.lists(st.sampled_from(["solver", "alpha", "k2", "x_0", "problem"]),
-                min_size=1, max_size=3).map(".".join)
+KEY_TEXTS = st.lists(st.sampled_from(["solver", "alpha", "k2", "x_0", "problem"]),
+                     min_size=1, max_size=3).map(".".join)
 
 
 def same_config(a, b):
@@ -182,8 +183,84 @@ def same_config(a, b):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.dictionaries(KEYS, VALUE_TEXTS, max_size=6))
+@given(st.dictionaries(KEY_TEXTS, VALUE_TEXTS, max_size=6))
 def test_parse_serialize_parse_round_trips(entries):
     text = "".join(f"{key} = {value}\n" for key, value in entries.items())
     parsed = parse_config(text)
     assert same_config(parse_config(serialize_config(parsed)), parsed)
+
+
+def bad_values(key):
+    """{class: config text} of each class of value that KEYS rejects for key:
+    a wrong kind, a value that is not finite, a bool for a number, a value
+    below or above the domain, a wrong entry count, and a value that is not
+    one of the choices."""
+    kind, _, domain = KEYS[key]
+    entry = kind[0] if isinstance(kind, list) else kind
+    cases = {}
+    if entry in (float, int) or kind == RANGE:
+        cases.update({"wrong-kind": "abc", "not-finite": "nan", "bool": "true"})
+    if entry is int:
+        cases["fractional"] = "2.5"
+    if entry in (float, int) and not isinstance(kind, list):
+        cases["list"] = "1,2"
+    if domain is not None:
+        cases["below-domain"] = str(domain[0] - 1)
+        if domain[1] is not None:
+            cases["above-domain"] = "1e300"
+    if kind == RANGE:
+        cases.update({"one-entry": "1", "three-entries": "1,2,3", "reversed": "2,1",
+                      "too-wide": "-1e308,1e308"})
+    if entry is bool:
+        cases.update({"not-a-bool": "yes", "number": "1"})
+    if isinstance(entry, tuple):
+        cases.update({"not-a-choice": "nope", "number": "1"})
+        cases["repeated" if isinstance(kind, list) else "list"] = f"{entry[0]},{entry[0]}"
+    return cases
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_has_bad_values_and_passes_its_own_default(key):
+    # tests/test_cli.py runs each bad value through the CLI
+    assert bad_values(key)
+    default = KEYS[key][1]
+    if isinstance(default, (bool, int, float, str, list, tuple)):
+        assert ExperimentConfig({key: default})[key] == default
+
+
+def test_missing_required_key_raises_where_it_is_read():
+    cfg = ExperimentConfig({"problem.kind": "cournot"})
+    with pytest.raises(ConfigError, match="missing required key") as exc:
+        cfg["problem.n_agents"]
+    assert exc.value.key == "problem.n_agents"
+    assert cfg["problem.seed"] == 0 and cfg["topology.seed"] is None
+
+
+def describe(key):
+    """One line of the README's key list: key, kind and domain, default."""
+    kind, default, domain = KEYS[key]
+
+    def kind_text(kind):
+        if isinstance(kind, list):
+            return f"list of {kind_text(kind[0])}"
+        if isinstance(kind, tuple):
+            return "|".join(kind)
+        return {bool: "true|false", RANGE: "range lo,hi"}.get(kind, getattr(kind, "__name__", ""))
+
+    text = kind_text(kind)
+    if domain is not None:
+        text += f", >= {domain[0]}" + ("" if domain[1] is None else ", <= intp max")
+    if default is _REQUIRED or default is None:
+        shown = "required" if default is _REQUIRED else "unset"
+    elif isinstance(default, (list, tuple)):
+        shown = ",".join(map(str, default)) or "(empty)"
+    else:
+        shown = str(default).lower() if isinstance(default, bool) else default
+    return f"{key:26} {text:36} {shown}"
+
+
+def test_readme_key_list_is_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"<!-- keys -->\n```text\n(.*?)```", readme, re.S)
+    assert block, "README has no key list"
+    assert block.group(1).splitlines() == [describe(key).rstrip() for key in KEYS]

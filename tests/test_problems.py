@@ -171,6 +171,14 @@ def test_cournot_rejects_bad_inputs():
         make_cournot([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], 1.0, 1e308)
 
 
+def test_problem_without_agents_is_rejected():
+    # an empty config list reaches the constructors as no entries
+    with pytest.raises(InvalidArgument, match="at least one entry"):
+        make_quadratic([], [], [])
+    with pytest.raises(InvalidArgument, match="N >= 1"):
+        make_placement(np.zeros((0, 2)), 1.0)
+
+
 def test_non_finite_linear_term_or_constant_is_rejected():
     # the Hessian 2 w + 2 stays finite while p = -2 w r and s = w |r|^2 overflow
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
