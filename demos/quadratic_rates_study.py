@@ -12,13 +12,11 @@ import numpy as np
 
 from aggsim import (
     SolverConfig,
-    attained_optimal_radius,
     build_topology,
     make_quadratic,
-    optimal_params,
-    optimal_rate_formula,
     quadratic_rates,
     run,
+    tuned_point,
 )
 from aggsim.cli import measured_tail_rate
 
@@ -33,20 +31,21 @@ print()
 print(f"{'variant':<10} {'alpha':>8} {'momentum':>9} {'radius':>8} {'target':>8} "
       f"{'predicted':>10} {'measured':>9}")
 for alg in ("dagt", "dagt_hb", "dagt_nes"):
-    alpha, momentum = optimal_params(alg, MU, L1)
-    report = quadratic_rates(problem, graph, alpha, momentum, alg)
-    cfg = SolverConfig(alg, alpha=alpha, momentum=momentum, max_iter=3000, tol=1e-12)
+    point = tuned_point(alg, MU, L1)
+    cfg = SolverConfig(alg, alpha=point.alpha, momentum=point.momentum, max_iter=3000, tol=1e-12)
+    report = quadratic_rates(problem, graph, cfg)
     trace = run(problem, graph, cfg, np.linspace(1, 2, N))
-    print(f"{alg:<10} {alpha:>8.4f} {momentum:>9.4f} "
-          f"{report.reduced_radius:>8.4f} {optimal_rate_formula(alg, MU, L1):>8.4f} "
+    print(f"{alg:<10} {point.alpha:>8.4f} {point.momentum:>9.4f} "
+          f"{report.reduced_radius:>8.4f} {point.quoted_rate:>8.4f} "
           f"{report.predicted_rate:>10.4f} {measured_tail_rate(trace):>9.4f}")
 
+nes, hb = tuned_point("dagt_nes", MU, L1), tuned_point("dagt_hb", MU, L1)
 print()
 print("note the nesterov row: the classical closed-form target")
 print("(sqrt(3k+1)-2)/(sqrt(3k+1)+2) = %.4f is NOT attained by this" %
-      optimal_rate_formula("dagt_nes", MU, L1))
+      nes.quoted_rate)
 print("iteration family; the radius it reaches is 1 - 2/sqrt(3k+1) = %.4f," %
-      attained_optimal_radius("dagt_nes", MU, L1))
+      nes.attained_radius)
 print("tight against the momentum-threshold bound. No two-step stationary")
 print("method can beat the heavy-ball ratio (sqrt(k)-1)/(sqrt(k)+1) = %.4f." %
-      optimal_rate_formula("dagt_hb", MU, L1))
+      hb.quoted_rate)

@@ -34,7 +34,7 @@ from .stability import (
     ErrorSystemMatrix,
     JuryVerdict,
     StabilityConstants,
-    attained_optimal_radius,
+    TunedPoint,
     char_poly,
     conservative_bounds_hb,
     conservative_bounds_nes,
@@ -42,12 +42,11 @@ from .stability import (
     error_matrix_nes,
     error_matrix_nes_relaxed,
     jury_stable,
-    optimal_params,
-    optimal_rate_formula,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,
     region_member_nes,
+    tuned_point,
 )
 
 __version__ = "0.1.0"

@@ -31,10 +31,10 @@ from .stability import (
     conservative_bounds_nes,
     error_matrix_hb,
     error_matrix_nes,
-    optimal_params,
     quadratic_rates,
     region_member_hb,
     region_member_nes,
+    tuned_point,
 )
 
 TAIL_FRACTION = 0.2
@@ -49,7 +49,7 @@ def measured_tail_rate(trace):
     when available); returns 10**slope, or nan if too few usable points.
     """
     r = np.asarray(trace.residual_msq, dtype=float)
-    k = np.asarray(trace.k, dtype=float)
+    k = np.arange(r.size, dtype=float)  # the tick of every row
     ok = np.isfinite(r) & (r > 1e-280)
     idx = np.nonzero(ok)[0]
     if idx.size < 3:
@@ -82,13 +82,8 @@ def _has_exact_rates(problem):
     return problem.b == 0 and problem.e == 0 and problem.local_dim == 1
 
 
-def _per_tick(rate, solver_cfg):
-    # a round takes delay_steps + 1 ticks; at delay 0 the power 1.0 keeps the rate
-    return rate ** (1.0 / (solver_cfg.delay_steps + 1))
-
-
 def _outcome(trace):
-    return {"iterations": int(trace.k[-1]), "converged": bool(trace.converged)}
+    return {"iterations": len(trace) - 1, "converged": bool(trace.converged)}
 
 
 def _stop_reason(trace):
@@ -152,10 +147,8 @@ def _run_summary(exp, solver_cfg, trace):
         "max_s_mean_err": max(trace.s_mean_err),
     }
     if _has_exact_rates(problem) and exp.noise_sigma == 0:
-        report = quadratic_rates(
-            problem, graph, solver_cfg.alpha, solver_cfg.momentum, solver_cfg.algorithm
-        )
-        summary["predicted_rate"] = _per_tick(report.predicted_rate, solver_cfg)
+        report = quadratic_rates(problem, graph, solver_cfg)
+        summary["predicted_rate"] = report.predicted_rate
         summary["reduced_radius"] = report.reduced_radius
     return summary
 
@@ -171,7 +164,7 @@ def cmd_run(cfg):
         rows = []
         for alg in ALGORITHMS:
             atrace = trace if alg == solver_cfg.algorithm else exp.run(algorithm=alg)[1]
-            rows += [(alg, int(k), float(r)) for k, r in zip(atrace.k, atrace.residual_msq)]
+            rows += [(alg, k, float(r)) for k, r in enumerate(atrace.residual_msq)]
         files["compare.csv"] = csv_text(("algorithm", "iter", "residual"), rows)
     return summary, files, 0
 
@@ -200,7 +193,7 @@ def cmd_topology(cfg):
     for kind in cfg["topology_compare.kinds"]:
         graph = build_topology(kind, exp.problem.n_agents)
         _, trace = exp.run(graph=graph)
-        rows += [(kind, int(k), float(r)) for k, r in zip(trace.k, trace.residual_msq)]
+        rows += [(kind, k, float(r)) for k, r in enumerate(trace.residual_msq)]
         per_topology[kind] = {"rho": graph.rho, **_outcome(trace)}
     files = {"topology.csv": csv_text(("topology", "iter", "residual_msq"), rows)}
     return {"per_topology": per_topology}, files, 0
@@ -228,7 +221,7 @@ def cmd_robustness(cfg):
             files[f"robustness_noise_{alg}.csv"] = trace.to_csv()
             res = np.asarray(trace.residual_msq)
             summary["noise"][alg] = {
-                "iterations": int(trace.k[-1]),
+                "iterations": len(trace) - 1,
                 "bounded": bool(np.isfinite(res).all()),
                 "floor_residual_msq": float(np.median(res[-max(1, len(res) // 10):])),
             }
@@ -330,17 +323,16 @@ def cmd_rates(cfg):
         raise ConfigError("rates requires problem.kind = quadratic", key="problem.kind")
     mu, L1 = exp.problem.constants.mu, exp.problem.constants.L1
     with keyed("problem.c"):  # every tuned point is checked before the first run
-        tuned = {alg: optimal_params(alg, mu, L1) for alg in ALGORITHMS}
+        tuned = {alg: tuned_point(alg, mu, L1) for alg in ALGORITHMS}
     rows, details = [], {}
     code = 0
-    for alg, (alpha, momentum) in tuned.items():
-        report = quadratic_rates(exp.problem, exp.graph, alpha, momentum, alg)
-        solver_cfg, trace = exp.run(algorithm=alg, alpha=alpha, momentum=momentum)
-        predicted = _per_tick(report.predicted_rate, solver_cfg)
-        measured = measured_tail_rate(trace)
+    for alg, point in tuned.items():
+        solver_cfg, trace = exp.run(algorithm=alg, alpha=point.alpha, momentum=point.momentum)
+        report = quadratic_rates(exp.problem, exp.graph, solver_cfg)
+        predicted, measured = report.predicted_rate, measured_tail_rate(trace)
         rel = abs(measured - predicted) / predicted
-        rows.append((alg, *map(float, (alpha, momentum, report.reduced_radius, report.rho_graph,
-                                        predicted, measured, rel))))
+        rows.append((alg, point.alpha, point.momentum, report.reduced_radius, report.rho_graph,
+                     predicted, measured, rel))
         details[alg] = {"predicted": predicted, "measured": measured, "rel_error": rel}
         if not trace.converged:
             code = 3

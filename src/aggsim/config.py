@@ -114,8 +114,8 @@ KEYS = {
     "topology.seed": (int, None, AT_LEAST_0),
     "solver.algorithm": (ALGORITHMS, "dagt_hb", None),
     "solver.alpha": (float, _REQUIRED, None),  # bounds takes its box's alpha_eval
-    "solver.beta": (float, 0.0, None),
-    "solver.gamma": (float, 0.0, None),
+    "solver.beta": (float, 0.0, AT_LEAST_0),
+    "solver.gamma": (float, 0.0, AT_LEAST_0),
     "solver.max_iter": (int, 5000, AT_LEAST_0),
     "solver.tol": (float, 1e-6, AT_LEAST_0),
     "solver.delay_steps": (int, 0, AT_LEAST_0),

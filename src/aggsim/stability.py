@@ -24,12 +24,13 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import InconsistentResult, InvalidArgument, OutOfValidityRegion, UnsupportedDegree
 from .problems import RegularityConstants
-from .solver import SolverConfig, SolverState, momentum_family, step
+from .solver import SolverState, momentum_family, step
 
 _EPS = np.finfo(float).eps
 
@@ -542,11 +543,11 @@ class QuadraticRateReport:
     spectral_radius: float  # largest dense radius of the matrix's diagonal blocks
     reduced_radius: float  # exact agentwise reduction
     rho_graph: float
-    predicted_rate: float  # max(rho_graph, reduced_radius)
+    predicted_rate: float  # max(rho_graph, reduced_radius) per tick of the run
 
 
-def quadratic_rates(qp, graph, alpha, momentum, algorithm):
-    """Spectral convergence rate of one algorithm on a quadratic instance.
+def quadratic_rates(qp, graph, config):
+    """Spectral convergence rate of the run at `config` on a quadratic instance.
 
     Reads the linear part of one round off `step` (see _round_matrix),
     computes the reduced shortcut max(rho_graph, reduced state radius), and
@@ -559,11 +560,10 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
     eigensolver most of its precision. A repeated root within a block still
     costs about half, so the agreement gate is the wider of 1e-9 and a
     defectiveness-aware allowance, and a miss raises InconsistentResult;
-    tests assert the tight tolerance on simple-spectrum instances. An alpha
-    or momentum that SolverConfig rejects raises its InvalidArgument.
+    tests assert the tight tolerance on simple-spectrum instances. The
+    radii are per round; a round takes delay_steps + 1 ticks of the run, so
+    predicted_rate is the per-round rate to the power 1 / (delay_steps + 1).
     """
-    # beta is the heavy-ball and Nesterov momentum, and 0 for dagt, which ignores it
-    config = SolverConfig(algorithm, alpha, momentum_family(algorithm, momentum)[0])
     full = _round_matrix(qp, graph, config)
     n = len(qp.c)
     m = len(full) - 2 * n  # x, and x_prev with momentum
@@ -576,7 +576,7 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
         float(np.abs(np.linalg.eigvals(full[b, b])).max())
         for b in (slice(0, n), slice(n, n + m), slice(n + m, None))
     )
-    reduced = quad_reduced_radius(qp.c, alpha, momentum, algorithm)
+    reduced = quad_reduced_radius(qp.c, config.alpha, config.momentum, config.algorithm)
     rho_graph = graph.rho
     predicted = max(rho_graph, reduced)
     gate = max(1e-9, 5e-8 * (1.0 + predicted))
@@ -587,7 +587,8 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
         spectral_radius=spectral,
         reduced_radius=reduced,
         rho_graph=rho_graph,
-        predicted_rate=predicted,
+        # at delay 0 the power 1.0 keeps the rate
+        predicted_rate=predicted ** (1.0 / (config.delay_steps + 1)),
     )
 
 
@@ -595,12 +596,20 @@ def quadratic_rates(qp, graph, alpha, momentum, algorithm):
 # Tuned parameters and closed-form rate targets
 # ---------------------------------------------------------------------------
 
-def _tuned(algorithm, mu, L1):
-    """(alpha, momentum, quoted rate, attained radius) at the closed-form
-    tuned point, k = L1/mu. dagt: alpha = 2/(mu+L1), no momentum (0.0).
-    dagt_hb: alpha = 4/(sqrt(L1)+sqrt(mu))^2, momentum the squared ratio
-    (sqrt(L1)-sqrt(mu))/(sqrt(L1)+sqrt(mu)). For both the quoted rate,
-    (k-1)/(k+1) or (sqrt(k)-1)/(sqrt(k)+1), is the attained radius.
+class TunedPoint(NamedTuple):
+    alpha: float
+    momentum: float
+    quoted_rate: float
+    attained_radius: float
+
+
+def tuned_point(algorithm, mu, L1):
+    """The closed-form tuned (alpha, momentum) of a quadratic instance, its
+    quoted rate and the radius it attains, k = L1/mu. dagt: alpha =
+    2/(mu+L1), no momentum (0.0). dagt_hb: alpha = 4/(sqrt(L1)+sqrt(mu))^2,
+    momentum the squared ratio (sqrt(L1)-sqrt(mu))/(sqrt(L1)+sqrt(mu)). For
+    both the quoted rate, (k-1)/(k+1) or (sqrt(k)-1)/(sqrt(k)+1), is the
+    attained radius.
     dagt_nes: alpha = 4/(3 L1 + mu), momentum and quoted rate (q-2)/(q+2),
     q = sqrt(3k+1), but the family attains 1 - 2/q. Its momentum and radius
     take 3 L1/mu and its quoted rate 3 k, which can round apart (at mu = L1,
@@ -613,7 +622,7 @@ def _tuned(algorithm, mu, L1):
     kappa = L1 / mu
     if algorithm == "dagt":
         rate = (kappa - 1.0) / (kappa + 1.0)
-        tuned = 2.0 / (mu + L1), 0.0, rate, rate
+        tuned = TunedPoint(2.0 / (mu + L1), 0.0, rate, rate)
     elif algorithm == "dagt_hb":
         ratio = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
         rate = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
@@ -621,32 +630,17 @@ def _tuned(algorithm, mu, L1):
             alpha = 4.0 / (math.sqrt(L1) + math.sqrt(mu)) ** 2
         except OverflowError:  # the squared denominator overflows: the step underflows
             alpha = 0.0
-        tuned = alpha, ratio**2, rate, rate
+        tuned = TunedPoint(alpha, ratio**2, rate, rate)
     elif algorithm == "dagt_nes":
         q = math.sqrt(3.0 * L1 / mu + 1.0)
         quoted = math.sqrt(3.0 * kappa + 1.0)
-        tuned = (4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0),
-                 (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / q, 0.0))
+        tuned = TunedPoint(4.0 / (3.0 * L1 + mu), max((q - 2.0) / (q + 2.0), 0.0),
+                           (quoted - 2.0) / (quoted + 2.0), max(1.0 - 2.0 / q, 0.0))
     else:
         raise InvalidArgument(f"unknown algorithm {algorithm!r}")
-    if tuned[0] == 0:
+    if tuned.alpha == 0:
         raise InvalidArgument(f"tuned {algorithm} step size underflows to 0: L1 = {L1} too large")
-    if not math.isfinite(tuned[1]):
+    if not math.isfinite(tuned.momentum):
         raise InvalidArgument(f"tuned {algorithm} momentum is not finite: 3 L1 / mu overflows "
                               f"(mu = {mu}, L1 = {L1})")
     return tuned
-
-
-def optimal_params(algorithm, mu, L1):
-    """Closed-form tuned (alpha, momentum) for a quadratic instance (see _tuned)."""
-    return _tuned(algorithm, mu, L1)[:2]
-
-
-def optimal_rate_formula(algorithm, mu, L1):
-    """Closed-form rate target quoted for the tuned parameters (see _tuned)."""
-    return _tuned(algorithm, mu, L1)[2]
-
-
-def attained_optimal_radius(algorithm, mu, L1):
-    """Reduced-matrix spectral radius actually attained at optimal_params."""
-    return _tuned(algorithm, mu, L1)[3]

@@ -36,18 +36,16 @@ from aggsim.problems import make_quadratic
 from aggsim.solver import ALGORITHMS, CommChannel, SolverConfig, SolverState, run, step
 from aggsim.stability import (
     StabilityConstants,
-    attained_optimal_radius,
     conservative_bounds_hb,
     conservative_bounds_nes,
     error_matrix_hb,
     error_matrix_nes,
     jury_stable,
-    optimal_params,
-    optimal_rate_formula,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,
     region_member_nes,
+    tuned_point,
 )
 
 from test_stability import momentum_threshold_bound, quad_full_matrix
@@ -181,7 +179,7 @@ def _rate_sample(seed=123, n_pairs=20):
 def test_criterion_06a_hb_rate_formula():
     with criterion("6a", "tuned heavy-ball reduced radius matches formula to 1e-9"):
         for mu, L1 in _rate_sample():
-            alpha, beta = optimal_params("dagt_hb", mu, L1)
+            alpha, beta = tuned_point("dagt_hb", mu, L1)[:2]
             c = np.linspace(mu, L1, 6)
             radius = quad_reduced_radius(c, alpha, beta, "dagt_hb")
             target = (math.sqrt(L1) - math.sqrt(mu)) / (math.sqrt(L1) + math.sqrt(mu))
@@ -200,15 +198,14 @@ def test_criterion_06b_nes_rate_formula():
     with criterion("6b", "tuned Nesterov reduced radius is 1 - 2/sqrt(3k+1) to 1e-9; "
                    "quoted (q-2)/(q+2) is the tuned gamma and unattainable"):
         for mu, L1 in _rate_sample():
-            alpha, gamma = optimal_params("dagt_nes", mu, L1)
+            alpha, gamma, quoted, attained = tuned_point("dagt_nes", mu, L1)
             c = np.linspace(mu, L1, 6)
             radius = quad_reduced_radius(c, alpha, gamma, "dagt_nes")
             q = math.sqrt(3 * L1 / mu + 1)
             target = 1 - 2 / q
             assert abs(radius - target) <= 1e-9, (mu, L1, radius, target)
-            assert abs(radius - attained_optimal_radius("dagt_nes", mu, L1)) <= 1e-9
+            assert abs(radius - attained) <= 1e-9
 
-            quoted = optimal_rate_formula("dagt_nes", mu, L1)
             assert abs(quoted - (q - 2) / (q + 2)) <= 1e-9
             assert abs(quoted - gamma) <= 1e-9, (mu, L1, quoted, gamma)
             assert abs(radius - quoted) > 1e-9, (mu, L1, radius, quoted)
@@ -220,9 +217,8 @@ def test_criterion_06c_optimal_rate_ordering():
     with criterion("6c", "quoted tuned-rate formulas order NES < HB < DAGT for kappa > 2 "
                    "(attained order is HB < NES < DAGT)"):
         for mu, L1 in _rate_sample():
-            nes = optimal_rate_formula("dagt_nes", mu, L1)
-            hb = optimal_rate_formula("dagt_hb", mu, L1)
-            dagt = optimal_rate_formula("dagt", mu, L1)
+            nes, hb, dagt = (tuned_point(alg, mu, L1).quoted_rate
+                             for alg in ("dagt_nes", "dagt_hb", "dagt"))
             assert nes < hb < dagt
 
 
@@ -251,9 +247,9 @@ def test_criterion_08_measured_vs_predicted_rate():
         mu, L1 = problem.constants.mu, problem.constants.L1
         assert graph.rho <= (L1 - mu) / (L1 + mu)
         for alg in ALGORITHMS:
-            alpha, momentum = optimal_params(alg, mu, L1)
-            report = quadratic_rates(problem, graph, alpha, momentum or 0.0, alg)
-            scfg = preset_solver_cfg(cfg, alg, alpha=alpha, momentum=momentum or 0.0)
+            alpha, momentum = tuned_point(alg, mu, L1)[:2]
+            scfg = preset_solver_cfg(cfg, alg, alpha=alpha, momentum=momentum)
+            report = quadratic_rates(problem, graph, scfg)
             trace = run(problem, graph, scfg, x0, x_minus1=x_prev)
             measured = measured_tail_rate(trace)
             assert abs(measured - report.predicted_rate) / report.predicted_rate < 0.05, alg

@@ -92,6 +92,28 @@ def test_predicted_rate_is_per_tick_under_delay(tmp_path):
         assert summary["per_algorithm"][alg]["rel_error"] < 0.05
 
 
+@pytest.mark.parametrize("delay", [0, 1])
+def test_rates_and_run_describe_one_iteration(tmp_path, delay):
+    # run at an algorithm's tuned point writes that algorithm's rates.csv row
+    delay_set = ["--set", f"solver.delay_steps={delay}"]
+    assert run_cli("rates", "--preset", "quadratic-demo", *delay_set, "--out", str(tmp_path)) == 0
+    header, rows = read_csv(tmp_path / "rates.csv")
+    constants = ExperimentConfig(get_preset("quadratic-demo")).build_problem().constants
+    for row in rows:
+        alg = row[0]
+        alpha, momentum = stability.tuned_point(alg, constants.mu, constants.L1)[:2]
+        sets = [f"solver.algorithm={alg}", f"solver.alpha={alpha!r}",
+                f"solver.beta={momentum!r}", f"solver.gamma={momentum!r}"]
+        args = [arg for kv in sets for arg in ("--set", kv)] + delay_set
+        out = tmp_path / alg
+        assert run_cli("run", "--preset", "quadratic-demo", *args, "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for key, column in (("predicted_rate", "predicted_rate"),
+                            ("reduced_radius", "reduced_radius"),
+                            ("measured_tail_rate", "measured_rate")):
+            assert summary[key] == float(row[header.index(column)]), (alg, key)
+
+
 @pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
 def test_placement_objective_gap_nonnegative(tmp_path, algorithm):
     # the gap is (x - x*).H(x - x*) / 2 from the quadratic model; F(x) - f*
@@ -372,9 +394,9 @@ HESSIAN_OVERFLOW = "Hessian has a non-finite entry: a coefficient is too large"
     pytest.param("run", "placement-paper", ["solver.gamma=nanx"],
                  "expected float, got 'nanx' (key 'solver.gamma')", id="unparsable-unused-gamma"),
     pytest.param("run", "placement-paper", ["solver.beta=-1"],
-                 "momentum parameters must be nonnegative (key 'solver.*')", id="negative-beta"),
+                 "must be at least 0, got -1 (key 'solver.beta')", id="negative-beta"),
     pytest.param("run", "placement-paper", ["solver.algorithm=dagt_nes", "solver.gamma=-1"],
-                 "momentum parameters must be nonnegative (key 'solver.*')", id="negative-gamma"),
+                 "must be at least 0, got -1 (key 'solver.gamma')", id="negative-gamma"),
     pytest.param("sweep", "quadratic-demo", ["solver.algorithm=dagt_hb", "sweep.values=-0.5"],
                  "must be at least 0, got -0.5 (key 'sweep.values')",
                  id="negative-sweep-value"),
@@ -487,7 +509,7 @@ MU_EQUALS_L1 = ("0.7", "3.3", "6.1")
     ("bounds", "placement-paper", []),
     ("region", "placement-paper", ["region.alpha_steps=3", "region.momentum_steps=3"]),
     ("rates", "quadratic-demo", []),
-    # mu = L1, where 3 L1 / mu rounds below 3 (see _tuned)
+    # mu = L1, where 3 L1 / mu rounds below 3 (see tuned_point)
     *[("rates", "quadratic-demo", [f"problem.c={','.join([c] * 8)}"]) for c in MU_EQUALS_L1],
 ], ids=["run", "sweep", "topology", "robustness", "bounds", "region", "rates",
         *[f"rates-mu-equal-L1-{c}" for c in MU_EQUALS_L1]])

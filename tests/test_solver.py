@@ -485,15 +485,15 @@ def test_momentum_beats_plain_iterations_on_quadratic():
     # plain method to reach a fixed gradient threshold; between the two,
     # heavy ball attains the smaller reduced radius (0.5 vs 0.622 at
     # condition number 9), so it is the fastest
-    from aggsim.stability import optimal_params
+    from aggsim.stability import tuned_point
 
     p = make_quadratic(np.linspace(1, 9, 8), np.full(8, 0.5), np.zeros(8))
     g = build_topology("random", 8, edge_prob=0.8, seed=3)
     x0 = np.linspace(1, 2, 8)
     iters = {}
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
-        a, m = optimal_params(alg, 1.0, 9.0)
-        cfg = SolverConfig(algorithm=alg, alpha=a, momentum=m or 0.0, max_iter=2000, tol=1e-6)
+        a, m = tuned_point(alg, 1.0, 9.0)[:2]
+        cfg = SolverConfig(algorithm=alg, alpha=a, momentum=m, max_iter=2000, tol=1e-6)
         trace = run(p, g, cfg, x0)
         assert trace.converged
         iters[alg] = trace.k[-1]
@@ -512,7 +512,7 @@ def test_tail_rate_dominated_by_error_system_prediction():
     g = build_topology("random", 8, edge_prob=0.8, seed=3)
     cfg = SolverConfig(algorithm="dagt_hb", alpha=0.1, momentum=0.2, max_iter=4000, tol=1e-12)
     trace = run(p, g, cfg, np.linspace(1, 2, 8))
-    rho_hat = quadratic_rates(p, g, 0.1, 0.2, "dagt_hb").predicted_rate
+    rho_hat = quadratic_rates(p, g, cfg).predicted_rate
     rate = measured_tail_rate(trace)
     assert rate < (1 + rho_hat) / 2 + 0.01
     assert rate < 1.0
@@ -983,8 +983,9 @@ def test_solver_config_validation():
         SolverConfig(algorithm="dagt_hb", alpha=-0.1)
     with pytest.raises(InvalidArgument):
         SolverConfig(algorithm="momentum", alpha=0.1)
-    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"tol": float("nan")},
-                {"delay_steps": -1}, {"momentum": -0.1}, {"momentum": float("nan")}):
+    for bad in ({"alpha": 0.0}, {"alpha": float("nan")}, {"alpha": float("inf")},
+                {"tol": float("nan")}, {"delay_steps": -1}, {"momentum": -0.1},
+                {"momentum": float("nan")}):
         with pytest.raises(InvalidArgument):
             SolverConfig(**{"algorithm": "dagt_hb", "alpha": 0.1, **bad})
 

@@ -19,7 +19,6 @@ from aggsim.stability import (
     ErrorSystemMatrix,
     StabilityConstants,
     _companion2_radius,
-    attained_optimal_radius,
     char_poly,
     conservative_bounds_hb,
     conservative_bounds_nes,
@@ -27,12 +26,11 @@ from aggsim.stability import (
     error_matrix_nes,
     error_matrix_nes_relaxed,
     jury_stable,
-    optimal_params,
-    optimal_rate_formula,
     quad_reduced_radius,
     quadratic_rates,
     region_member_hb,
     region_member_nes,
+    tuned_point,
 )
 
 PLACEMENT = dict(mu=40.0, L1=42.0, L2=2.0, L3=1.0)
@@ -1205,9 +1203,10 @@ def test_rates_read_off_step_match_the_full_matrix_reference():
             a = rng.uniform(0.01, 1.0 / qp.constants.L1)
             cases.append((qp, g, a, 0.0 if alg == "dagt" else rng.uniform(0.01, 0.9), alg))
     ring = make_quadratic(np.array([4.0, 1.0, 1.0, 1.0]), np.full(4, 0.5), np.zeros(4))
-    cases.append((ring, build_topology("ring", 4), *optimal_params("dagt_hb", 1.0, 4.0), "dagt_hb"))
+    tuned = tuned_point("dagt_hb", 1.0, 4.0)
+    cases.append((ring, build_topology("ring", 4), tuned.alpha, tuned.momentum, "dagt_hb"))
     for qp, g, a, mom, alg in cases:
-        rep = quadratic_rates(qp, g, a, mom, alg)
+        rep = quadratic_rates(qp, g, SolverConfig(alg, a, mom))
         orders = ("sxu", "xus") if alg == "dagt" else ("sxpu", "xpus")
         ref = diagonal_blocks(quad_full_matrix(qp, g, a, mom, alg), orders[1])
         assert abs(rep.spectral_radius - max(map(spectral_radius, ref))) <= 1e-12
@@ -1216,13 +1215,22 @@ def test_rates_read_off_step_match_the_full_matrix_reference():
             assert np.abs(ours - theirs).max() <= 8 * np.finfo(float).eps
 
 
-def test_rates_map_dagt_momentum_through_the_family():
+def test_rates_read_only_the_iteration_of_the_config():
+    # the stopping rule changes no bit; the delay changes only
+    # predicted_rate, which is per tick of the run at the config
     qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
     g = build_topology("ring", 5)
-    # SolverConfig rejects a dagt momentum; the rates ignore it
-    ours, plain = quadratic_rates(qp, g, 0.1, 0.3, "dagt"), quadratic_rates(qp, g, 0.1, 0.0, "dagt")
-    assert ours.predicted_rate == plain.predicted_rate
-    assert np.array_equal(ours.matrix.entries, plain.matrix.entries)
+    radii = lambda r: (r.spectral_radius, r.reduced_radius, r.rho_graph)
+    for alg, momentum in (("dagt", 0.0), ("dagt_hb", 0.3), ("dagt_nes", 0.3)):
+        base = quadratic_rates(qp, g, SolverConfig(alg, 0.1, momentum))
+        assert base.predicted_rate == max(base.rho_graph, base.reduced_radius)
+        for kw in ({"max_iter": 0}, {"max_iter": 7, "tol": 0.5}, {"tol": 0.0}, {"delay_steps": 0},
+                   {"delay_steps": 1}, {"delay_steps": 2, "max_iter": 3}, {"delay_steps": 5}):
+            rep = quadratic_rates(qp, g, SolverConfig(alg, 0.1, momentum, **kw))
+            assert rep.matrix.entries.tobytes() == base.matrix.entries.tobytes()
+            assert radii(rep) == radii(base)
+            delay = kw.get("delay_steps", 0)
+            assert rep.predicted_rate == base.predicted_rate ** (1.0 / (delay + 1))
 
 
 @pytest.mark.parametrize("alpha,momentum,algorithm", [
@@ -1230,9 +1238,11 @@ def test_rates_map_dagt_momentum_through_the_family():
     (math.nan, 0.2, "dagt_hb"), (0.1, -0.2, "dagt_hb"), (0.1, math.nan, "dagt_nes"),
 ])
 def test_rates_reject_what_the_solver_config_rejects(alpha, momentum, algorithm):
+    # the rates take only a built SolverConfig, so no point the run refuses
+    # reaches them
     qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
     with pytest.raises(InvalidArgument):
-        quadratic_rates(qp, build_topology("ring", 5), alpha, momentum, algorithm)
+        quadratic_rates(qp, build_topology("ring", 5), SolverConfig(algorithm, alpha, momentum))
 
 
 def reference_quad_reduced_radius(c, alpha, momentum, algorithm):
@@ -1268,7 +1278,7 @@ def test_reduced_radius_matches_reference_companions():
 
 def test_dagt_optimal_step_reduced_rate():
     mu, L1 = 1.0, 9.0
-    a, _ = optimal_params("dagt", mu, L1)
+    a = tuned_point("dagt", mu, L1).alpha
     assert a == pytest.approx(0.2)
     c = np.linspace(mu, L1, 7)
     assert quad_reduced_radius(c, a, 0.0, "dagt") == pytest.approx((L1 - mu) / (L1 + mu), abs=1e-14)
@@ -1276,7 +1286,7 @@ def test_dagt_optimal_step_reduced_rate():
 
 def test_hb_tuned_radius_attains_target():
     mu, L1 = 1.0, 9.0
-    a, b = optimal_params("dagt_hb", mu, L1)
+    a, b = tuned_point("dagt_hb", mu, L1)[:2]
     assert a == pytest.approx(0.25)
     # tuned momentum is the squared target ratio; at it the radius equals
     # the ratio itself (both boundary blocks coalesce)
@@ -1287,7 +1297,8 @@ def test_hb_tuned_radius_attains_target():
 
 def test_nes_tuned_radius_attained_value():
     mu, L1 = 1.0, 9.0
-    a, g = optimal_params("dagt_nes", mu, L1)
+    tuned = tuned_point("dagt_nes", mu, L1)
+    a, g = tuned[:2]
     q = math.sqrt(28.0)
     assert a == pytest.approx(1.0 / 7.0)
     assert g == pytest.approx((q - 2) / (q + 2), abs=1e-12)
@@ -1298,16 +1309,15 @@ def test_nes_tuned_radius_attained_value():
     # family cannot reach the quoted (q-2)/(q+2) target (no two-step
     # stationary method beats the heavy-ball ratio)
     assert attained == pytest.approx(1.0 - 2.0 / q, abs=1e-10)
-    assert attained == pytest.approx(attained_optimal_radius("dagt_nes", mu, L1), abs=1e-12)
-    assert attained > optimal_rate_formula("dagt_nes", mu, L1)
+    assert attained == pytest.approx(tuned.attained_radius, abs=1e-12)
+    assert attained > tuned.quoted_rate
 
 
 def test_rate_formula_ordering_over_condition_grid():
     for kappa in np.linspace(1.4, 200.0, 80):
         mu, L1 = 1.0, kappa
-        nes = optimal_rate_formula("dagt_nes", mu, L1)
-        hb = optimal_rate_formula("dagt_hb", mu, L1)
-        dagt = optimal_rate_formula("dagt", mu, L1)
+        nes, hb, dagt = (tuned_point(alg, mu, L1).quoted_rate
+                         for alg in ("dagt_nes", "dagt_hb", "dagt"))
         assert nes < hb < dagt
 
 
@@ -1315,8 +1325,8 @@ def test_quadratic_rates_report_consistency():
     qp = make_quadratic(np.linspace(1, 9, 8), np.full(8, 0.5), np.zeros(8))
     g = build_topology("random", 8, edge_prob=0.8, seed=3)
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
-        a, m = optimal_params(alg, 1.0, 9.0)
-        rep = quadratic_rates(qp, g, a, m or 0.0, alg)
+        a, m = tuned_point(alg, 1.0, 9.0)[:2]
+        rep = quadratic_rates(qp, g, SolverConfig(alg, a, m))
         assert rep.predicted_rate == max(rep.rho_graph, rep.reduced_radius)
         assert rep.spectral_radius == pytest.approx(rep.predicted_rate, abs=1e-7)
         assert rep.matrix.entries.shape[0] == (24 if alg == "dagt" else 32)
@@ -1327,8 +1337,8 @@ def test_quadratic_rates_where_the_graph_shares_the_reduced_root():
     # taken whole, the dense eigensolve of the full matrix is off by 2e-6
     qp = make_quadratic(np.array([4.0, 1.0, 1.0, 1.0]), np.full(4, 0.5), np.zeros(4))
     g = build_topology("ring", 4)
-    a, m = optimal_params("dagt_hb", 1.0, 4.0)
-    rep = quadratic_rates(qp, g, a, m, "dagt_hb")
+    a, m = tuned_point("dagt_hb", 1.0, 4.0)[:2]
+    rep = quadratic_rates(qp, g, SolverConfig("dagt_hb", a, m))
     assert rep.predicted_rate == pytest.approx(1 / 3, rel=1e-15)
     assert rep.spectral_radius == pytest.approx(1 / 3, abs=1e-9)
     assert rep.matrix.entries.shape == (16, 16)
@@ -1381,11 +1391,11 @@ def test_quadratic_rates_memory_is_a_few_matrices():
 
     small, (qp, g) = instance(8), instance(128)
     for alg in ("dagt", "dagt_hb", "dagt_nes"):
-        a, m = optimal_params(alg, 1.0, 9.0)
-        quadratic_rates(*small, a, m, alg)  # untraced: numpy's one-time allocations
+        config = SolverConfig(alg, *tuned_point(alg, 1.0, 9.0)[:2])
+        quadratic_rates(*small, config)  # untraced: numpy's one-time allocations
         tracemalloc.start()
         try:
-            report = quadratic_rates(qp, g, a, m, alg)
+            report = quadratic_rates(qp, g, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1396,21 +1406,22 @@ def test_quadratic_rates_memory_is_a_few_matrices():
 def test_quadratic_rates_checks_the_block_structure(monkeypatch):
     qp = make_quadratic(np.linspace(1, 9, 5), np.full(5, 0.5), np.zeros(5))
     g = build_topology("ring", 5)
-    full = stability._round_matrix(qp, g, SolverConfig("dagt_hb", alpha=0.1, momentum=0.2))
+    config = SolverConfig("dagt_hb", alpha=0.1, momentum=0.2)
+    full = stability._round_matrix(qp, g, config)
     # in the state order (s; x, x_prev; u) every block above the diagonal is
     # exactly zero
     assert not full[:5, 5:].any() and not full[5:15, 15:].any()
     full[5, 15] = 1e-300
     monkeypatch.setattr(stability, "_round_matrix", lambda *args: full)
     with pytest.raises(InconsistentResult, match="block lower-triangular"):
-        quadratic_rates(qp, g, 0.1, 0.2, "dagt_hb")
+        quadratic_rates(qp, g, config)
 
 
-def test_optimal_params_validation():
+def test_tuned_point_validation():
     with pytest.raises(InvalidArgument):
-        optimal_params("dagt_hb", 2.0, 1.0)
+        tuned_point("dagt_hb", 2.0, 1.0)
     with pytest.raises(InvalidArgument):
-        optimal_params("sgd", 1.0, 2.0)
+        tuned_point("sgd", 1.0, 2.0)
 
 
 @pytest.mark.parametrize("algorithm,mu,L1,message", [
@@ -1422,18 +1433,15 @@ def test_optimal_params_validation():
                               "(mu = 1e-320, L1 = 1.0)"),
 ])
 def test_tuned_point_that_cannot_be_given_is_rejected(algorithm, mu, L1, message):
-    # every function of the tuned point rejects it, none with another error
-    for fn in (optimal_params, optimal_rate_formula, attained_optimal_radius):
-        with pytest.raises(InvalidArgument) as exc:
-            fn(algorithm, mu, L1)
-        assert str(exc.value) == message
+    with pytest.raises(InvalidArgument) as exc:
+        tuned_point(algorithm, mu, L1)
+    assert str(exc.value) == message
 
 
 def reference_tuned(algorithm, mu, L1):
     """The tuned point, quoted rate and attained radius, each expression
-    as the three functions first wrote it, one chain per function, with
-    the Nesterov momentum and radius clamped at 0 where mu = L1 rounds
-    them below it."""
+    as first written, one chain per quantity, with the Nesterov momentum
+    and radius clamped at 0 where mu = L1 rounds them below it."""
     kappa = L1 / mu
     if algorithm == "dagt":
         rate = (kappa - 1.0) / (kappa + 1.0)
@@ -1460,16 +1468,15 @@ def test_tuned_point_is_bit_identical_to_the_reference(algorithm):
         (m, m) for m in mu[:100].tolist() + [0.7, 3.3, 6.1, 3e307]]
     for m, l in points:
         (alpha, momentum), quoted, attained = reference_tuned(algorithm, m, l)
-        got = (*optimal_params(algorithm, m, l), optimal_rate_formula(algorithm, m, l),
-               attained_optimal_radius(algorithm, m, l))
+        got = tuple(tuned_point(algorithm, m, l))
         assert [v.hex() for v in got] == [v.hex() for v in (alpha, momentum, quoted, attained)]
 
 
 @pytest.mark.parametrize("algorithm", ["dagt", "dagt_hb", "dagt_nes"])
 @pytest.mark.parametrize("mu,L1", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0)])
-def test_attained_optimal_radius_rejects_what_optimal_params_rejects(algorithm, mu, L1):
+def test_tuned_point_rejects_mu_outside_0_to_L1(algorithm, mu, L1):
     with pytest.raises(InvalidArgument, match="need 0 < mu <= L1"):
-        attained_optimal_radius(algorithm, mu, L1)
+        tuned_point(algorithm, mu, L1)
 
 
 # ---------------------------------------------------------------------------
@@ -1491,9 +1498,9 @@ def test_nes_threshold_bound_valid_at_smoothness_boundary():
 
 def test_nes_threshold_bound_tight_at_tuned_parameters():
     for mu, L1 in [(1.0, 9.0), (0.5, 4.0), (2.0, 50.0)]:
-        a, g = optimal_params("dagt_nes", mu, L1)
+        a, g, _, attained = tuned_point("dagt_nes", mu, L1)
         bound = momentum_threshold_bound("dagt_nes", mu, L1, a, g)
-        assert bound == pytest.approx(attained_optimal_radius("dagt_nes", mu, L1), abs=1e-12)
+        assert bound == pytest.approx(attained, abs=1e-12)
         c = np.linspace(mu, L1, 9)
         assert quad_reduced_radius(c, a, g, "dagt_nes") == pytest.approx(bound, abs=1e-10)
 

@@ -215,6 +215,10 @@ INVOCATIONS = {
         "topology.kind=ring", "topology.seed=-1")],
     "run-unused-reversed-x0-range": ["run", "--preset", "placement-paper",
                                      *_sets("init.x0_range=5,1")],
+    # a negative momentum in a key the algorithm does not read (dagt reads neither)
+    **{f"run-negative-unused-{key}": ["run", "--preset", "quadratic-demo", *_sets(
+        f"solver.{key}=-1", "solver.max_iter=20")] for key in ("beta", "gamma")},
+    "bounds-negative-beta": ["bounds", "--preset", "placement-paper", *_sets("solver.beta=-1")],
 }
 
 
