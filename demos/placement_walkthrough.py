@@ -45,5 +45,5 @@ for label, cfg in configs.items():
 print()
 print("tracker means stay glued to the network means (conservation law):")
 trace = run(problem, graph, configs["heavy ball  (dagt_hb)"], X0, x_minus1=X_PREV)
-print("  max |mean(u) - mean(phi(x))| over the run: %.2e" % max(trace.u_mean_err))
-print("  max |mean(s) - mean(grad2)|  over the run: %.2e" % max(trace.s_mean_err))
+print("  max |mean(u) - mean(phi(x))| over the run: %.2e" % trace.max_u_mean_err)
+print("  max |mean(s) - mean(grad2)|  over the run: %.2e" % trace.max_s_mean_err)

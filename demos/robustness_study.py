@@ -3,7 +3,8 @@
 Two perturbations: synchronous delay (every communication round takes
 delay+1 ticks, so agents hold until messages arrive) and additive white
 noise on every received tracker entry. Delay slows convergence but leaves
-the limit exact; noise leaves a stochastic floor.
+the limit exact. Noise random-walks the tracker means, so the residual
+does not settle at a floor: its expectation grows linearly with the run.
 
 Run with: python demos/robustness_study.py
 """
@@ -39,12 +40,13 @@ print("delay stretches every round but the limit point is unchanged.")
 print()
 
 print("--- white noise on received tracker entries -------------------------")
-print(f"{'sigma':>8} {'floor (mean sq residual)':>26}")
+print(f"{'sigma':>8} {'median residual_msq, last 600 ticks':>37}")
 cfg = SolverConfig("dagt_hb", alpha=0.003, momentum=0.006, max_iter=6000, tol=0.0)
 for sigma in (1e-4, 1e-3, 1e-2):
     # the channel owns the noise: its level and the seed of its stream
     channel = CommChannel(graph, noise_sigma=sigma, seed=5)
     trace = run(problem, channel, cfg, x0)
     res = np.asarray(trace.residual_msq)
-    print(f"{sigma:>8.0e} {np.median(res[-600:]):>26.3e}")
-print("the residual no longer vanishes; its floor scales with the noise power.")
+    print(f"{sigma:>8.0e} {np.median(res[-600:]):>37.3e}")
+print("the residual no longer vanishes and scales with the noise power; it keeps")
+print("growing with the run, because the noise random-walks the tracker means.")

@@ -86,10 +86,6 @@ def _outcome(trace):
     return {"iterations": len(trace) - 1, "converged": bool(trace.converged)}
 
 
-def _stop_reason(trace):
-    return "tolerance" if trace.converged else "budget"
-
-
 class Experiment:
     """The problem, graph, start point and noise of one config, built
     once; each run varies only the solver config (and maybe the graph or
@@ -134,7 +130,7 @@ def _run_summary(exp, solver_cfg, trace):
         "alpha": solver_cfg.alpha,
         "momentum": solver_cfg.momentum,
         **_outcome(trace),
-        "stop_reason": _stop_reason(trace),
+        "stop_reason": trace.stop_reason,
         "final_grad_norm": trace.grad_norm[-1],
         "final_residual_msq": trace.residual_msq[-1],
         "final_obj_gap": trace.obj_gap[-1],
@@ -143,8 +139,8 @@ def _run_summary(exp, solver_cfg, trace):
         "oracle_method": oracle.method,
         "rho_graph": graph.rho,
         "measured_tail_rate": measured_tail_rate(trace),
-        "max_u_mean_err": max(trace.u_mean_err),
-        "max_s_mean_err": max(trace.s_mean_err),
+        "max_u_mean_err": trace.max_u_mean_err,
+        "max_s_mean_err": trace.max_s_mean_err,
     }
     if _has_exact_rates(problem) and exp.noise_sigma == 0:
         report = quadratic_rates(problem, graph, solver_cfg)
@@ -178,7 +174,7 @@ def cmd_sweep(cfg):
     for v in cfg["sweep.values"]:
         try:
             trace = exp.run(momentum=v, diagnostics=False)[1]
-            rows.append({"momentum": v, **_outcome(trace), "stop_reason": _stop_reason(trace)})
+            rows.append({"momentum": v, **_outcome(trace), "stop_reason": trace.stop_reason})
         except DivergenceDetected as exc:
             rows.append({"momentum": v, "iterations": int(exc.iteration), "converged": False,
                          "stop_reason": "divergence"})
@@ -330,7 +326,8 @@ def cmd_rates(cfg):
         solver_cfg, trace = exp.run(algorithm=alg, alpha=point.alpha, momentum=point.momentum)
         report = quadratic_rates(exp.problem, exp.graph, solver_cfg)
         predicted, measured = report.predicted_rate, measured_tail_rate(trace)
-        rel = abs(measured - predicted) / predicted
+        # a relative error to a zero prediction is undefined
+        rel = abs(measured - predicted) / predicted if predicted else math.nan
         rows.append((alg, point.alpha, point.momentum, report.reduced_radius, report.rho_graph,
                      predicted, measured, rel))
         details[alg] = {"predicted": predicted, "measured": measured, "rel_error": rel}

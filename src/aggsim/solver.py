@@ -250,12 +250,13 @@ class IterTrace:
     """Per-tick diagnostics of one run (one row per tick, k = 0 first).
 
     `record` queues a state with the ticks of its row, its arrival and its
-    holds, and k derives from those counts. `flush` computes every column
-    for the queued states at once, stop test included, and checks that
-    they are finite; without diagnostics it fills only grad_norm. `run`
-    calls it when BLOCK states are queued and at its end. Each column holds
-    the same floats as a row-by-row computation: the stacked products run
-    one BLAS dot or GEMV per row, as one row's would.
+    holds. `flush` computes every column for the queued states at once,
+    stop test included, and checks that they are finite; without
+    diagnostics it fills only grad_norm. `run` calls it when BLOCK states
+    are queued and at its end, so a returned trace has one grad_norm entry
+    per tick, holds included, and its length is that column's. Each column
+    holds the same floats as a row-by-row computation: the stacked products
+    run one BLAS dot or GEMV per row, as one row's would.
     """
 
     residual_msq: list = field(default_factory=list)
@@ -263,9 +264,9 @@ class IterTrace:
     grad_norm: list = field(default_factory=list)
     u_track_err: list = field(default_factory=list)
     s_track_err: list = field(default_factory=list)
-    # tracker-mean conservation residuals; diagnostics only, not in the CSV
-    u_mean_err: list = field(default_factory=list)
-    s_mean_err: list = field(default_factory=list)
+    # the largest tracker-mean conservation residuals of the run; 0.0 without diagnostics
+    max_u_mean_err: float = 0.0
+    max_s_mean_err: float = 0.0
     converged: bool = False
     final_state: SolverState = None
     # queued states not yet flushed, and the ticks of every row, flushed
@@ -274,12 +275,16 @@ class IterTrace:
     _ticks: list = field(default_factory=list, repr=False)
 
     def __len__(self):
-        return sum(self._ticks)
+        return len(self.grad_norm)
 
     @property
     def k(self):
-        """The tick of every row, 0 to the last: [0, 1, ..., len - 1]."""
-        return list(range(len(self)))
+        """The tick of every row, 0 to the last: range(len)."""
+        return range(len(self))
+
+    @property
+    def stop_reason(self):  # a divergence raises instead
+        return "tolerance" if self.converged else "budget"
 
     def record(self, state, ticks):
         """Queue the state's row of `ticks` ticks; True once BLOCK states are
@@ -289,10 +294,10 @@ class IterTrace:
         return len(self._queue) == BLOCK
 
     def flush(self, problem, tol, diagnostics):
-        """Compute the queued rows and their holds; return the first queued
-        state whose gradient norm is below tol, or None.
-
-        The rows after that state, and its own holds, are dropped. Raises
+        """Compute the queued rows and their holds, and make the last row's
+        state the final_state; True, with converged set, if a queued state's
+        gradient norm is below tol: the first such state ends the trace, and
+        the rows after it, and its own holds, are dropped. Raises
         DivergenceDetected at the arrival tick of the first queued state
         that is not finite, if it comes at or before the converged one
         (x_prev is the x of the state before it, so x, u, s and y cover
@@ -300,8 +305,6 @@ class IterTrace:
         tol.
         """
         states = self._queue
-        if not states:
-            return None
         self._queue = []
         size = len(states)
         first = len(self._ticks) - size
@@ -323,12 +326,12 @@ class IterTrace:
             grad_norm = grad_norm[:size]
             del self._ticks[first + size:]
             self._ticks[-1] = 1
+            self.converged = True
         if not finite[:size].all():
             raise DivergenceDetected(sum(self._ticks[:first + int(finite.argmin())]))
+        self.final_state = states[-1]
         columns = {"grad_norm": grad_norm}
         if diagnostics:
-            phi = _stack([st.phi_y for st in states])
-            g2 = _stack([st.g2_y for st in states])
             n_agents = problem.n_agents
             dx = X - problem.ground_truth.x_star
             residual_msq = (dx**2).sum(axis=1) / n_agents
@@ -345,21 +348,23 @@ class IterTrace:
                 "obj_gap": obj_gap,
                 "u_track_err": _row_norms(U - u_mean[:, None, :]),
                 "s_track_err": _row_norms(S - s_mean[:, None, :]),
-                "u_mean_err": np.abs(u_mean - phi.sum(axis=1) / n_agents).max(axis=1),
-                "s_mean_err": np.abs(s_mean - g2.sum(axis=1) / n_agents).max(axis=1),
             })
+            # a held row repeats its residuals, so the rows alone give the maxima
+            u_err = np.abs(u_mean - _stack([st.phi_y for st in states]).sum(axis=1) / n_agents)
+            s_err = np.abs(s_mean - _stack([st.g2_y for st in states]).sum(axis=1) / n_agents)
+            self.max_u_mean_err = float(u_err.max(initial=self.max_u_mean_err))
+            self.max_s_mean_err = float(s_err.max(initial=self.max_s_mean_err))
         ticks = self._ticks[first:]
         if sum(ticks) > size:
             columns = {name: np.repeat(values, ticks) for name, values in columns.items()}
         for name, values in columns.items():
             getattr(self, name).extend(values.tolist())
-        return states[-1] if met.size else None
+        return self.converged
 
     def to_csv(self):
         """csv_text of the trace columns; a held row is formatted once and
         its text follows each of its ticks."""
-        columns = (self.residual_msq, self.obj_gap, self.grad_norm, self.u_track_err,
-                   self.s_track_err)
+        columns = [getattr(self, name) for name in TRACE_COLUMNS[1:]]
         lines = [",".join(TRACE_COLUMNS)]
         tick = 0
         for ticks in self._ticks:
@@ -398,7 +403,6 @@ def run(problem, channel, config, x0, x_minus1=None, diagnostics=True):
         graph = channel.graph
     trace = IterTrace()
     record, delay_steps, max_iter = trace.record, config.delay_steps, config.max_iter
-    converged = None
     # divergence surfaces as NaN/Inf checks, not as float warnings, from the start on
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(problem, graph, x0, x_minus1=x_minus1)
@@ -411,11 +415,6 @@ def run(problem, channel, config, x0, x_minus1=None, diagnostics=True):
             full = record(state, ticks)
             tick += ticks
             spent = tick > max_iter
-            if full or spent:
-                converged = trace.flush(problem, config.tol, diagnostics)
-                if spent or converged is not None:
-                    break
+            if (full or spent) and (trace.flush(problem, config.tol, diagnostics) or spent):
+                return trace
             state = step(state, problem, channel, config)
-    trace.converged = converged is not None
-    trace.final_state = converged if trace.converged else state
-    return trace

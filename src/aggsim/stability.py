@@ -481,8 +481,12 @@ def _companion2_radius(p, q):
     """Spectral radius of [[p, -q], [1, 0]], i.e. of z^2 - p z + q.
 
     A near-zero discriminant is classified as a double root to avoid the
-    half-precision loss of generic eigensolvers at defective points.
+    half-precision loss of generic eigensolvers at defective points. Where
+    p * p overflows, it is found at p 2^-600 and q 4^-600: every root scales
+    by 2^-600, and q loses only bits negligible beside p^2.
     """
+    if math.isinf(p * p) and math.isfinite(p):
+        return math.ldexp(_companion2_radius(math.ldexp(p, -600), math.ldexp(q, -1200)), 600)
     disc = p * p - 4.0 * q
     gate = 64.0 * _EPS * (p * p + 4.0 * abs(q))
     if disc > gate:
@@ -502,7 +506,7 @@ def quad_reduced_radius(c, alpha, momentum, algorithm):
     beta, gamma = momentum_family(algorithm, momentum)
     return float(max(
         _companion2_radius(1.0 + beta - alpha * ci * (1.0 + gamma), beta - alpha * ci * gamma)
-        for ci in np.asarray(c, dtype=float)
+        for ci in np.asarray(c, dtype=float).tolist()  # Python floats overflow quietly
     ))
 
 

@@ -960,6 +960,34 @@ def test_rates_with_an_unconverged_run_exits_3_and_writes_its_outputs(tmp_path):
     assert list(summary["per_algorithm"]) == ["dagt", "dagt_hb", "dagt_nes"]
 
 
+def test_rates_with_a_zero_prediction_writes_a_null_relative_error(tmp_path, capsys):
+    # the complete 8-agent Metropolis weights are all 1/8, so rho_graph is 0,
+    # and kappa = 1 makes every tuned radius 0: the predicted rate is 0
+    out = tmp_path / "o"
+    sets = ["--set", "problem.c=1,1,1,1,1,1,1,1", "--set", "topology.kind=complete"]
+    assert run_cli("rates", "--preset", "quadratic-demo", *sets, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(out / "rates.csv")
+    for row in rows:
+        assert float(row[header.index("predicted_rate")]) == 0.0
+        assert row[header.index("rel_error")] == "nan"
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(entry["rel_error"] is None for entry in summary["per_algorithm"].values())
+
+
+def test_run_with_a_huge_step_reports_its_reduced_radius_quietly(tmp_path, capsys):
+    # p = 1 - alpha c overflows when squared; the full and reduced radii agree
+    out = tmp_path / "o"
+    sets = ["--set", "solver.alpha=1e200", "--set", "solver.max_iter=0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--preset", "quadratic-demo", *sets, "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    assert code == 0 and capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reduced_radius"] == pytest.approx(9e200, rel=1e-15)
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
     assert run_cli("run", "--preset", "quadratic-demo", "--dump-config") == 0
     text = capsys.readouterr().out

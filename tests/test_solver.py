@@ -147,7 +147,7 @@ class ReferenceTrace:
     def to_csv(self):
         """The trace CSV, every row formatted on its own."""
         return reference_csv_text(TRACE_COLUMNS, zip(*(getattr(self, name)
-                                                       for name in TRACE_FIELDS[:6])))
+                                                       for name in TRACE_FIELDS)))
 
 
 def reference_record(trace, problem, state, tick, oracle_solution, grad_vec):
@@ -172,7 +172,7 @@ def reference_record(trace, problem, state, tick, oracle_solution, grad_vec):
 def reference_hold(trace, ticks):
     """Repeat the last row on `ticks` hold ticks."""
     trace.k.extend(range(trace.k[-1] + 1, trace.k[-1] + 1 + ticks))
-    for name in TRACE_FIELDS[1:]:
+    for name in TRACE_FIELDS[1:] + MEAN_ERR_FIELDS:
         column = getattr(trace, name)
         column.extend(column[-1:] * ticks)
 
@@ -211,9 +211,10 @@ def reference_run(problem, graph, config, x0, x_minus1=None, oracle_solution=Non
     return trace
 
 
-# every per-tick column of IterTrace, the tracker-mean residuals included
-TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err",
-                "u_mean_err", "s_mean_err")
+# every per-tick column of IterTrace, and the tracker-mean residuals, which
+# IterTrace keeps as their maxima
+TRACE_FIELDS = ("k", "residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err")
+MEAN_ERR_FIELDS = ("u_mean_err", "s_mean_err")
 
 
 def run_outcome_only(*args, **kwargs):
@@ -228,9 +229,10 @@ def assert_columns_equal(ours, ref, names):
 
 def assert_runs_equal(run_args, **run_kwargs):
     """run and reference_run end alike, bit for bit: the same trace, CSV
-    text and final state, or a divergence at the same tick. A run without
-    diagnostics ends alike too, with the same k and grad_norm and no other
-    column. Returns the reference's trace or divergence tick."""
+    text, tracker-mean maxima, stop reason and final state, or a divergence
+    at the same tick. A run without diagnostics ends alike too, with the
+    same k and grad_norm, no other column and zero maxima. Returns the
+    reference's trace or divergence tick."""
     outcomes = []
     for fn in (run, reference_run, run_outcome_only):
         try:
@@ -248,8 +250,14 @@ def assert_runs_equal(run_args, **run_kwargs):
     for name in TRACE_FIELDS:
         if name not in ("k", "grad_norm"):
             assert getattr(outcome_only, name) == [], name
+    for name in MEAN_ERR_FIELDS:
+        assert getattr(ours, "max_" + name) == max(getattr(ref, name)), name
+        assert getattr(outcome_only, "max_" + name) == 0.0, name
     for trace in (ours, outcome_only):
         assert trace.converged == ref.converged
+        assert trace.stop_reason == ("tolerance" if trace.converged else "budget")
+        assert len(trace) == trace.k[-1] + 1
+        assert list(trace.k) == list(range(len(trace)))
         assert_states_equal(trace.final_state, ref.final_state)
     return ref
 
@@ -448,7 +456,7 @@ def test_run_zero_max_iter_records_initial_only():
     cfg = SolverConfig(algorithm="dagt", alpha=0.005, max_iter=0, tol=1e-12)
     trace = run(p, g, cfg, PLACEMENT_X0)
     assert len(trace) == 1
-    assert trace.k == [0]
+    assert list(trace.k) == [0]
     assert not trace.converged
 
 
@@ -467,8 +475,8 @@ def test_tracking_conservation_along_runs():
     for alg, mom in (("dagt", 0.0), ("dagt_hb", 0.05), ("dagt_nes", 0.05)):
         cfg = SolverConfig(algorithm=alg, alpha=0.01, momentum=mom, max_iter=800, tol=1e-10)
         trace = run(p, g, cfg, x0)
-        assert max(trace.u_mean_err) <= 1e-9
-        assert max(trace.s_mean_err) <= 1e-9
+        assert trace.max_u_mean_err <= 1e-9
+        assert trace.max_s_mean_err <= 1e-9
 
 
 def test_divergence_detection_records_iteration():
@@ -562,13 +570,12 @@ def test_delayed_run_preserves_tracking_means():
     g = build_topology("ring", 8)
     cfg = SolverConfig(algorithm="dagt", alpha=0.01, max_iter=600, tol=1e-9, delay_steps=3)
     trace = run(p, g, cfg, np.linspace(5, 8, 8))
-    assert max(trace.u_mean_err) <= 1e-9
-    assert max(trace.s_mean_err) <= 1e-9
+    assert trace.max_u_mean_err <= 1e-9
+    assert trace.max_s_mean_err <= 1e-9
 
 
 # the trace columns a hold tick repeats: all but k
-ROW_COLUMNS = ("residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err",
-               "u_mean_err", "s_mean_err")
+ROW_COLUMNS = ("residual_msq", "obj_gap", "grad_norm", "u_track_err", "s_track_err")
 
 
 def trace_rows(trace):
@@ -606,7 +613,7 @@ def test_delayed_trace_repeats_each_undelayed_row(delay, noise_sigma, max_iter, 
         assert delayed.converged
         expected = expected[:len(expected) - delay]
     assert trace_rows(delayed) == expected[:max_iter + 1]
-    assert delayed.k == list(range(len(delayed)))
+    assert list(delayed.k) == list(range(len(delayed)))
     rounds = (delayed.k[-1] + delay) // (delay + 1)  # arrivals at ticks 1, delay + 2, ...
     at_round = run(p, g, replace(cfg, delay_steps=0, max_iter=rounds), x0)
     assert np.array_equal(delayed.final_state.x, at_round.final_state.x)
@@ -730,7 +737,7 @@ def test_holds_across_a_flush_match_reference(delay, noise_sigma, offset):
     p, g, cfg, x0 = delay_case(delay, noise_sigma, max_iter=max_iter)
     assert_runs_equal((p, g, cfg, x0))
     trace = run(p, g, cfg, x0)
-    assert trace.k == list(range(max_iter + 1))
+    assert list(trace.k) == list(range(max_iter + 1))
 
 
 def doubling_case(diverge_row, delay, noise_sigma):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1542,6 +1543,33 @@ def test_hb_radius_never_below_sqrt_momentum():
         beta = rng.uniform(0.01, 0.99)
         c = np.linspace(mu, L1, 5)
         assert quad_reduced_radius(c, a, beta, "dagt_hb") >= math.sqrt(beta) - 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(1e200, 0.0), (-1e200, 3.0), (2e154, -1e300), (3e200, 1e300),
+                                 (2e154, 1.5e308), (2e154, 1e308), (-1e308, 0.5)])
+def test_companion_radius_where_p_squared_overflows(p, q):
+    # scaling p by 2^-k and q by 4^-k scales every root by 2^-k, so the
+    # unscaled tests on the scaled pair give the radius to rounding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radius = _companion2_radius(p, q)
+    k = 520
+    unscaled = _companion2_radius(math.ldexp(p, -k), math.ldexp(q, -2 * k))
+    assert radius == pytest.approx(math.ldexp(unscaled, k), rel=1e-15, abs=0)
+
+
+def test_reduced_radius_of_a_huge_step_is_finite_and_quiet():
+    # p = 1 + beta - alpha c (1 + gamma) overflows when squared, and q is
+    # negligible beside p^2: the radius is |p|, 9e200 (1 + gamma) to rounding
+    c = np.linspace(1.0, 9.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alg in ("dagt", "dagt_hb", "dagt_nes"):
+            momentum = 0.0 if alg == "dagt" else 0.5
+            radius = quad_reduced_radius(c, 1e200, momentum, alg)
+            assert type(radius) is float
+            gamma = momentum_family(alg, momentum)[1]
+            assert radius == pytest.approx(9e200 * (1.0 + gamma), rel=1e-15), alg
 
 
 def test_threshold_bound_preconditions():

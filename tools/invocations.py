@@ -219,6 +219,23 @@ INVOCATIONS = {
     **{f"run-negative-unused-{key}": ["run", "--preset", "quadratic-demo", *_sets(
         f"solver.{key}=-1", "solver.max_iter=20")] for key in ("beta", "gamma")},
     "bounds-negative-beta": ["bounds", "--preset", "placement-paper", *_sets("solver.beta=-1")],
+    # a zero predicted rate (rho_graph and every tuned radius are 0), and a
+    # step whose reduced radius squares past the float range
+    "rates-zero-prediction": ["rates", "--preset", "quadratic-demo", *_sets(
+        "problem.c=1,1,1,1,1,1,1,1", "topology.kind=complete")],
+    "run-huge-step": ["run", "--preset", "quadratic-demo", *_sets(
+        "solver.alpha=1e200", "solver.max_iter=0")],
+    # paths no other invocation reaches: the exported graph, the dumped
+    # config, a robustness run whose delay and noise runs all diverge, a
+    # sweep of a method with no momentum, rates on a non-quadratic problem
+    # and rates with an unconverged run
+    "run-export-graph": ["run", "--preset", "placement-paper", *_sets("output.export_graph=true")],
+    "dump-config": ["run", "--preset", "quadratic-demo", "--dump-config"],
+    "robustness-all-diverge": ["robustness", "--preset", "placement-paper", *_sets(
+        "solver.alpha=5", "solver.max_iter=500", "robustness.noise_max_iter=200")],
+    "sweep-dagt": ["sweep", "--preset", "quadratic-demo", *_sets("solver.algorithm=dagt")],
+    "rates-cournot": ["rates", "--preset", "cournot-paper"],
+    "rates-unconverged": ["rates", "--preset", "quadratic-demo", *_sets("solver.max_iter=2")],
 }
 
 
